@@ -30,8 +30,8 @@ import pytest
 
 from repro.analysis.montecarlo import varied_device_set
 from repro.analysis.stability import SETTLE_TIME
-from repro.circuit.batch import BatchMember, run_generators, transient_gen
-from repro.circuit.transient import simulate_transient
+from repro.circuit.batch import run_generators
+from repro.circuit.transient import simulate_transient, transient_gen
 from repro.devices.variation import OxideVariation
 from repro.engine.mc import sample_scales
 from repro.sram import AccessConfig, CellSizing, Tfet6TCell
@@ -74,24 +74,15 @@ def _run_scalar(all_scales) -> list[float]:
 
 
 def _run_batched(all_scales) -> list[float]:
-    pairs = []
-    benches = []
-    for k, scales in enumerate(all_scales):
-        bench = _bench_for(scales)
-        benches.append(bench)
-        member = BatchMember(label=f"s{k}")
-        pairs.append(
-            (
-                member,
-                transient_gen(
-                    member,
-                    bench.circuit,
-                    bench.settle_stop(SETTLE_TIME),
-                    initial_conditions=bench.initial_conditions,
-                ),
-            )
+    benches = [_bench_for(scales) for scales in all_scales]
+    outcomes = run_generators([
+        transient_gen(
+            bench.circuit,
+            bench.settle_stop(SETTLE_TIME),
+            initial_conditions=bench.initial_conditions,
         )
-    outcomes = run_generators(pairs)
+        for bench in benches
+    ])
     for outcome in outcomes:
         if outcome.status != "ok":
             raise outcome.error

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 
-from repro.circuit.dcop import ConvergenceError
-from repro.circuit.transient import TransientOptions, simulate_transient
+from repro.circuit.dcop import ConvergenceError, drive
+from repro.circuit.transient import TransientOptions, simulate_transient, transient_gen
 from repro.sram.assist import Assist
 from repro.sram.testbench import Testbench
 
@@ -58,27 +58,22 @@ def dynamic_read_noise_margin(
     )
 
 
-def _write_result(
-    bench: Testbench,
-    options: TransientOptions | None,
-    operating_point_guess: dict[str, float] | None = None,
-):
-    return simulate_transient(
-        bench.circuit,
-        bench.settle_stop(SETTLE_TIME),
-        initial_conditions=bench.initial_conditions,
-        options=options,
-        operating_point_guess=operating_point_guess,
-    )
+def _flipped(bench: Testbench, result) -> bool:
+    """Whether a write transient ended with the cell state flipped."""
+    return result.final(bench.one_node) - result.final(bench.zero_node) < FLIP_MARGIN
 
 
 def write_flips_cell(
     bench: Testbench, options: TransientOptions | None = None
 ) -> bool:
     """Whether a write testbench ends with the cell state flipped."""
-    result = _write_result(bench, options)
-    final = result.final(bench.one_node) - result.final(bench.zero_node)
-    return final < FLIP_MARGIN
+    result = simulate_transient(
+        bench.circuit,
+        bench.settle_stop(SETTLE_TIME),
+        initial_conditions=bench.initial_conditions,
+        options=options,
+    )
+    return _flipped(bench, result)
 
 
 class WlCritSearch:
@@ -112,10 +107,16 @@ class WlCritSearch:
         self.options = options
         self._op_guess: dict[str, float] | None = None
 
-    def _flips(self, bench_factory, width: float) -> bool:
+    def _flips_gen(self, bench_factory, width: float):
         bench = bench_factory(width)
         try:
-            result = _write_result(bench, self.options, self._op_guess)
+            result = yield from transient_gen(
+                bench.circuit,
+                bench.settle_stop(SETTLE_TIME),
+                initial_conditions=bench.initial_conditions,
+                options=self.options,
+                operating_point_guess=self._op_guess,
+            )
         except ConvergenceError:
             # A non-converging corner case is treated as "did not
             # flip": the bisection then errs toward a *larger* WL_crit,
@@ -126,25 +127,34 @@ class WlCritSearch:
         self._op_guess = dict(
             zip(bench.circuit.node_names, (float(v) for v in result.states[0]))
         )
-        final = result.final(bench.one_node) - result.final(bench.zero_node)
-        return final < FLIP_MARGIN
+        return _flipped(bench, result)
 
-    def search(self, bench_factory) -> float:
-        """``bench_factory(pulse_width) -> Testbench`` for this cell/assist."""
+    def search_gen(self, bench_factory):
+        """Generator form of :meth:`search`, yielding every probe's
+        assembly requests — the WL_crit bisection of a stacked
+        Monte-Carlo batch member."""
         self._op_guess = None  # a new cell/assist invalidates the cached OP
-        if not self._flips(bench_factory, self.upper_bound):
+        if not (yield from self._flips_gen(bench_factory, self.upper_bound)):
             return math.inf
-        if self._flips(bench_factory, self.lower_bound):
+        if (yield from self._flips_gen(bench_factory, self.lower_bound)):
             return self.lower_bound
 
         lo, hi = self.lower_bound, self.upper_bound
         while hi - lo > self.relative_tolerance * hi:
             mid = math.sqrt(lo * hi)  # geometric: widths span 3+ decades
-            if self._flips(bench_factory, mid):
+            if (yield from self._flips_gen(bench_factory, mid)):
                 hi = mid
             else:
                 lo = mid
         return hi
+
+    def search(self, bench_factory) -> float:
+        """``bench_factory(pulse_width) -> Testbench`` for this cell/assist.
+
+        Probes are not ``transient`` telemetry spans of their own; the
+        counters of every probe are recorded.
+        """
+        return drive(self.search_gen(bench_factory))
 
 
 def critical_wordline_pulse(

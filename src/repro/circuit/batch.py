@@ -3,14 +3,19 @@
 Monte-Carlo campaigns solve thousands of *variants of one topology* —
 same nodes, same stamps, different device tables — and the scalar path
 pays the full python/numpy dispatch overhead of every assembly once per
-variant.  This module removes that multiplier: the scalar control flow
+variant.  This module removes that multiplier.  The solver control flow
 (Newton damping, line search, jacobian reuse, transient step control,
-DC fallback tiers, even the WL_crit bisection above it) is transcribed
-into *generator coroutines*, one per batch member, that suspend at
-every residual/Jacobian request.  A single-threaded driver collects the
+DC fallback tiers, the WL_crit bisection above them) exists once, as
+generators that suspend at every residual/Jacobian request
+(:func:`repro.circuit.dcop.newton_gen` / ``solve_dc_gen``,
+:func:`repro.circuit.transient.transient_gen`,
+:meth:`repro.analysis.stability.WlCritSearch.search_gen`).  The scalar
+entry points drive one generator each (:func:`repro.circuit.dcop.drive`,
+a batch of one).  :func:`run_generators` drives many: it collects the
 suspended requests each tick and serves them with one batched assembly
 over a ``(K, size)`` state block — one scatter-add per stamp kind for
-the whole batch instead of one per member.
+the whole batch instead of one per member.  This module holds only that
+stacked assembler and its driver.
 
 Bit-exactness is the design contract, not an aspiration: every batched
 kernel replicates the scalar assembly expression-for-expression (same
@@ -20,8 +25,8 @@ of any size produces solution vectors bit-identical to the scalar path.
 ``repro.verify`` leans on this — batch members can be audited by
 re-running them scalar and comparing exactly.
 
-What is deliberately different from the scalar path (documented, not
-accidental):
+The two drivers differ only in how they assemble; what that changes is
+deliberate and value-neutral:
 
 * the Jacobian block is assembled every tick for every live member,
   even for residual-only (line search) requests — per-member it would
@@ -30,13 +35,15 @@ accidental):
 * ``tables.evals``/``tables.eval_points`` telemetry counters are not
   incremented (the stacked kernel bypasses ``CubicTable2D.evaluate``);
   ``batch.table_points`` counts the stacked evaluations instead;
-* telemetry spans and wall-clock timers measure a member's span of
-  life including time parked while other members advance — per-member
-  exclusive wall time has no meaning under cooperative scheduling, so
-  ``dcop``/``transient`` spans are skipped entirely;
-* ``verify`` in-loop audits still run against the member's own scalar
-  :class:`MnaSystem`, so enabling a verify session inside a batch is
-  supported (the engine instead audits whole members by scalar re-run).
+* telemetry spans exist only at the public scalar entry points
+  (``solve_dc``, ``simulate_transient``), never inside a generator:
+  under cooperative scheduling a member's span would interleave with
+  every other member's, so a batch records counters but no spans.
+
+``verify`` in-loop audits run inside the generators against each
+request's own scalar :class:`MnaSystem`, so enabling a verify session
+inside a batch is supported (the engine instead audits whole members by
+scalar re-run).
 
 Members advance at their own pace — a member that converges early
 leaves the batch, shrinking the active block; a member that raises
@@ -46,74 +53,28 @@ continue.  The engine layer retries failed members on the scalar path.
 
 from __future__ import annotations
 
-import bisect
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.circuit.dcop import (
-    ConvergenceError,
-    SolverOptions,
-    _factorize,
-    _initial_vector,
-    _record_newton,
-    _seed_vector,
-    _tier_converged,
-    _worst_residual_nodes,
-)
-from repro.circuit.mna import MnaSystem, TransientState, VoltageClamp
-from repro.circuit.results import OperatingPoint, TransientResult
-from repro.circuit.sparse import make_system
-from repro.circuit.transient import _EPS, TransientOptions
+from repro.circuit.mna import MnaSystem
 from repro.devices.tables import CurrentTable
 from repro.telemetry import core as telemetry
-from repro.verify import audits as verify_audits
-from repro.verify import core as verify
 
-__all__ = [
-    "BatchMember",
-    "MemberOutcome",
-    "run_generators",
-    "newton_gen",
-    "attempt_step_gen",
-    "transient_gen",
-    "solve_dc_gen",
-]
-
-
-class BatchMember:
-    """One variant's identity and current assembler binding in a batch.
-
-    Generators bind the member to the :class:`MnaSystem` they are about
-    to solve via :meth:`install_system`; the driver compiles a stamping
-    plan for that system lazily and rebuilds it whenever the binding
-    (or the system's own compiled stamps) changes.
-    """
-
-    __slots__ = ("label", "system", "_plan")
-
-    def __init__(self, label: str = ""):
-        self.label = label
-        self.system: MnaSystem | None = None
-        self._plan = None
-
-    def install_system(self, system: MnaSystem) -> None:
-        self.system = system
+__all__ = ["MemberOutcome", "run_generators"]
 
 
 @dataclass
 class MemberOutcome:
     """Terminal state of one batch member."""
 
-    member: BatchMember
     status: str  # "ok" | "error"
     value: object = None
     error: BaseException | None = field(default=None, repr=False)
 
 
-# An assembly request, yielded by the generators below:
-#   (x, t, gmin, transient, clamps, source_scale, want_jac)
+# An assembly request, yielded by the solver generators:
+#   (system, x, t, gmin, transient, clamps, source_scale, want_jac)
 # The driver answers with (f, jac) — f a fresh array, jac a view into
 # the tick buffer (valid until the generator's next yield) or None.
 
@@ -236,7 +197,7 @@ class _TableRegistry:
 
 
 class _MemberPlan:
-    """Per-(member, system) stamping plan in the system's own layout.
+    """Per-(slot, system) stamping plan in the system's own layout.
 
     Group partition is by model *identity*, so two Monte-Carlo variants
     of one topology can flatten their transistors in different orders
@@ -479,7 +440,7 @@ def _stamp_capacitors_batch(layout: _Layout, reqs: list, tr: list[int]) -> None:
     H = np.empty(len(tr))
     trapezoidal = False
     for j, i in enumerate(tr):
-        state = reqs[i][3]
+        state = reqs[i][4]
         QP[j] = state.capacitor_charges
         H[j] = state.timestep
         if state.method == "trapezoidal":
@@ -491,7 +452,7 @@ def _stamp_capacitors_batch(layout: _Layout, reqs: list, tr: list[int]) -> None:
         CUR = np.empty_like(Q)
         CON = np.empty_like(Q)
         for j, i in enumerate(tr):
-            state = reqs[i][3]
+            state = reqs[i][4]
             if state.method == "trapezoidal":
                 CUR[j] = 2.0 * (Q[j] - QP[j]) / H[j] - state.capacitor_currents
                 CON[j] = 2.0 * C[j] / H[j]
@@ -517,7 +478,7 @@ def _assemble_tick(layout: _Layout, reqs: list, registry: _TableRegistry, tel) -
     X = layout.X
     F = layout.F
     for i, r in enumerate(reqs):
-        X[i] = r[0]
+        X[i] = r[1]
     layout.XG[:, :n] = X[:, :n]
 
     # Linear elements: one per-member mat-vec (a fused (K,n)x(n,n) dgemm
@@ -526,19 +487,19 @@ def _assemble_tick(layout: _Layout, reqs: list, registry: _TableRegistry, tel) -
         np.matmul(layout.LIN[i], X[i], out=F[i])
     np.copyto(layout.JAC, layout.LIN)
 
-    gv = np.array([r[2] for r in reqs])
+    gv = np.array([r[3] for r in reqs])
     idx = np.flatnonzero(gv > 0.0)
     if idx.size:
         F[idx, :n] += gv[idx, None] * X[idx, :n]
         layout.JAC2[np.ix_(idx, layout.diag_flat)] += gv[idx, None]
 
     for i, r in enumerate(reqs):
-        clamps = r[4]
+        clamps = r[5]
         if clamps:
             sys = layout.plans[i].system
             nodes, conductance, target = sys._clamp_arrays(clamps)
             if nodes.size:
-                np.add.at(F[i], nodes, conductance * (r[0][nodes] - target))
+                np.add.at(F[i], nodes, conductance * (r[1][nodes] - target))
                 np.add.at(
                     layout.JAC2[i], nodes * (layout.size + 1), conductance
                 )
@@ -547,8 +508,8 @@ def _assemble_tick(layout: _Layout, reqs: list, registry: _TableRegistry, tel) -
     # waveform) caches so the cache evolution matches the scalar path.
     for i, r in enumerate(reqs):
         sys = layout.plans[i].system
-        t = r[1]
-        source_scale = r[5]
+        t = r[2]
+        source_scale = r[6]
         if sys.n_branches:
             vs = sys._vs_values
             sources = sys.circuit.voltage_sources
@@ -580,7 +541,7 @@ def _assemble_tick(layout: _Layout, reqs: list, registry: _TableRegistry, tel) -
         _stamp_devices_batch(layout, registry, tel)
 
     if layout.n_c:
-        tr = [i for i, r in enumerate(reqs) if r[3] is not None]
+        tr = [i for i, r in enumerate(reqs) if r[4] is not None]
         if tr:
             if layout.cap_other:
                 # Exotic charge functions: the vectorized bank falls
@@ -588,15 +549,20 @@ def _assemble_tick(layout: _Layout, reqs: list, registry: _TableRegistry, tel) -
                 for i in tr:
                     sys = layout.plans[i].system
                     sys._stamp_capacitors(
-                        X[i], F[i], layout.JAC2[i], reqs[i][3], True
+                        X[i], F[i], layout.JAC2[i], reqs[i][4], True
                     )
             else:
                 _stamp_capacitors_batch(layout, reqs, tr)
 
 
-def _plan_for(member: BatchMember, registry: _TableRegistry) -> _MemberPlan:
-    plan = member._plan
-    system = member.system
+def _plan_for(
+    plan: _MemberPlan | None, system: MnaSystem, registry: _TableRegistry
+) -> _MemberPlan:
+    """A slot's stamping plan for the system its request names.
+
+    Rebuilt when the request names another system (a member moving on
+    to its next simulation) or the system recompiled its stamps.
+    """
     if (
         plan is None
         or plan.system is not system
@@ -604,49 +570,48 @@ def _plan_for(member: BatchMember, registry: _TableRegistry) -> _MemberPlan:
         or plan.vs_waves is not system._vs_waves
     ):
         plan = _MemberPlan(system, registry)
-        member._plan = plan
     return plan
 
 
-def run_generators(
-    pairs: list[tuple[BatchMember, object]]
-) -> list[MemberOutcome]:
-    """Drive (member, generator) pairs to completion, batching assembly.
+def run_generators(gens: list) -> list[MemberOutcome]:
+    """Drive solver generators to completion, batching their assembly.
 
     Each generator yields assembly requests and receives ``(f, jac)``
     answers; the driver advances every live member once per tick and
     serves all parked requests with one stacked assembly.  A generator's
-    return value becomes its member's ``value``; an uncaught exception
+    return value becomes its outcome's ``value``; an uncaught exception
     (most commonly :class:`ConvergenceError`) becomes an ``"error"``
     outcome without disturbing the other members.  Outcomes are
     returned in input order.
     """
     tel = telemetry.active()
     registry = _TableRegistry()
-    results: list[MemberOutcome | None] = [None] * len(pairs)
-    active: list[list] = []
-    for pos, (member, gen) in enumerate(pairs):
+    results: list[MemberOutcome | None] = [None] * len(gens)
+    active: list[list] = []  # [position, generator, request, plan]
+    for pos, gen in enumerate(gens):
         try:
             req = gen.send(None)
         except StopIteration as stop:
-            results[pos] = MemberOutcome(member, "ok", stop.value)
+            results[pos] = MemberOutcome("ok", stop.value)
         except Exception as exc:
-            results[pos] = MemberOutcome(member, "error", error=exc)
+            results[pos] = MemberOutcome("error", error=exc)
         else:
-            active.append([pos, member, gen, req])
+            active.append([pos, gen, req, None])
     if tel is not None:
         tel.count("batch.runs")
-        tel.count("batch.members", len(pairs))
+        tel.count("batch.members", len(gens))
 
     layout = None
     layout_key = None
     while active:
-        plans = [_plan_for(entry[1], registry) for entry in active]
+        for entry in active:
+            entry[3] = _plan_for(entry[3], entry[2][0], registry)
+        plans = [entry[3] for entry in active]
         key = tuple(id(p) for p in plans)
         if key != layout_key:
             layout = _Layout(plans)
             layout_key = key
-        reqs = [entry[3] for entry in active]
+        reqs = [entry[2] for entry in active]
         _assemble_tick(layout, reqs, registry, tel)
         if tel is not None:
             tel.count("batch.ticks")
@@ -654,427 +619,16 @@ def run_generators(
 
         still = []
         for i, entry in enumerate(active):
-            pos, member, gen, req = entry
-            answer = (layout.F[i].copy(), layout.JAC[i] if req[6] else None)
+            pos, gen, req, _ = entry
+            answer = (layout.F[i].copy(), layout.JAC[i] if req[7] else None)
             try:
                 nxt = gen.send(answer)
             except StopIteration as stop:
-                results[pos] = MemberOutcome(member, "ok", stop.value)
+                results[pos] = MemberOutcome("ok", stop.value)
             except Exception as exc:
-                results[pos] = MemberOutcome(member, "error", error=exc)
+                results[pos] = MemberOutcome("error", error=exc)
             else:
-                entry[3] = nxt
+                entry[2] = nxt
                 still.append(entry)
         active = still
     return results
-
-
-# -- generator transcriptions of the scalar control flow ----------------------
-#
-# Each generator below is a line-for-line transcription of its scalar
-# counterpart (newton_solve, _attempt_step, simulate_transient/_simulate,
-# solve_dc/_solve_dc_tiers) with every MnaSystem assembly replaced by a
-# yield.  Control flow, damping constants, cache seeding, telemetry
-# counters, and exception behaviour are preserved so a batch member's
-# iteration history is identical to a scalar run of the same problem.
-
-
-def newton_gen(
-    member: BatchMember,
-    x0: np.ndarray,
-    t: float,
-    options: SolverOptions,
-    transient: TransientState | None = None,
-    clamps: tuple[VoltageClamp, ...] = (),
-    extra_gmin: float = 0.0,
-    source_scale: float = 1.0,
-):
-    """Generator transcription of :func:`repro.circuit.dcop.newton_solve`."""
-    if options.max_iterations < 1:
-        raise ValueError(
-            f"SolverOptions.max_iterations must be >= 1, got {options.max_iterations}"
-        )
-    tel = telemetry.active()
-    wall_start = time.perf_counter() if tel is not None else 0.0
-    system = member.system
-
-    x = x0.copy()
-    n = system.n_nodes
-    gmin = options.gmin + extra_gmin
-
-    f, _ = yield (x, t, gmin, transient, clamps, source_scale, False)
-    factor = None
-    age = 0
-    stamps = 0
-    reuses = 0
-    residual_ok_streak = 0
-    trust = options.step_limit
-    backtracks = 0
-    trust_shrinks = 0
-    step = float("nan")
-    iteration = 0
-    while iteration < options.max_iterations:
-        iteration += 1
-
-        refresh = (
-            factor is None
-            or not options.jacobian_reuse
-            or age >= options.max_jacobian_age
-        )
-        if refresh:
-            _, jac = yield (x, t, gmin, transient, clamps, source_scale, True)
-            try:
-                factor = _factorize(jac)
-            except np.linalg.LinAlgError as exc:
-                if tel is not None:
-                    tel.count("newton.singular_jacobians")
-                    _record_newton(tel, wall_start, iteration, backtracks,
-                                   trust_shrinks, stamps, reuses, converged=False)
-                raise ConvergenceError(
-                    f"singular Jacobian at iteration {iteration}",
-                    forensics={"worst_residual_nodes": _worst_residual_nodes(system, f)},
-                ) from exc
-            age = 0
-            stamps += 1
-        else:
-            age += 1
-            reuses += 1
-
-        try:
-            delta = factor.solve(-f)
-        except np.linalg.LinAlgError as exc:
-            if tel is not None:
-                tel.count("newton.singular_jacobians")
-                _record_newton(tel, wall_start, iteration, backtracks,
-                               trust_shrinks, stamps, reuses, converged=False)
-            raise ConvergenceError(
-                f"singular Jacobian at iteration {iteration}",
-                forensics={"worst_residual_nodes": _worst_residual_nodes(system, f)},
-            ) from exc
-        if not np.all(np.isfinite(delta)):
-            if age > 0:
-                factor = None
-                iteration -= 1
-                continue
-            if tel is not None:
-                _record_newton(tel, wall_start, iteration, backtracks,
-                               trust_shrinks, stamps, reuses, converged=False)
-            raise ConvergenceError(
-                f"non-finite Newton step at iteration {iteration}",
-                forensics={"worst_residual_nodes": _worst_residual_nodes(system, f)},
-            )
-
-        max_dv = float(np.max(np.abs(delta[:n]))) if n else 0.0
-        if max_dv > trust:
-            delta = delta * (trust / max_dv)
-            max_dv = trust
-
-        norm_old = float(np.linalg.norm(f))
-        scale = 1.0
-        descended = False
-        for _ in range(options.line_search_backtracks + 1):
-            x_try = x + scale * delta
-            f_try, _ = yield (x_try, t, gmin, transient, clamps, source_scale, False)
-            if float(np.linalg.norm(f_try)) <= norm_old or norm_old == 0.0:
-                descended = True
-                break
-            scale *= 0.5
-            backtracks += 1
-        if not descended and age > 0:
-            factor = None
-            iteration -= 1
-            continue
-        x, f = x_try, f_try
-        step = scale * max_dv
-
-        if scale < 1.0:
-            trust = max(0.25 * trust, 1e-7)
-            trust_shrinks += 1
-            factor = None
-        else:
-            trust = min(2.0 * trust, options.step_limit)
-            norm_new = float(np.linalg.norm(f))
-            if age > 0 and norm_new > options.reuse_descent_factor * norm_old:
-                factor = None
-
-        max_f = float(np.max(np.abs(f)))
-        if max_f < options.residual_tolerance:
-            if age == 0:
-                residual_ok_streak += 1
-                if step < options.voltage_tolerance or residual_ok_streak >= 3:
-                    ver = verify.active()
-                    if ver is not None:
-                        verify_audits.audit_newton_solution(
-                            ver, system, x, t, gmin=gmin,
-                            transient=transient, clamps=clamps,
-                            source_scale=source_scale,
-                            residual_tolerance=options.residual_tolerance,
-                        )
-                    if tel is not None:
-                        _record_newton(tel, wall_start, iteration, backtracks,
-                                       trust_shrinks, stamps, reuses,
-                                       converged=True)
-                    return x, iteration
-            else:
-                factor = None
-        else:
-            residual_ok_streak = 0
-
-    if tel is not None:
-        _record_newton(tel, wall_start, options.max_iterations, backtracks,
-                       trust_shrinks, stamps, reuses, converged=False)
-    raise ConvergenceError(
-        f"Newton did not converge in {options.max_iterations} iterations",
-        forensics={
-            "last_dv": step,
-            "max_residual": float(np.max(np.abs(f))),
-            "worst_residual_nodes": _worst_residual_nodes(system, f),
-            "extra_gmin": extra_gmin,
-            "source_scale": source_scale,
-        },
-    )
-
-
-def attempt_step_gen(
-    member: BatchMember,
-    x: np.ndarray,
-    x_prev: np.ndarray | None,
-    h_prev: float,
-    t: float,
-    h_try: float,
-    charges: np.ndarray,
-    currents: np.ndarray,
-    options: TransientOptions,
-    tel,
-):
-    """Generator transcription of :func:`repro.circuit.transient._attempt_step`."""
-    extrapolate = (
-        options.predictor == "linear" and x_prev is not None and h_prev > 0.0
-    )
-    while True:
-        state = TransientState(
-            timestep=h_try,
-            capacitor_charges=charges,
-            capacitor_currents=currents,
-            method=options.method,
-        )
-        reason = "newton"
-        dv = float("nan")
-        seeds = [x + (x - x_prev) * (h_try / h_prev)] if extrapolate else []
-        seeds.append(x)
-        try:
-            for attempt, x_seed in enumerate(seeds):
-                try:
-                    x_new, iterations = yield from newton_gen(
-                        member, x_seed, t + h_try, options.solver, transient=state
-                    )
-                    break
-                except ConvergenceError:
-                    if attempt == len(seeds) - 1:
-                        raise
-                    if tel is not None:
-                        tel.count("transient.predictor_fallbacks")
-            system = member.system
-            dv = float(np.max(np.abs(x_new[: system.n_nodes] - x[: system.n_nodes])))
-            if dv <= options.max_voltage_step or h_try <= options.min_step:
-                return x_new, iterations, state, h_try
-            reason = "dv_limit"
-        except ConvergenceError:
-            pass
-
-        if tel is not None:
-            tel.count("transient.steps_rejected")
-            tel.count(f"transient.rejected_{reason}")
-        h_try *= options.shrink
-        if h_try < options.min_step:
-            if tel is not None:
-                tel.count("transient.step_underflows")
-            raise ConvergenceError(
-                f"transient step underflow at t = {t:.3e} s",
-                forensics={
-                    "time_s": t,
-                    "step_s": h_try,
-                    "last_rejection": reason,
-                    "last_dv": dv,
-                },
-            ) from None
-
-
-def solve_dc_gen(
-    member: BatchMember,
-    circuit,
-    initial_guess: dict[str, float] | None = None,
-    clamp_nodes: dict[str, float] | None = None,
-    options: SolverOptions | None = None,
-    t: float = 0.0,
-    system: MnaSystem | None = None,
-    x0=None,
-):
-    """Generator transcription of :func:`repro.circuit.dcop.solve_dc`."""
-    options = options or SolverOptions()
-    if system is None:
-        system = make_system(
-            circuit,
-            matrix_format=options.matrix_format,
-            sparse_threshold=options.sparse_threshold,
-            dense_cls=MnaSystem,
-        )
-    member.install_system(system)
-    clamps = tuple(
-        VoltageClamp(circuit.index_of(name), target)
-        for name, target in (clamp_nodes or {}).items()
-        if circuit.index_of(name) >= 0
-    )
-    if x0 is None:
-        x0 = _initial_vector(system, initial_guess)
-    else:
-        x0 = _seed_vector(system, x0)
-
-    tel = telemetry.active()
-    if tel is not None:
-        tel.count("dcop.solves")
-
-    warm = bool(np.any(x0 != 0.0))
-    first_tier = "warm_start" if warm else "cold_start"
-    try:
-        x, _ = yield from newton_gen(member, x0, t, options, clamps=clamps)
-        _tier_converged(tel, first_tier, t)
-        return OperatingPoint(circuit, x, options.gmin)
-    except ConvergenceError:
-        pass
-
-    if warm:
-        try:
-            x, _ = yield from newton_gen(
-                member, np.zeros(system.size), t, options, clamps=clamps
-            )
-            _tier_converged(tel, "cold_start", t)
-            return OperatingPoint(circuit, x, options.gmin)
-        except ConvergenceError:
-            pass
-
-    x = x0.copy()
-    try:
-        for extra in np.geomspace(1e-2, 1e-12, 11):
-            x, _ = yield from newton_gen(
-                member, x, t, options, clamps=clamps, extra_gmin=extra
-            )
-        x, _ = yield from newton_gen(member, x, t, options, clamps=clamps)
-        _tier_converged(tel, "gmin_stepping", t)
-        return OperatingPoint(circuit, x, options.gmin)
-    except ConvergenceError:
-        pass
-
-    x = np.zeros(system.size)
-    try:
-        for scale in np.linspace(0.1, 1.0, 10):
-            x, _ = yield from newton_gen(
-                member, x, t, options, clamps=clamps, source_scale=scale
-            )
-    except ConvergenceError as exc:
-        if tel is not None:
-            tel.count("dcop.failures")
-            tel.event("dcop.failure", level="error", sim_time=t, **{
-                k: v for k, v in exc.forensics.items() if k != "worst_residual_nodes"
-            })
-        raise ConvergenceError(
-            "DC operating point failed after every fallback tier",
-            forensics={"fallback_tier": "source_stepping", **exc.forensics},
-        ) from exc
-    _tier_converged(tel, "source_stepping", t)
-    return OperatingPoint(circuit, x, options.gmin)
-
-
-def transient_gen(
-    member: BatchMember,
-    circuit,
-    t_stop: float,
-    initial_conditions: dict[str, float] | None = None,
-    options: TransientOptions | None = None,
-    operating_point_guess: dict[str, float] | None = None,
-):
-    """Generator transcription of :func:`repro.circuit.transient.simulate_transient`."""
-    if t_stop <= 0.0:
-        raise ValueError("t_stop must be positive")
-    options = options or TransientOptions()
-    tel = telemetry.active()
-
-    guess = dict(operating_point_guess or {})
-    guess.update(initial_conditions or {})
-    system = make_system(
-        circuit,
-        matrix_format=options.solver.matrix_format,
-        sparse_threshold=options.solver.sparse_threshold,
-        dense_cls=MnaSystem,
-    )
-    member.install_system(system)
-    op = yield from solve_dc_gen(
-        member,
-        circuit,
-        initial_guess=guess or None,
-        clamp_nodes=initial_conditions,
-        options=options.solver,
-        system=system,
-    )
-    x = op.x.copy()
-    # Charge/current queries run on the member's own scalar assembler:
-    # the batched stamps are bit-identical to it, so mixing the two is
-    # exact, and the per-step cost is a handful of vector ops.
-    charges = system.capacitor_charges(x)
-    currents = np.zeros_like(charges)
-
-    breakpoints = [b for b in circuit.breakpoints() if 0.0 < b < t_stop]
-    breakpoints.append(t_stop)
-
-    times = [0.0]
-    states = [x.copy()]
-
-    t = 0.0
-    h = options.initial_step
-    x_prev: np.ndarray | None = None
-    h_prev = 0.0
-    while t < t_stop - 1e-21:
-        k = bisect.bisect_right(breakpoints, t)
-        next_break = breakpoints[k] if k < len(breakpoints) else t_stop
-        h_cap = min(h, options.max_step, next_break - t)
-
-        x_new, iterations, state, h_try = yield from attempt_step_gen(
-            member, x, x_prev, h_prev, t, h_cap, charges, currents, options, tel
-        )
-
-        t += h_try
-        if t != next_break and abs(next_break - t) <= 64.0 * _EPS * next_break:
-            t = next_break
-        x_prev, h_prev = x, h_try
-        x = x_new
-        currents = system.capacitor_currents(x, state)
-        charges = system.capacitor_charges(x)
-        times.append(t)
-        states.append(x.copy())
-
-        ver = verify.active()
-        if ver is not None:
-            verify_audits.audit_transient_step(
-                ver, system, x_prev, x, state, charges, currents
-            )
-
-        if tel is not None:
-            tel.count("transient.steps_accepted")
-            tel.observe("transient.step_seconds", h_try)
-            if t >= next_break - 1e-21:
-                tel.count("transient.breakpoint_landings")
-
-        if h_try < h_cap:
-            h = h_try
-        elif iterations <= options.easy_iterations:
-            h = min(max(h, h_try) * options.growth, options.max_step)
-
-    if tel is not None:
-        tel.count("transient.simulations")
-        tel.event(
-            "transient.complete",
-            level="debug",
-            t_stop=t_stop,
-            points=len(times),
-        )
-    return TransientResult(circuit, np.array(times), np.array(states))

@@ -18,7 +18,7 @@ Line searches evaluate the residual only (no Jacobian stores), so a
 backtrack costs a fraction of a full assembly.
 
 Both solvers are instrumented against :mod:`repro.telemetry`: when a
-session is active, each ``newton_solve`` records its iteration count,
+session is active, each Newton solve records its iteration count,
 line-search backtracks, trust-region shrinks, and Jacobian
 stamp/reuse split (``newton.jacobian_stamps`` vs
 ``newton.jacobian_reuses``), and ``solve_dc`` records which fallback
@@ -26,6 +26,17 @@ tier finally converged.  With telemetry off the cost is one guard
 check per solve.  On failure, a forensic snapshot (worst-residual node
 names, last dV, fallback tier reached) rides on the
 :class:`ConvergenceError` so the exception alone is diagnosable.
+
+The control flow exists once, as generators (:func:`newton_gen`,
+:func:`solve_dc_gen`) that *yield* every assembly they need as a
+request ``(system, x, t, gmin, transient, clamps, source_scale,
+want_jac)`` and receive ``(f, jac)``.  :func:`drive` answers the
+requests of one generator with the named system's own
+``assemble(..., copy=False)`` or ``assemble_residual`` — the scalar
+path, for the dense, sparse and reference assemblers alike — and
+:func:`repro.circuit.batch.run_generators` answers many at once with a
+stacked assembly.  :func:`newton_solve` and :func:`solve_dc` are
+:func:`drive` over the generators.
 """
 
 from __future__ import annotations
@@ -55,7 +66,15 @@ try:  # pragma: no cover - exercised via either branch in CI images
 except ImportError:  # pragma: no cover
     _HAVE_SCIPY = False
 
-__all__ = ["SolverOptions", "ConvergenceError", "newton_solve", "solve_dc"]
+__all__ = [
+    "SolverOptions",
+    "ConvergenceError",
+    "drive",
+    "newton_gen",
+    "newton_solve",
+    "solve_dc",
+    "solve_dc_gen",
+]
 
 
 def _format_forensic(value) -> str:
@@ -122,6 +141,17 @@ class SolverOptions:
     """System size (nodes + source branches) at which ``"auto"``
     switches to sparse assembly."""
 
+    def __post_init__(self) -> None:
+        if self.max_iterations < 1:
+            raise ValueError(
+                f"SolverOptions.max_iterations must be >= 1, got {self.max_iterations}"
+            )
+        if self.line_search_backtracks < 0:
+            raise ValueError(
+                "SolverOptions.line_search_backtracks must be >= 0, "
+                f"got {self.line_search_backtracks}"
+            )
+
 
 class _Factorization:
     """LU of one stamped Jacobian (scipy when present, numpy fallback).
@@ -176,7 +206,35 @@ def _worst_residual_nodes(
     return [f"{names[int(i)]}:{magnitudes[int(i)]:.2e}" for i in order]
 
 
-def newton_solve(
+def drive(gen):
+    """Run one solver generator to completion on the scalar path.
+
+    The K = 1 driver: each request names its system, which answers it
+    with its own ``assemble(..., copy=False)`` (Jacobian requests) or
+    ``assemble_residual`` (the Jacobian-free line-search requests), so
+    the dense, sparse and reference assemblers all work unchanged.
+    Returns the generator's return value; its exceptions propagate.
+    """
+    answer = None
+    while True:
+        try:
+            system, x, t, gmin, transient, clamps, source_scale, want_jac = gen.send(answer)
+        except StopIteration as stop:
+            return stop.value
+        if want_jac:
+            answer = system.assemble(
+                x, t, gmin=gmin, transient=transient, clamps=clamps,
+                source_scale=source_scale, copy=False,
+            )
+        else:
+            f = system.assemble_residual(
+                x, t, gmin=gmin, transient=transient, clamps=clamps,
+                source_scale=source_scale,
+            )
+            answer = (f, None)
+
+
+def newton_gen(
     system: MnaSystem,
     x0: np.ndarray,
     t: float,
@@ -185,7 +243,7 @@ def newton_solve(
     clamps: tuple[VoltageClamp, ...] = (),
     extra_gmin: float = 0.0,
     source_scale: float = 1.0,
-) -> tuple[np.ndarray, int]:
+):
     """Damped modified Newton with backtracking; returns (x, iterations).
 
     Device characteristics with locally flat regions (e.g. the dip where
@@ -197,11 +255,11 @@ def newton_solve(
     stall (see :class:`SolverOptions`); a step taken from a stale
     factorization that fails to descend is discarded and retried with a
     fresh stamp before the iteration counts as failed.
+
+    A generator: every assembly is yielded as a request (see the module
+    docstring).  The Jacobian it receives may be a reusable buffer that
+    is valid only until the next yield, so it is factorized at once.
     """
-    if options.max_iterations < 1:
-        raise ValueError(
-            f"SolverOptions.max_iterations must be >= 1, got {options.max_iterations}"
-        )
     tel = telemetry.active()
     wall_start = time.perf_counter() if tel is not None else 0.0
 
@@ -209,13 +267,7 @@ def newton_solve(
     n = system.n_nodes
     gmin = options.gmin + extra_gmin
 
-    def residual(xv: np.ndarray) -> np.ndarray:
-        return system.assemble_residual(
-            xv, t, gmin=gmin, transient=transient, clamps=clamps,
-            source_scale=source_scale,
-        )
-
-    f = residual(x)
+    f, _ = yield (system, x, t, gmin, transient, clamps, source_scale, False)
     factor = None
     age = 0
     stamps = 0
@@ -235,10 +287,7 @@ def newton_solve(
             or age >= options.max_jacobian_age
         )
         if refresh:
-            _, jac = system.assemble(
-                x, t, gmin=gmin, transient=transient, clamps=clamps,
-                source_scale=source_scale, copy=False,
-            )
+            _, jac = yield (system, x, t, gmin, transient, clamps, source_scale, True)
             try:
                 factor = _factorize(jac)
             except np.linalg.LinAlgError as exc:
@@ -292,7 +341,7 @@ def newton_solve(
         descended = False
         for _ in range(options.line_search_backtracks + 1):
             x_try = x + scale * delta
-            f_try = residual(x_try)
+            f_try, _ = yield (system, x_try, t, gmin, transient, clamps, source_scale, False)
             if float(np.linalg.norm(f_try)) <= norm_old or norm_old == 0.0:
                 descended = True
                 break
@@ -302,7 +351,7 @@ def newton_solve(
             # A stale direction that cannot descend at any scale is not
             # a Newton failure — discard the step, re-stamp at the
             # current point, and retry the iteration (f is untouched:
-            # residual() returns fresh arrays).
+            # residual answers are fresh arrays).
             factor = None
             iteration -= 1
             continue
@@ -369,6 +418,22 @@ def newton_solve(
             "source_scale": source_scale,
         },
     )
+
+
+def newton_solve(
+    system: MnaSystem,
+    x0: np.ndarray,
+    t: float,
+    options: SolverOptions,
+    transient: TransientState | None = None,
+    clamps: tuple[VoltageClamp, ...] = (),
+    extra_gmin: float = 0.0,
+    source_scale: float = 1.0,
+) -> tuple[np.ndarray, int]:
+    """:func:`newton_gen` on the scalar path; returns (x, iterations)."""
+    return drive(newton_gen(
+        system, x0, t, options, transient, clamps, extra_gmin, source_scale
+    ))
 
 
 def _record_newton(
@@ -444,6 +509,98 @@ def _tier_converged(tel, tier: str, t: float) -> None:
         tel.event("dcop.converged", level="debug", tier=tier, sim_time=t)
 
 
+def solve_dc_gen(
+    circuit: Circuit,
+    initial_guess: dict[str, float] | None = None,
+    clamp_nodes: dict[str, float] | None = None,
+    options: SolverOptions | None = None,
+    t: float = 0.0,
+    system: MnaSystem | None = None,
+    x0: np.ndarray | OperatingPoint | None = None,
+):
+    """Generator form of :func:`solve_dc`: the DC escalation ladder."""
+    options = options or SolverOptions()
+    if system is None:
+        # The dense class is passed through the module global so tests
+        # and benchmarks that monkeypatch ``dcop.MnaSystem`` (e.g. to
+        # ReferenceMnaSystem) keep controlling the assembler.
+        system = make_system(
+            circuit,
+            matrix_format=options.matrix_format,
+            sparse_threshold=options.sparse_threshold,
+            dense_cls=MnaSystem,
+        )
+    clamps = tuple(
+        VoltageClamp(circuit.index_of(name), target)
+        for name, target in (clamp_nodes or {}).items()
+        if circuit.index_of(name) >= 0
+    )
+    if x0 is None:
+        x0 = _initial_vector(system, initial_guess)
+    else:
+        x0 = _seed_vector(system, x0)
+
+    tel = telemetry.active()
+    if tel is not None:
+        tel.count("dcop.solves")
+
+    warm = bool(np.any(x0 != 0.0))
+    first_tier = "warm_start" if warm else "cold_start"
+    try:
+        x, _ = yield from newton_gen(system, x0, t, options, clamps=clamps)
+        _tier_converged(tel, first_tier, t)
+        return OperatingPoint(circuit, x, options.gmin)
+    except ConvergenceError:
+        pass
+
+    # A bad warm start can trap the iteration in a local residual
+    # minimum of the TFET reverse branch (node driven above a rail);
+    # the all-zeros start approaches every junction from the forward
+    # side and avoids the pocket.
+    if warm:
+        try:
+            x, _ = yield from newton_gen(
+                system, np.zeros(system.size), t, options, clamps=clamps
+            )
+            _tier_converged(tel, "cold_start", t)
+            return OperatingPoint(circuit, x, options.gmin)
+        except ConvergenceError:
+            pass
+
+    # gmin stepping: relax with a strong shunt, then tighten it away.
+    x = x0.copy()
+    try:
+        for extra in np.geomspace(1e-2, 1e-12, 11):
+            x, _ = yield from newton_gen(
+                system, x, t, options, clamps=clamps, extra_gmin=extra
+            )
+        x, _ = yield from newton_gen(system, x, t, options, clamps=clamps)
+        _tier_converged(tel, "gmin_stepping", t)
+        return OperatingPoint(circuit, x, options.gmin)
+    except ConvergenceError:
+        pass
+
+    # Source stepping: ramp all independent sources from zero.
+    x = np.zeros(system.size)
+    try:
+        for scale in np.linspace(0.1, 1.0, 10):
+            x, _ = yield from newton_gen(
+                system, x, t, options, clamps=clamps, source_scale=scale
+            )
+    except ConvergenceError as exc:
+        if tel is not None:
+            tel.count("dcop.failures")
+            tel.event("dcop.failure", level="error", sim_time=t, **{
+                k: v for k, v in exc.forensics.items() if k != "worst_residual_nodes"
+            })
+        raise ConvergenceError(
+            "DC operating point failed after every fallback tier",
+            forensics={"fallback_tier": "source_stepping", **exc.forensics},
+        ) from exc
+    _tier_converged(tel, "source_stepping", t)
+    return OperatingPoint(circuit, x, options.gmin)
+
+
 def solve_dc(
     circuit: Circuit,
     initial_guess: dict[str, float] | None = None,
@@ -474,88 +631,12 @@ def solve_dc(
     Escalation tiers (telemetry counters ``dcop.converged.<tier>`` tell
     which one succeeded): ``warm_start`` (the caller's guess),
     ``cold_start`` (all-zeros restart), ``gmin_stepping``,
-    ``source_stepping``.
+    ``source_stepping``.  With telemetry on, the solve is one ``dcop``
+    span.
     """
-    options = options or SolverOptions()
-    if system is None:
-        # The dense class is passed through the module global so tests
-        # and benchmarks that monkeypatch ``dcop.MnaSystem`` (e.g. to
-        # ReferenceMnaSystem) keep controlling the assembler.
-        system = make_system(
-            circuit,
-            matrix_format=options.matrix_format,
-            sparse_threshold=options.sparse_threshold,
-            dense_cls=MnaSystem,
-        )
-    clamps = tuple(
-        VoltageClamp(circuit.index_of(name), target)
-        for name, target in (clamp_nodes or {}).items()
-        if circuit.index_of(name) >= 0
-    )
-    if x0 is None:
-        x0 = _initial_vector(system, initial_guess)
-    else:
-        x0 = _seed_vector(system, x0)
-
+    gen = solve_dc_gen(circuit, initial_guess, clamp_nodes, options, t, system, x0)
     tel = telemetry.active()
-    if tel is not None:
-        tel.count("dcop.solves")
-        with tel.span("dcop"):
-            return _solve_dc_tiers(circuit, system, clamps, x0, options, t, tel)
-    return _solve_dc_tiers(circuit, system, clamps, x0, options, t, None)
-
-
-def _solve_dc_tiers(
-    circuit, system, clamps, x0, options, t, tel
-) -> OperatingPoint:
-    """The escalation ladder of :func:`solve_dc` (split out so the
-    traced path can wrap it in one ``dcop`` span)."""
-    warm = bool(np.any(x0 != 0.0))
-    first_tier = "warm_start" if warm else "cold_start"
-    try:
-        x, _ = newton_solve(system, x0, t, options, clamps=clamps)
-        _tier_converged(tel, first_tier, t)
-        return OperatingPoint(circuit, x, options.gmin)
-    except ConvergenceError:
-        pass
-
-    # A bad warm start can trap the iteration in a local residual
-    # minimum of the TFET reverse branch (node driven above a rail);
-    # the all-zeros start approaches every junction from the forward
-    # side and avoids the pocket.
-    if warm:
-        try:
-            x, _ = newton_solve(system, np.zeros(system.size), t, options, clamps=clamps)
-            _tier_converged(tel, "cold_start", t)
-            return OperatingPoint(circuit, x, options.gmin)
-        except ConvergenceError:
-            pass
-
-    # gmin stepping: relax with a strong shunt, then tighten it away.
-    x = x0.copy()
-    try:
-        for extra in np.geomspace(1e-2, 1e-12, 11):
-            x, _ = newton_solve(system, x, t, options, clamps=clamps, extra_gmin=extra)
-        x, _ = newton_solve(system, x, t, options, clamps=clamps)
-        _tier_converged(tel, "gmin_stepping", t)
-        return OperatingPoint(circuit, x, options.gmin)
-    except ConvergenceError:
-        pass
-
-    # Source stepping: ramp all independent sources from zero.
-    x = np.zeros(system.size)
-    try:
-        for scale in np.linspace(0.1, 1.0, 10):
-            x, _ = newton_solve(system, x, t, options, clamps=clamps, source_scale=scale)
-    except ConvergenceError as exc:
-        if tel is not None:
-            tel.count("dcop.failures")
-            tel.event("dcop.failure", level="error", sim_time=t, **{
-                k: v for k, v in exc.forensics.items() if k != "worst_residual_nodes"
-            })
-        raise ConvergenceError(
-            "DC operating point failed after every fallback tier",
-            forensics={"fallback_tier": "source_stepping", **exc.forensics},
-        ) from exc
-    _tier_converged(tel, "source_stepping", t)
-    return OperatingPoint(circuit, x, options.gmin)
+    if tel is None:
+        return drive(gen)
+    with tel.span("dcop"):
+        return drive(gen)

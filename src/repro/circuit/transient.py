@@ -23,6 +23,13 @@ With a :mod:`repro.telemetry` session active, the integrator records
 accepted/rejected step counts (split by rejection cause), predictor
 fallbacks, a step-size histogram, and breakpoint landings; disabled,
 the cost is one guard check per simulation call.
+
+Like the DC solver, the integrator exists once, as generators
+(:func:`attempt_step_gen`, :func:`transient_gen`) that yield their
+assembly requests; :func:`simulate_transient` drives one of them on
+the scalar path (:func:`repro.circuit.dcop.drive`), and
+:func:`repro.circuit.batch.run_generators` drives many as a stacked
+batch.
 """
 
 from __future__ import annotations
@@ -36,8 +43,9 @@ import numpy as np
 from repro.circuit.dcop import (
     ConvergenceError,
     SolverOptions,
-    newton_solve,
-    solve_dc,
+    drive,
+    newton_gen,
+    solve_dc_gen,
 )
 from repro.circuit.mna import MnaSystem, TransientState
 from repro.circuit.netlist import Circuit
@@ -47,7 +55,12 @@ from repro.telemetry import core as telemetry
 from repro.verify import audits as verify_audits
 from repro.verify import core as verify
 
-__all__ = ["TransientOptions", "simulate_transient"]
+__all__ = [
+    "TransientOptions",
+    "attempt_step_gen",
+    "simulate_transient",
+    "transient_gen",
+]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -84,9 +97,17 @@ class TransientOptions:
             raise ValueError(f"unknown integration method {self.method!r}")
         if self.predictor not in ("linear", "none"):
             raise ValueError(f"unknown predictor {self.predictor!r}")
+        if not 0.0 < self.shrink < 1.0:
+            # shrink >= 1 never shrinks a rejected step (the integrator
+            # loops forever); shrink <= 0 underflows at once.
+            raise ValueError(f"TransientOptions.shrink must be in (0, 1), got {self.shrink}")
+        for name in ("initial_step", "max_step", "min_step"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"TransientOptions.{name} must be > 0, got {value}")
 
 
-def _attempt_step(
+def attempt_step_gen(
     system: MnaSystem,
     x: np.ndarray,
     x_prev: np.ndarray | None,
@@ -97,7 +118,7 @@ def _attempt_step(
     currents: np.ndarray,
     options: TransientOptions,
     tel,
-) -> tuple[np.ndarray, int, TransientState, float]:
+):
     """Shrink ``h_try`` until one step from ``t`` is accepted.
 
     Each attempt seeds Newton from the extrapolated predictor (when
@@ -126,7 +147,7 @@ def _attempt_step(
         try:
             for attempt, x_seed in enumerate(seeds):
                 try:
-                    x_new, iterations = newton_solve(
+                    x_new, iterations = yield from newton_gen(
                         system, x_seed, t + h_try, options.solver, transient=state
                     )
                     break
@@ -160,48 +181,18 @@ def _attempt_step(
             ) from None
 
 
-def simulate_transient(
+def transient_gen(
     circuit: Circuit,
     t_stop: float,
     initial_conditions: dict[str, float] | None = None,
     options: TransientOptions | None = None,
     operating_point_guess: dict[str, float] | None = None,
-) -> TransientResult:
-    """Integrate the circuit from 0 to ``t_stop``.
-
-    ``initial_conditions`` pin the named nodes for the t = 0 operating
-    point (bistable-state selection) and are released afterwards.
-
-    ``operating_point_guess`` seeds the t = 0 DC solve with node
-    voltages from a previous converged run of the same cell — bisection
-    loops (WL_crit) pass the last solution so repeated simulations skip
-    the homotopy-from-zero ramp.  A bad guess only costs the solver its
-    warm-start tier; the cold-start and stepping fallbacks still run.
-    A guess naming a node this circuit does not have (a seed carried
-    over from a different circuit) raises :class:`ValueError`.
-    """
+):
+    """Generator form of :func:`simulate_transient`: the integration loop."""
     if t_stop <= 0.0:
         raise ValueError("t_stop must be positive")
     options = options or TransientOptions()
-
     tel = telemetry.active()
-    if tel is not None:
-        with tel.span("transient"):
-            return _simulate(
-                circuit, t_stop, initial_conditions, options,
-                operating_point_guess, tel,
-            )
-    return _simulate(
-        circuit, t_stop, initial_conditions, options, operating_point_guess, None
-    )
-
-
-def _simulate(
-    circuit, t_stop, initial_conditions, options, operating_point_guess, tel
-) -> TransientResult:
-    """The integration loop of :func:`simulate_transient` (split out so
-    the traced path can wrap it in one ``transient`` span)."""
-    wall_start = time.perf_counter() if tel is not None else 0.0
 
     guess = dict(operating_point_guess or {})
     guess.update(initial_conditions or {})
@@ -213,7 +204,7 @@ def _simulate(
         sparse_threshold=options.solver.sparse_threshold,
         dense_cls=MnaSystem,
     )
-    op = solve_dc(
+    op = yield from solve_dc_gen(
         circuit,
         initial_guess=guess or None,
         clamp_nodes=initial_conditions,
@@ -221,6 +212,9 @@ def _simulate(
         system=system,
     )
     x = op.x.copy()
+    # Charges and currents come from the system's own scalar assembler
+    # even inside a stacked batch: the batched stamps are bit-identical
+    # to it, so mixing the two is exact.
     charges = system.capacitor_charges(x)
     currents = np.zeros_like(charges)  # caps carry no current at DC
 
@@ -240,7 +234,7 @@ def _simulate(
         next_break = breakpoints[k] if k < len(breakpoints) else t_stop
         h_cap = min(h, options.max_step, next_break - t)
 
-        x_new, iterations, state, h_try = _attempt_step(
+        x_new, iterations, state, h_try = yield from attempt_step_gen(
             system, x, x_prev, h_prev, t, h_cap, charges, currents, options, tel
         )
 
@@ -289,7 +283,6 @@ def _simulate(
 
     if tel is not None:
         tel.count("transient.simulations")
-        tel.add_time("transient.wall_s", time.perf_counter() - wall_start)
         tel.event(
             "transient.complete",
             level="debug",
@@ -297,3 +290,40 @@ def _simulate(
             points=len(times),
         )
     return TransientResult(circuit, np.array(times), np.array(states))
+
+
+def simulate_transient(
+    circuit: Circuit,
+    t_stop: float,
+    initial_conditions: dict[str, float] | None = None,
+    options: TransientOptions | None = None,
+    operating_point_guess: dict[str, float] | None = None,
+) -> TransientResult:
+    """Integrate the circuit from 0 to ``t_stop``.
+
+    ``initial_conditions`` pin the named nodes for the t = 0 operating
+    point (bistable-state selection) and are released afterwards.
+
+    ``operating_point_guess`` seeds the t = 0 DC solve with node
+    voltages from a previous converged run of the same cell — bisection
+    loops (WL_crit) pass the last solution so repeated simulations skip
+    the homotopy-from-zero ramp.  A bad guess only costs the solver its
+    warm-start tier; the cold-start and stepping fallbacks still run.
+    A guess naming a node this circuit does not have (a seed carried
+    over from a different circuit) raises :class:`ValueError`.
+
+    With telemetry on, the run is one ``transient`` span (the t = 0 DC
+    solve inside it is not a span of its own) and one
+    ``transient.wall_s`` timer sample.
+    """
+    gen = transient_gen(
+        circuit, t_stop, initial_conditions, options, operating_point_guess
+    )
+    tel = telemetry.active()
+    if tel is None:
+        return drive(gen)
+    with tel.span("transient"):
+        wall_start = time.perf_counter()
+        result = drive(gen)
+        tel.add_time("transient.wall_s", time.perf_counter() - wall_start)
+    return result

@@ -1,11 +1,13 @@
 """Stacked-batch Newton must be bit-identical to the scalar solvers.
 
-The generators in :mod:`repro.circuit.batch` are transcriptions of
-``solve_dc`` / ``simulate_transient`` — same tolerances, same fallback
-ladder, same step control — so a batch of K variants driven by
-:func:`run_generators` must reproduce the scalar waveforms *exactly*
-(``tobytes`` equality), not merely to tolerance.  Error isolation and
-the shared-topology precondition are pinned here too.
+``solve_dc`` / ``simulate_transient`` drive the same generators
+(``solve_dc_gen`` / ``transient_gen``) one at a time on each system's
+own assembler; :func:`run_generators` drives K of them with the stacked
+assembler.  A batch of K variants must therefore reproduce the scalar
+waveforms *exactly* (``tobytes`` equality), not merely to tolerance —
+this pins the stacked assembler against the scalar one (the control
+flow itself is pinned by ``test_solver_golden.py``).  Error isolation
+and the shared-topology precondition are pinned here too.
 """
 
 from __future__ import annotations
@@ -13,15 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuit.batch import (
-    BatchMember,
-    run_generators,
-    solve_dc_gen,
-    transient_gen,
-)
-from repro.circuit.dcop import solve_dc
+from repro.circuit.batch import run_generators
+from repro.circuit.dcop import solve_dc, solve_dc_gen
 from repro.circuit.netlist import Circuit
-from repro.circuit.transient import simulate_transient
+from repro.circuit.transient import simulate_transient, transient_gen
 from repro.circuit.waveforms import Pulse
 from repro.devices.charges import SmoothStepCharge
 from repro.devices.library import tfet_device
@@ -52,12 +49,9 @@ VARIANTS = [(0.1, 1e-16), (0.14, 2e-16), (0.2, 5e-17), (0.08, 3e-16)]
 def test_batched_transient_bit_identical_to_scalar():
     scalar = [simulate_transient(_inverter(*v), T_STOP) for v in VARIANTS]
 
-    pairs = []
-    for k, v in enumerate(VARIANTS):
-        member = BatchMember(label=f"v{k}")
-        pairs.append((member, transient_gen(member, _inverter(*v), T_STOP)))
+    gens = [transient_gen(_inverter(*v), T_STOP) for v in VARIANTS]
     with telemetry.enabled() as tel:
-        outcomes = run_generators(pairs)
+        outcomes = run_generators(gens)
         counters = dict(tel.counters)
 
     assert [o.status for o in outcomes] == ["ok"] * len(VARIANTS)
@@ -75,11 +69,7 @@ def test_batched_transient_bit_identical_to_scalar():
 
 
 def test_batched_dc_bit_identical_to_scalar():
-    pairs = []
-    for k, v in enumerate(VARIANTS):
-        member = BatchMember(label=f"v{k}")
-        pairs.append((member, solve_dc_gen(member, _inverter(*v))))
-    outcomes = run_generators(pairs)
+    outcomes = run_generators([solve_dc_gen(_inverter(*v)) for v in VARIANTS])
     for v, outcome in zip(VARIANTS, outcomes):
         assert outcome.status == "ok"
         ref = solve_dc(_inverter(*v))
@@ -93,13 +83,9 @@ def test_member_error_is_isolated():
         raise RuntimeError("boom")
         yield  # pragma: no cover - makes this a generator
 
-    good = BatchMember(label="good")
-    bad = BatchMember(label="bad")
-    pairs = [
-        (good, transient_gen(good, _inverter(*VARIANTS[0]), T_STOP)),
-        (bad, exploding()),
-    ]
-    outcomes = run_generators(pairs)
+    outcomes = run_generators(
+        [transient_gen(_inverter(*VARIANTS[0]), T_STOP), exploding()]
+    )
     assert outcomes[0].status == "ok"
     assert outcomes[1].status == "error"
     assert isinstance(outcomes[1].error, RuntimeError)
@@ -113,7 +99,7 @@ def test_generator_returning_before_first_yield_is_ok():
         return 42
         yield  # pragma: no cover - makes this a generator
 
-    outcomes = run_generators([(BatchMember(label="fast"), immediate())])
+    outcomes = run_generators([immediate()])
     assert outcomes[0].status == "ok"
     assert outcomes[0].value == 42
 
@@ -124,11 +110,5 @@ def test_mixed_topology_members_rejected():
     big.add_resistor("out", "extra", 1e6)
     big.add_capacitor("extra", "0", 1e-16)
 
-    a = BatchMember(label="a")
-    b = BatchMember(label="b")
-    pairs = [
-        (a, transient_gen(a, small, T_STOP)),
-        (b, transient_gen(b, big, T_STOP)),
-    ]
     with pytest.raises(ValueError, match="share one topology"):
-        run_generators(pairs)
+        run_generators([transient_gen(small, T_STOP), transient_gen(big, T_STOP)])

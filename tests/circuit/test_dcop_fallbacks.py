@@ -2,7 +2,7 @@
 
 The escalation ladder (warm start -> cold start -> gmin stepping ->
 source stepping) is exercised deterministically by gating the real
-``newton_solve`` so that only chosen call shapes succeed, and the tier
+``newton_gen`` so that only chosen call shapes succeed, and the tier
 that finally converged is asserted through telemetry counters — the
 same signal ``repro diag`` reads from run manifests.
 """
@@ -33,7 +33,7 @@ def divider():
     return c
 
 
-REAL_NEWTON = dcop.newton_solve
+REAL_NEWTON = dcop.newton_gen
 
 
 class TestTierTelemetry:
@@ -53,9 +53,9 @@ class TestTierTelemetry:
         def gated(system, x0, t, options, **kwargs):
             if np.any(x0 != 0.0) and kwargs.get("extra_gmin", 0.0) == 0.0:
                 raise dcop.ConvergenceError("forced warm-start failure")
-            return REAL_NEWTON(system, x0, t, options, **kwargs)
+            return (yield from REAL_NEWTON(system, x0, t, options, **kwargs))
 
-        monkeypatch.setattr(dcop, "newton_solve", gated)
+        monkeypatch.setattr(dcop, "newton_gen", gated)
         with telemetry.enabled() as tel:
             op = dcop.solve_dc(divider(), initial_guess={"mid": 0.7})
         assert op.voltage("mid") == pytest.approx(0.75, rel=1e-6)
@@ -70,9 +70,9 @@ class TestTierTelemetry:
                 seen_gmin["yes"] = True
             elif not seen_gmin["yes"]:
                 raise dcop.ConvergenceError("forced plain-Newton failure")
-            return REAL_NEWTON(system, x0, t, options, **kwargs)
+            return (yield from REAL_NEWTON(system, x0, t, options, **kwargs))
 
-        monkeypatch.setattr(dcop, "newton_solve", gated)
+        monkeypatch.setattr(dcop, "newton_gen", gated)
         with telemetry.enabled() as tel:
             op = dcop.solve_dc(divider())
         assert op.voltage("mid") == pytest.approx(0.75, rel=1e-6)
@@ -87,9 +87,9 @@ class TestTierTelemetry:
                 seen_ramp["yes"] = True
             elif kwargs.get("extra_gmin", 0.0) > 0.0 or not seen_ramp["yes"]:
                 raise dcop.ConvergenceError("forced failure outside the ramp")
-            return REAL_NEWTON(system, x0, t, options, **kwargs)
+            return (yield from REAL_NEWTON(system, x0, t, options, **kwargs))
 
-        monkeypatch.setattr(dcop, "newton_solve", gated)
+        monkeypatch.setattr(dcop, "newton_gen", gated)
         with telemetry.enabled() as tel:
             op = dcop.solve_dc(divider())
         assert op.voltage("mid") == pytest.approx(0.75, rel=1e-6)
@@ -100,8 +100,9 @@ class TestTierTelemetry:
             raise dcop.ConvergenceError(
                 "forced", forensics={"last_dv": 1.0, "max_residual": 2.0}
             )
+            yield  # pragma: no cover - makes this a generator
 
-        monkeypatch.setattr(dcop, "newton_solve", always_fail)
+        monkeypatch.setattr(dcop, "newton_gen", always_fail)
         with telemetry.enabled() as tel:
             with pytest.raises(dcop.ConvergenceError) as excinfo:
                 dcop.solve_dc(divider())
@@ -113,11 +114,19 @@ class TestTierTelemetry:
 
 class TestNewtonErrors:
     def test_zero_max_iterations_is_a_clear_error(self):
-        c = divider()
-        system = MnaSystem(c)
-        options = dcop.SolverOptions(max_iterations=0)
         with pytest.raises(ValueError, match="max_iterations must be >= 1"):
-            dcop.newton_solve(system, np.zeros(system.size), 0.0, options)
+            dcop.SolverOptions(max_iterations=0)
+
+    def test_negative_line_search_backtracks_is_a_clear_error(self):
+        # Left unchecked, the line search never binds its trial point
+        # and solve_dc dies in an UnboundLocalError.
+        with pytest.raises(ValueError, match="line_search_backtracks must be >= 0"):
+            dcop.SolverOptions(line_search_backtracks=-1)
+
+    def test_zero_line_search_backtracks_solves(self):
+        options = dcop.SolverOptions(line_search_backtracks=0)
+        op = dcop.solve_dc(divider(), options=options)
+        assert op.voltage("mid") == pytest.approx(0.75, rel=1e-6)
 
     def test_failure_carries_forensic_snapshot(self):
         c = divider()

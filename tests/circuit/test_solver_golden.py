@@ -1,0 +1,77 @@
+"""Golden pin for the Newton / transient control flow.
+
+The batch bit-identity tests compare the stacked assembler with the
+scalar one while both run the same solver generators, so a change to
+the control flow itself (damping, step control, the fallback ladder,
+the WL_crit bisection) would pass them unnoticed.  These values were
+recorded from the solver before the scalar and stacked paths shared
+one implementation; waveform values must hold to 1e-9 relative and the
+work counts exactly.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.analysis.stability import critical_wordline_pulse, dynamic_read_noise_margin
+from repro.circuit.transient import simulate_transient
+from repro.experiments.designs import proposed_cell, proposed_read_assist
+from repro.telemetry import core as telemetry
+from tests.circuit.test_batch import T_STOP, VARIANTS, _inverter
+
+RTOL = 1e-9
+
+# (steps accepted, Newton iterations, mid-run time, mid-run state, final
+# state) per inverter variant of test_batch.VARIANTS, in order.  States
+# are (v(vdd), v(in), v(out), i(vdd), i(vin)).
+INVERTER_GOLDEN = [
+    (143, 734, 6.407328738169779e-10,
+     [0.8, 0.8, 1.3324022185106353e-10, -8.000019230185472e-13, -8e-13],
+     [0.8, 0.0, 0.7998924325507749, -8.000524219231096e-09, 0.0]),
+    (136, 717, 5.892911287461608e-10,
+     [0.8, 0.8, 1.6652365019505687e-09, -8.000019230185466e-13, -8e-13],
+     [0.8, 0.0, 0.7998924325507069, -8.000524224293301e-09, 0.0]),
+    (143, 728, 5.844659546295409e-10,
+     [0.8, 0.8, 2.8853063516944624e-14, -8.000019230185472e-13, -8e-13],
+     [0.8, 0.0, 0.7998924325507658, -8.000524219910198e-09, 0.0]),
+    (139, 727, 6.963058931331519e-10,
+     [0.8, 0.8, 8.384104882183702e-07, -8.000019230182244e-13, -8e-13],
+     [0.8, 0.0, 0.7998924325502527, -8.000524258064624e-09, 0.0]),
+]
+
+
+@pytest.mark.parametrize(
+    "variant, golden", list(zip(VARIANTS, INVERTER_GOLDEN)), ids=[
+        f"wn{w}-c{c:g}" for w, c in VARIANTS
+    ]
+)
+def test_inverter_transient_matches_golden(variant, golden):
+    steps, iterations, mid_time, mid_state, final_state = golden
+    with telemetry.enabled() as tel:
+        result = simulate_transient(_inverter(*variant), T_STOP)
+    assert tel.counters["transient.steps_accepted"] == steps
+    assert tel.counters["newton.iterations"] == iterations
+    assert len(result.times) == steps + 1
+    mid = len(result.times) // 2
+    np.testing.assert_allclose(result.times[mid], mid_time, rtol=RTOL, atol=0.0)
+    np.testing.assert_allclose(result.states[mid], mid_state, rtol=RTOL, atol=0.0)
+    np.testing.assert_allclose(result.states[-1], final_state, rtol=RTOL, atol=0.0)
+
+
+def test_proposed_cell_drnm_matches_golden():
+    bench = proposed_cell().read_testbench(0.8, assist=proposed_read_assist())
+    with telemetry.enabled() as tel:
+        drnm = dynamic_read_noise_margin(bench)
+    assert drnm == pytest.approx(0.9675762085116936, rel=RTOL, abs=0.0)
+    assert tel.counters["transient.steps_accepted"] == 183
+    assert tel.counters["newton.iterations"] == 720
+
+
+def test_tfet_wlcrit_matches_golden():
+    with telemetry.enabled() as tel:
+        wlcrit = critical_wordline_pulse(proposed_cell(), 0.8)
+    assert wlcrit == pytest.approx(7.419789006313753e-10, rel=RTOL, abs=0.0)
+    assert tel.counters["transient.simulations"] == 11
+    assert tel.counters["transient.steps_accepted"] == 1703
+    assert tel.counters["newton.iterations"] == 6720

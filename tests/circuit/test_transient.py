@@ -163,14 +163,14 @@ class TestTelemetryAndForensics:
         import repro.circuit.transient as tr
         from repro.telemetry import core as telemetry
 
-        real = tr.newton_solve
+        real = tr.newton_gen
 
         def fail_in_transient(system, x0, t, options, transient=None, **kwargs):
             if transient is not None:
                 raise ConvergenceError("forced transient failure")
-            return real(system, x0, t, options, transient=transient, **kwargs)
+            return (yield from real(system, x0, t, options, transient=transient, **kwargs))
 
-        monkeypatch.setattr(tr, "newton_solve", fail_in_transient)
+        monkeypatch.setattr(tr, "newton_gen", fail_in_transient)
         with telemetry.enabled() as tel:
             with pytest.raises(ConvergenceError, match="step underflow") as excinfo:
                 simulate_transient(rc_circuit(), 1e-9)
@@ -185,6 +185,23 @@ class TestOptionsAndErrors:
     def test_rejects_nonpositive_stop_time(self):
         with pytest.raises(ValueError):
             simulate_transient(rc_circuit(), 0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # shrink >= 1 never shrinks a rejected step: the integrator hangs.
+            ("shrink", 1.0),
+            ("shrink", 0.0),
+            # A zero first step surfaces as a misleading step underflow.
+            ("initial_step", 0.0),
+            # A negative or zero step bound hangs the integrator.
+            ("max_step", -5e-11),
+            ("min_step", 0.0),
+        ],
+    )
+    def test_rejects_invalid_step_control(self, field, value):
+        with pytest.raises(ValueError, match=f"TransientOptions.{field} must be"):
+            TransientOptions(**{field: value})
 
     def test_result_times_strictly_increasing(self):
         res = simulate_transient(rc_circuit(), 1e-9)

@@ -30,7 +30,7 @@ def _spec(**overrides) -> McMetricSpec:
     return McMetricSpec(**defaults)
 
 
-def _value_gen(member, payload, ctx):
+def _value_gen(payload, ctx):
     """Fake sample generator: deterministic value, no solver work."""
     _, scales = payload
     return float(sum(scales))
@@ -62,7 +62,7 @@ class TestChunkSemantics:
     def test_retryable_member_falls_back_to_scalar_path(self, monkeypatch):
         calls = []
 
-        def flaky_gen(member, payload, ctx):
+        def flaky_gen(payload, ctx):
             if ctx.index == 1:
                 raise ConvergenceError("batch member diverged")
             return 1.5
@@ -91,7 +91,7 @@ class TestChunkSemantics:
         assert counters["batch.member_retries"] == 1
 
     def test_retry_exhaustion_records_member_failure(self, monkeypatch):
-        def always_diverges(member, payload, ctx):
+        def always_diverges(payload, ctx):
             raise ConvergenceError("no operating point")
             yield  # pragma: no cover
 
