@@ -18,10 +18,12 @@ the whole batch instead of one per member.  This module holds only that
 stacked assembler and its driver.
 
 Bit-exactness is the design contract, not an aspiration: every batched
-kernel replicates the scalar assembly expression-for-expression (same
+stamp replicates the scalar assembly expression-for-expression (same
 operation order, same elementwise arithmetic, per-member ``matmul`` for
-the linear stamp because a fused dgemm is *not* bit-stable), so a batch
-of any size produces solution vectors bit-identical to the scalar path.
+the linear stamp because a fused dgemm is *not* bit-stable), and the
+device tables run the very kernel the scalar tables run
+(:func:`repro.devices.tables.evaluate_stacked`), so a batch of any size
+produces solution vectors bit-identical to the scalar path.
 ``repro.verify`` leans on this — batch members can be audited by
 re-running them scalar and comparing exactly.
 
@@ -33,8 +35,9 @@ deliberate and value-neutral:
   be wasted work, batched it is almost free, and the residual is
   computed independently so delivered values are unchanged;
 * ``tables.evals``/``tables.eval_points`` telemetry counters are not
-  incremented (the stacked kernel bypasses ``CubicTable2D.evaluate``);
-  ``batch.table_points`` counts the stacked evaluations instead;
+  incremented (the registry calls the table kernel directly, not
+  through ``CubicTable2D.evaluate``); ``batch.table_points`` counts the
+  stacked evaluations instead;
 * telemetry spans exist only at the public scalar entry points
   (``solve_dc``, ``simulate_transient``), never inside a generator:
   under cooperative scheduling a member's span would interleave with
@@ -58,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.circuit.mna import MnaSystem
-from repro.devices.tables import CurrentTable
+from repro.devices.tables import CurrentTable, evaluate_stacked
 from repro.telemetry import core as telemetry
 
 __all__ = ["MemberOutcome", "run_generators"]
@@ -109,91 +112,39 @@ class _TableRegistry:
         tables = [ct._table for ct in self._currents]
         self._coeffs = np.concatenate([t._coeffs for t in tables])
         counts = [t._coeffs.shape[0] for t in tables]
-        self._base = np.concatenate(
-            [[0], np.cumsum(counts[:-1], dtype=np.intp)]
-        ).astype(np.intp)
-        self._x_start = np.array([t.x_grid.start for t in tables])
-        self._x_stop = np.array([t.x_grid.stop for t in tables])
-        self._x_inv = np.array([t.x_grid._inv_step for t in tables])
-        self._x_hi = np.array([t.x_grid.count - 2 for t in tables], dtype=np.intp)
-        self._y_start = np.array([t.y_grid.start for t in tables])
-        self._y_stop = np.array([t.y_grid.stop for t in tables])
-        self._y_inv = np.array([t.y_grid._inv_step for t in tables])
-        self._y_hi = np.array([t.y_grid.count - 2 for t in tables], dtype=np.intp)
-        self._nym1 = np.array([t.y_grid.count - 1 for t in tables], dtype=np.intp)
-        self._sv = np.array([ct.shape_voltage for ct in self._currents])
+        base = np.concatenate([[0], np.cumsum(counts[:-1])])
+        # Per-table parameters side by side, one column per table, so a
+        # call gathers them per point with one take per dtype.  Rows:
+        # lo, hi, inv (x and y each), shape voltage; top (x and y),
+        # stride, base.
+        self._real = np.hstack([
+            np.vstack((t._lo, t._hi, t._inv, [[ct.shape_voltage]]))
+            for ct, t in zip(self._currents, tables)
+        ])
+        self._ints = np.hstack([
+            np.vstack((t._top, [[t._stride]], [[b]])).astype(np.intp)
+            for t, b in zip(tables, base)
+        ])
         self._dirty = False
 
     def evaluate(
         self, tbl: np.ndarray, vgs: np.ndarray, vds: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked replica of :meth:`CurrentTable.evaluate`, bit-exact.
+        """:meth:`CurrentTable.evaluate` of table ``tbl[k]`` at each point.
 
-        Each point evaluates against table ``tbl[k]``; the arithmetic
-        mirrors ``CubicTable2D.evaluate`` (clamp, cell lookup, baked
-        coefficient matmuls, tangent-plane extension) followed by the
-        shape-factored current reconstruction, expression for
-        expression.  The extension is applied unconditionally — at
-        ``dx = dy = 0`` it reproduces the inside values exactly, so no
-        per-call outside test is needed.
+        One call of the shared kernel
+        (:func:`repro.devices.tables.evaluate_stacked`) with every grid
+        parameter gathered per point, so the values are bit-identical
+        to evaluating each point through its own table.
         """
         if self._dirty:
             self._rebuild()
-        x, y = vgs, vds
-        xc = np.minimum(np.maximum(x, self._x_start[tbl]), self._x_stop[tbl])
-        yc = np.minimum(np.maximum(y, self._y_start[tbl]), self._y_stop[tbl])
-
-        pos = (xc - self._x_start[tbl]) * self._x_inv[tbl]
-        ix = np.minimum(pos.astype(np.intp), self._x_hi[tbl])
-        tx = pos - ix
-        pos = (yc - self._y_start[tbl]) * self._y_inv[tbl]
-        iy = np.minimum(pos.astype(np.intp), self._y_hi[tbl])
-        ty = pos - iy
-
-        cells = self._coeffs[self._base[tbl] + ix * self._nym1[tbl] + iy]
-        m = cells.shape[0]
-        u = np.empty((m, 2, 4))
-        v = np.empty((m, 4, 2))
-        tx2 = tx * tx
-        u[:, 0, 0] = 1.0
-        u[:, 0, 1] = tx
-        u[:, 0, 2] = tx2
-        u[:, 0, 3] = tx2 * tx
-        u[:, 1, 0] = 0.0
-        u[:, 1, 1] = 1.0
-        u[:, 1, 2] = 2.0 * tx
-        u[:, 1, 3] = 3.0 * tx2
-        ty2 = ty * ty
-        v[:, 0, 0] = 1.0
-        v[:, 1, 0] = ty
-        v[:, 2, 0] = ty2
-        v[:, 3, 0] = ty2 * ty
-        v[:, 0, 1] = 0.0
-        v[:, 1, 1] = 1.0
-        v[:, 2, 1] = 2.0 * ty
-        v[:, 3, 1] = 3.0 * ty2
-        out = u @ cells @ v
-
-        inv_hx = self._x_inv[tbl]
-        inv_hy = self._y_inv[tbl]
-        f = out[:, 0, 0]
-        fx = out[:, 1, 0] * inv_hx
-        fy = out[:, 0, 1] * inv_hy
-        fxy = out[:, 1, 1] * (inv_hx * inv_hy)
-
-        dx = x - xc
-        dy = y - yc
-        z = f + fx * dx + fy * dy + fxy * dx * dy
-        dz_dvgs = fx + fxy * dy
-        dz_dvds = fy + fxy * dx
-
-        sv = self._sv[tbl]
-        residue = np.exp(z)
-        shape = np.sign(y) * (1.0 - np.exp(-np.abs(y) / sv))
-        current = shape * residue
-        di_dvgs = current * dz_dvgs
-        di_dvds = (np.exp(-np.abs(y) / sv) / sv) * residue + current * dz_dvds
-        return current, di_dvgs, di_dvds
+        real = self._real[:, tbl]
+        ints = self._ints[:, tbl]
+        return evaluate_stacked(
+            self._coeffs, np.array((vgs, vds)), real[0:2], real[2:4], real[4:6],
+            ints[0:2], ints[2], ints[3], real[6],
+        )
 
 
 class _MemberPlan:
@@ -333,13 +284,13 @@ class _Layout:
             self.cap_b = bank.b
             self.cap_scale = bank.scale
             self.cap_mirror = bank.mirror
-            self.cap_step = bank.kind == 1
+            self.cap_step = bank._step
             self.cap_all_linear = all(p.system._caps._all_linear for p in plans)
             self.cap_other = any(p.system._caps.other for p in plans)
             self.C_SCLIN = np.vstack([p.system._caps._scaled_lin for p in plans])
             self.C_LIN = np.vstack([p.system._caps.c_lin for p in plans])
             self.C_LOW = np.vstack([p.system._caps.c_low for p in plans])
-            self.C_HIGH = np.vstack([p.system._caps.c_high for p in plans])
+            self.C_SPAN = np.vstack([p.system._caps._c_span for p in plans])
             self.C_VSTEP = np.vstack([p.system._caps.v_step for p in plans])
             self.C_WIDTH = np.vstack([p.system._caps.width for p in plans])
             self.cf_idx = first._cf_idx
@@ -357,7 +308,7 @@ def _stamp_devices_batch(layout: _Layout, registry: _TableRegistry, tel) -> None
     fresh = [
         i
         for i in range(len(layout.plans))
-        if not (layout.T_VALID[i] and np.array_equal(X[i, :n], layout.T_X[i]))
+        if not (layout.T_VALID[i] and (X[i, :n] == layout.T_X[i]).all())
     ]
     if fresh:
         fr = np.array(fresh, dtype=np.intp)
@@ -423,13 +374,15 @@ def _stamp_capacitors_batch(layout: _Layout, reqs: list, tr: list[int]) -> None:
         C = np.broadcast_to(layout.C_SCLIN[trows], V.shape)
     else:
         VM = layout.cap_mirror * V
-        Xc = np.clip((VM - layout.C_VSTEP[trows]) / layout.C_WIDTH[trows], -200.0, 200.0)
+        Xc = np.minimum(
+            np.maximum((VM - layout.C_VSTEP[trows]) / layout.C_WIDTH[trows], -200.0), 200.0
+        )
         softplus = layout.C_WIDTH[trows] * np.logaddexp(0.0, Xc)
         sigmoid = 1.0 / (1.0 + np.exp(-Xc))
         c_low = layout.C_LOW[trows]
-        c_high = layout.C_HIGH[trows]
-        q_step = layout.cap_mirror * (c_low * VM + (c_high - c_low) * softplus)
-        c_step = c_low + (c_high - c_low) * sigmoid
+        c_span = layout.C_SPAN[trows]
+        q_step = layout.cap_mirror * (c_low * VM + c_span * softplus)
+        c_step = c_low + c_span * sigmoid
         Q = np.where(layout.cap_step, q_step, layout.C_LIN[trows] * V)
         C = np.where(layout.cap_step, c_step, layout.C_LIN[trows])
         Q = layout.cap_scale * Q
@@ -504,38 +457,10 @@ def _assemble_tick(layout: _Layout, reqs: list, registry: _TableRegistry, tel) -
                     layout.JAC2[i], nodes * (layout.size + 1), conductance
                 )
 
-    # Independent sources: per-member, reusing each system's (t,
-    # waveform) caches so the cache evolution matches the scalar path.
+    # Independent sources: per-member, through each system's own stamp
+    # so its (t, waveform) caches evolve exactly as on the scalar path.
     for i, r in enumerate(reqs):
-        sys = layout.plans[i].system
-        t = r[2]
-        source_scale = r[6]
-        if sys.n_branches:
-            vs = sys._vs_values
-            sources = sys.circuit.voltage_sources
-            waves = sys._vs_waves
-            if t != sys._vs_t or any(
-                s.waveform is not w for s, w in zip(sources, waves)
-            ):
-                for m, src in enumerate(sources):
-                    vs[m] = src.waveform.value(t)
-                    waves[m] = src.waveform
-                sys._vs_t = t
-            F[i, n:] -= source_scale * vs
-        if sys._is_idx.size:
-            iv = sys._is_values
-            sources = sys.circuit.current_sources
-            waves = sys._is_waves
-            if t != sys._is_t or any(
-                s.waveform is not w for s, w in zip(sources, waves)
-            ):
-                for m, src in enumerate(sources):
-                    iv[m] = src.waveform.value(t)
-                    waves[m] = src.waveform
-                sys._is_t = t
-            np.add.at(
-                F[i], sys._is_idx, sys._is_sign * (source_scale * iv[sys._is_member])
-            )
+        layout.plans[i].system._stamp_sources(F[i], r[2], r[6])
 
     if layout.n_t:
         _stamp_devices_batch(layout, registry, tel)

@@ -41,6 +41,7 @@ stacked assembly.  :func:`newton_solve` and :func:`solve_dc` are
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -172,7 +173,7 @@ class _Factorization:
             # diagonal) instead of raising; a NaN/Inf Jacobian passes
             # through LAPACK silently.  Normalize both to the
             # LinAlgError contract np.linalg.solve provides.
-            if info != 0 or not np.all(np.isfinite(lu)):
+            if info != 0 or not np.isfinite(lu).all():
                 raise np.linalg.LinAlgError("singular matrix in LU factorization")
             self._lu, self._piv, self._matrix = lu, piv, None
         else:
@@ -267,7 +268,10 @@ def newton_gen(
     n = system.n_nodes
     gmin = options.gmin + extra_gmin
 
-    f, _ = yield (system, x, t, gmin, transient, clamps, source_scale, False)
+    # Iteration 1 always stamps at x0, so the first request asks for
+    # the Jacobian too: its residual is the one a residual-only request
+    # would return, and the solve saves one assembly.
+    f, jac = yield (system, x, t, gmin, transient, clamps, source_scale, True)
     factor = None
     age = 0
     stamps = 0
@@ -287,7 +291,8 @@ def newton_gen(
             or age >= options.max_jacobian_age
         )
         if refresh:
-            _, jac = yield (system, x, t, gmin, transient, clamps, source_scale, True)
+            if jac is None:
+                _, jac = yield (system, x, t, gmin, transient, clamps, source_scale, True)
             try:
                 factor = _factorize(jac)
             except np.linalg.LinAlgError as exc:
@@ -299,6 +304,7 @@ def newton_gen(
                     f"singular Jacobian at iteration {iteration}",
                     forensics={"worst_residual_nodes": _worst_residual_nodes(system, f)},
                 ) from exc
+            jac = None  # a reusable buffer: stale after the next yield
             age = 0
             stamps += 1
         else:
@@ -316,7 +322,7 @@ def newton_gen(
                 f"singular Jacobian at iteration {iteration}",
                 forensics={"worst_residual_nodes": _worst_residual_nodes(system, f)},
             ) from exc
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             if age > 0:
                 # The stale factorization produced garbage; retry this
                 # iteration with a fresh stamp before giving up.
@@ -331,18 +337,18 @@ def newton_gen(
                 forensics={"worst_residual_nodes": _worst_residual_nodes(system, f)},
             )
 
-        max_dv = float(np.max(np.abs(delta[:n]))) if n else 0.0
+        max_dv = float(np.abs(delta[:n]).max()) if n else 0.0
         if max_dv > trust:
             delta = delta * (trust / max_dv)
             max_dv = trust
 
-        norm_old = float(np.linalg.norm(f))
+        norm_old = math.sqrt(f.dot(f))
         scale = 1.0
         descended = False
         for _ in range(options.line_search_backtracks + 1):
             x_try = x + scale * delta
             f_try, _ = yield (system, x_try, t, gmin, transient, clamps, source_scale, False)
-            if float(np.linalg.norm(f_try)) <= norm_old or norm_old == 0.0:
+            if math.sqrt(f_try.dot(f_try)) <= norm_old or norm_old == 0.0:
                 descended = True
                 break
             scale *= 0.5
@@ -367,11 +373,11 @@ def newton_gen(
             factor = None  # curvature moved under us; re-stamp next iteration
         else:
             trust = min(2.0 * trust, options.step_limit)
-            norm_new = float(np.linalg.norm(f))
+            norm_new = math.sqrt(f.dot(f))
             if age > 0 and norm_new > options.reuse_descent_factor * norm_old:
                 factor = None  # stale direction stopped making fast progress
 
-        max_f = float(np.max(np.abs(f)))
+        max_f = float(np.abs(f).max())
         if max_f < options.residual_tolerance:
             # Convergence is only judged on *fresh*-factorization
             # iterations: a stale LU underestimates the true Newton
@@ -454,6 +460,16 @@ def _record_newton(
                   backtracks=backtracks)
 
 
+def _check_finite_voltage(role: str, name: str, value) -> None:
+    """Reject a NaN/inf node voltage where it enters the solver.
+
+    Inside, a non-finite voltage surfaces only as an opaque failure: an
+    out-of-range device-table index, or every fallback tier failing.
+    """
+    if not math.isfinite(value):
+        raise ValueError(f"{role} for node {name!r} is {value}, not a finite voltage")
+
+
 def _initial_vector(system: MnaSystem, initial_guess: dict[str, float] | None) -> np.ndarray:
     x0 = np.zeros(system.size)
     if initial_guess:
@@ -466,6 +482,7 @@ def _initial_vector(system: MnaSystem, initial_guess: dict[str, float] | None) -
                     "in this circuit — was it carried over from a different "
                     "circuit?"
                 ) from None
+            _check_finite_voltage("initial guess", name, value)
             if idx >= 0:
                 x0[idx] = value
     return x0
@@ -500,6 +517,15 @@ def _seed_vector(system: MnaSystem, x0) -> np.ndarray:
         raise ValueError(
             f"x0 has shape {x0.shape}, expected ({system.size},)"
         )
+    bad = np.flatnonzero(~np.isfinite(x0))
+    if bad.size:
+        k = int(bad[0])
+        if k < system.n_nodes:
+            what = f"node {system.circuit.node_names[k]!r}"
+        else:
+            source = system.circuit.voltage_sources[k - system.n_nodes]
+            what = f"the branch current of voltage source {source.name!r}"
+        raise ValueError(f"warm-start seed for {what} is {x0[k]}, not finite")
     return x0
 
 
@@ -530,6 +556,8 @@ def solve_dc_gen(
             sparse_threshold=options.sparse_threshold,
             dense_cls=MnaSystem,
         )
+    for name, target in (clamp_nodes or {}).items():
+        _check_finite_voltage("clamp target", name, target)
     clamps = tuple(
         VoltageClamp(circuit.index_of(name), target)
         for name, target in (clamp_nodes or {}).items()

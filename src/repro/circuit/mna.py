@@ -139,6 +139,8 @@ class _CapacitorBank:
                 self.other.append((k, cap.charge))
         self._all_linear = bool(np.all(self.kind == 0))
         self._scaled_lin = self.scale * self.c_lin
+        self._step = self.kind == 1
+        self._c_span = self.c_high - self.c_low
 
     def __len__(self) -> int:
         return len(self.a)
@@ -149,15 +151,14 @@ class _CapacitorBank:
             # Constant capacitances need none of the logistic machinery.
             return self._scaled_lin * v, self._scaled_lin
         vm = self.mirror * v
-        x = np.clip((vm - self.v_step) / self.width, -200.0, 200.0)
+        x = np.minimum(np.maximum((vm - self.v_step) / self.width, -200.0), 200.0)
         softplus = self.width * np.logaddexp(0.0, x)
         sigmoid = 1.0 / (1.0 + np.exp(-x))
-        q_step = self.mirror * (self.c_low * vm + (self.c_high - self.c_low) * softplus)
-        c_step = self.c_low + (self.c_high - self.c_low) * sigmoid
+        q_step = self.mirror * (self.c_low * vm + self._c_span * softplus)
+        c_step = self.c_low + self._c_span * sigmoid
 
-        step = self.kind == 1
-        q = np.where(step, q_step, self.c_lin * v)
-        c = np.where(step, c_step, self.c_lin)
+        q = np.where(self._step, q_step, self.c_lin * v)
+        c = np.where(self._step, c_step, self.c_lin)
         for k, charge in self.other:
             q[k] = float(np.asarray(charge.charge(v[k])))
             c[k] = float(np.asarray(charge.capacitance(v[k])))
@@ -304,9 +305,10 @@ class MnaSystem:
         n_t = sum(len(g.members) for g in self._groups)
         self._t_count = n_t
         self._t_id = np.zeros(n_t)
-        self._t_gm = np.zeros(n_t)
-        self._t_gds = np.zeros(n_t)
-        self._t_coef = np.zeros((3, n_t))  # rows: gds, gm, gm + gds
+        # Jacobian coefficients, rows gds, gm, gm + gds: the evaluation
+        # writes the first two rows in place.
+        self._t_coef = np.zeros((3, n_t))
+        self._t_gds, self._t_gm = self._t_coef[0], self._t_coef[1]
 
         # (model, slice, sign, width, drain/gate/source gather indices)
         self._t_groups: list[tuple] = []
@@ -358,9 +360,14 @@ class MnaSystem:
         self._tf_sign = np.array(f_sign)
         self._tf_member = np.array(f_member, dtype=np.intp)
         self._tj_flat = np.array(j_flat, dtype=np.intp)
+        # Where the Jacobian stamps land in the buffer ``_assemble``
+        # hands to the stamping methods: flat dense indices here, CSC
+        # data slots on the sparse subclass.
+        self._tj_dst = self._tj_flat
         self._tj_sign = np.array(j_sign)
         self._tj_kind = np.array(j_kind, dtype=np.intp)
         self._tj_member = np.array(j_member, dtype=np.intp)
+        self._tj_coef = self._tj_kind * n_t + self._tj_member  # into _t_coef.flat
 
     def _compile_capacitors(self) -> None:
         a, b = self._caps.a, self._caps.b
@@ -394,6 +401,7 @@ class MnaSystem:
         self._cj_member = _concat_intp(
             [members[a_ok], members[b_ok], members[both], members[both]]
         )
+        self._cj_dst = self._cj_flat
 
     def _clamp_arrays(self, clamps: tuple[VoltageClamp, ...]):
         cached = self._clamp_cache
@@ -420,7 +428,7 @@ class MnaSystem:
     def _cap_qc(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Charges and capacitances at ``x``, cached on the branch voltages."""
         v = self._cap_voltages(x)
-        if self._c_valid and np.array_equal(v, self._c_v):
+        if self._c_valid and (v == self._c_v).all():
             return self._c_q, self._c_c
         q, c = self._caps.charges_and_caps(v)
         self._c_v, self._c_q, self._c_c = v, q, c
@@ -509,9 +517,23 @@ class MnaSystem:
                 if want_jac:
                     np.add.at(jac_flat, nodes * (self.size + 1), conductance)
 
-        # Independent source values at this time point (read from the
-        # circuit each call so waveform swaps on existing sources — the
-        # dc_sweep idiom — are honoured without recompiling).
+        self._stamp_sources(f, t, source_scale)
+        if self._t_count:
+            self._stamp_transistors(x, f, jac_flat, want_jac)
+        if transient is not None and len(self._caps):
+            self._stamp_capacitors(x, f, jac_flat, transient, want_jac)
+
+        return f.copy(), jac
+
+    def _stamp_sources(self, f, t: float, source_scale: float) -> None:
+        """Independent-source residual terms at time ``t``.
+
+        Source values are read from the circuit each call, so waveform
+        swaps on existing sources (the dc_sweep idiom) are honoured
+        without recompiling; the sampled values are cached on ``(t,
+        waveform identities)``.
+        """
+        n = self.n_nodes
         if self.n_branches:
             vs = self._vs_values
             sources = self.circuit.voltage_sources
@@ -537,17 +559,16 @@ class MnaSystem:
                 self._is_t = t
             np.add.at(f, self._is_idx, self._is_sign * (source_scale * iv[self._is_member]))
 
-        if self._t_count:
-            self._stamp_transistors(x, f, jac_flat, want_jac)
-        if transient is not None and len(self._caps):
-            self._stamp_capacitors(x, f, jac_flat, transient, want_jac)
+    def _stamp_transistors(self, x, f, jac, want_jac: bool) -> None:
+        """Device evaluation and the transistor stamps.
 
-        return f.copy(), jac
-
-    def _stamp_transistors(self, x, f, jac_flat, want_jac: bool) -> None:
+        One ``evaluate_density`` call per model group, skipped when the
+        node voltages equal the last evaluated point.  ``jac`` is the
+        Jacobian value buffer; the stamps land at ``_tj_dst``.
+        """
         i_d, gm_w, gds_w = self._t_id, self._t_gm, self._t_gds
         volts = x[: self.n_nodes]
-        if not (self._t_valid and np.array_equal(volts, self._t_x)):
+        if not (self._t_valid and (volts == self._t_x).all()):
             xg = self._xg
             xg[: self.n_nodes] = volts
             for model, sl, sign, width, d, g, s in self._t_groups:
@@ -563,14 +584,8 @@ class MnaSystem:
         np.add.at(f, self._tf_idx, self._tf_sign * i_d[self._tf_member])
         if want_jac:
             coef = self._t_coef
-            coef[0] = gds_w
-            coef[1] = gm_w
             np.add(gm_w, gds_w, out=coef[2])
-            np.add.at(
-                jac_flat,
-                self._tj_flat,
-                self._tj_sign * coef[self._tj_kind, self._tj_member],
-            )
+            np.add.at(jac, self._tj_dst, self._tj_sign * coef.take(self._tj_coef))
 
     def capacitor_currents(self, x: np.ndarray, transient: TransientState) -> np.ndarray:
         """Companion-model capacitor currents at the solution ``x``."""
@@ -582,7 +597,8 @@ class MnaSystem:
             return 2.0 * delta - transient.capacitor_currents
         return delta
 
-    def _stamp_capacitors(self, x, f, jac_flat, transient: TransientState, want_jac: bool) -> None:
+    def _stamp_capacitors(self, x, f, jac, transient: TransientState, want_jac: bool) -> None:
+        """Companion-model capacitor stamps (Jacobian at ``_cj_dst``)."""
         h = transient.timestep
         q, c = self._cap_qc(x)
         if transient.method == "trapezoidal":
@@ -593,6 +609,4 @@ class MnaSystem:
             conductance = c / h
         np.add.at(f, self._cf_idx, self._cf_sign * current[self._cf_member])
         if want_jac:
-            np.add.at(
-                jac_flat, self._cj_flat, self._cj_sign * conductance[self._cj_member]
-            )
+            np.add.at(jac, self._cj_dst, self._cj_sign * conductance[self._cj_member])

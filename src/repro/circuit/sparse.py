@@ -15,7 +15,9 @@ dense assembler and changes only where stamps land:
   transistor/capacitor scatter targets — and every flat dense index
   (``row * size + col``) is pre-mapped to its position in the CSC data
   vector, so per-call stamping is the same handful of ``np.add.at``
-  scatters, now into a length-nnz vector instead of ``size**2``;
+  scatters, now into a length-nnz vector instead of ``size**2`` (the
+  source, transistor and capacitor stamps are the dense assembler's
+  own methods, pointed at the CSC slots);
 * the residual's linear mat-vec runs on a CSR copy of the constant
   linear stamp (O(nnz) instead of O(n^2));
 * ``assemble`` returns a ``scipy.sparse`` CSC matrix sharing the fixed
@@ -77,7 +79,7 @@ class SparseFactorization:
     __slots__ = ("_lu",)
 
     def __init__(self, jac):
-        if not np.all(np.isfinite(jac.data)):
+        if not np.isfinite(jac.data).all():
             raise np.linalg.LinAlgError("non-finite sparse Jacobian")
         try:
             # COLAMD ordering is a pure function of the (fixed) pattern,
@@ -149,8 +151,8 @@ class SparseMnaSystem(MnaSystem):
         base[slots(lin_flat)] = self._lin.reshape(-1)[lin_flat]
         self._data_base = base
         self._diag_slots = slots(np.arange(n, dtype=np.intp) * (size + 1))
-        self._tj_slots = slots(self._tj_flat)
-        self._cj_slots = slots(self._cj_flat)
+        self._tj_dst = slots(self._tj_flat)
+        self._cj_dst = slots(self._cj_flat)
         self._lin_csr = _sparse.csr_matrix(self._lin)
         self._clamp_slot_cache: tuple | None = None
         # The dense Jacobian scratch is never stamped on this class;
@@ -205,37 +207,11 @@ class SparseMnaSystem(MnaSystem):
                 if want_jac:
                     np.add.at(data, self._clamp_slots(clamps), conductance)
 
-        if self.n_branches:
-            vs = self._vs_values
-            sources = self.circuit.voltage_sources
-            waves = self._vs_waves
-            if t != self._vs_t or any(
-                s.waveform is not w for s, w in zip(sources, waves)
-            ):
-                for m, src in enumerate(sources):
-                    vs[m] = src.waveform.value(t)
-                    waves[m] = src.waveform
-                self._vs_t = t
-            f[n:] -= source_scale * vs
-        if self._is_idx.size:
-            iv = self._is_values
-            sources = self.circuit.current_sources
-            waves = self._is_waves
-            if t != self._is_t or any(
-                s.waveform is not w for s, w in zip(sources, waves)
-            ):
-                for m, src in enumerate(sources):
-                    iv[m] = src.waveform.value(t)
-                    waves[m] = src.waveform
-                self._is_t = t
-            np.add.at(
-                f, self._is_idx, self._is_sign * (source_scale * iv[self._is_member])
-            )
-
+        self._stamp_sources(f, t, source_scale)
         if self._t_count:
-            self._stamp_transistors_sparse(x, f, data, want_jac)
+            self._stamp_transistors(x, f, data, want_jac)
         if transient is not None and len(self._caps):
-            self._stamp_capacitors_sparse(x, f, data, transient, want_jac)
+            self._stamp_capacitors(x, f, data, transient, want_jac)
 
         if not want_jac:
             return f.copy(), None
@@ -250,54 +226,6 @@ class SparseMnaSystem(MnaSystem):
                  source_scale=1.0, copy=True):
         f, jac = self._assemble(x, t, gmin, transient, clamps, source_scale, True)
         return (f, jac.copy()) if copy else (f, jac)
-
-    def _stamp_transistors_sparse(self, x, f, data, want_jac: bool) -> None:
-        i_d, gm_w, gds_w = self._t_id, self._t_gm, self._t_gds
-        volts = x[: self.n_nodes]
-        if not (self._t_valid and np.array_equal(volts, self._t_x)):
-            xg = self._xg
-            xg[: self.n_nodes] = volts
-            for model, sl, sign, width, d, g, s in self._t_groups:
-                vs = xg[s]
-                vgs = sign * (xg[g] - vs)
-                vds = sign * (xg[d] - vs)
-                j, gm, gds = model.evaluate_density(vgs, vds)
-                i_d[sl] = sign * width * np.asarray(j)
-                gm_w[sl] = width * np.asarray(gm)
-                gds_w[sl] = width * np.asarray(gds)
-            self._t_x[:] = volts
-            self._t_valid = True
-        np.add.at(f, self._tf_idx, self._tf_sign * i_d[self._tf_member])
-        if want_jac:
-            coef = self._t_coef
-            coef[0] = gds_w
-            coef[1] = gm_w
-            np.add(gm_w, gds_w, out=coef[2])
-            np.add.at(
-                data,
-                self._tj_slots,
-                self._tj_sign * coef[self._tj_kind, self._tj_member],
-            )
-
-    def _stamp_capacitors_sparse(
-        self, x, f, data, transient: TransientState, want_jac: bool
-    ) -> None:
-        h = transient.timestep
-        q, c = self._cap_qc(x)
-        if transient.method == "trapezoidal":
-            current = (
-                2.0 * (q - transient.capacitor_charges) / h
-                - transient.capacitor_currents
-            )
-            conductance = 2.0 * c / h
-        else:
-            current = (q - transient.capacitor_charges) / h
-            conductance = c / h
-        np.add.at(f, self._cf_idx, self._cf_sign * current[self._cf_member])
-        if want_jac:
-            np.add.at(
-                data, self._cj_slots, self._cj_sign * conductance[self._cj_member]
-            )
 
 
 def make_system(

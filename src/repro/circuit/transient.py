@@ -156,7 +156,7 @@ def attempt_step_gen(
                         raise
                     if tel is not None:
                         tel.count("transient.predictor_fallbacks")
-            dv = float(np.max(np.abs(x_new[: system.n_nodes] - x[: system.n_nodes])))
+            dv = float(np.abs(x_new[: system.n_nodes] - x[: system.n_nodes]).max())
             if dv <= options.max_voltage_step or h_try <= options.min_step:
                 return x_new, iterations, state, h_try
             reason = "dv_limit"

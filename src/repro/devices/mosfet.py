@@ -62,6 +62,14 @@ class MosfetParameters:
     temperature: float = 300.0
 
 
+_PROBE_OFFSETS = np.array(
+    [[0.0, 1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, -1.0]]
+)[:, :, np.newaxis]
+"""(V_GS, V_DS) offsets, in steps, of the five points evaluate_density
+probes: the point itself, V_GS +/- step, V_DS +/- step."""
+_PROBE_OFFSETS.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class MosfetModel:
     """Terminal-current evaluation of the analytic MOSFET."""
@@ -76,11 +84,12 @@ class MosfetModel:
         pinch = (vgs - vth) / p.subthreshold_slope_factor
 
         half = 2.0 * vt
-        forward = np.logaddexp(0.0, pinch / half) ** 2
+        soft = np.logaddexp(0.0, pinch / half)
+        forward = soft**2
         reverse = np.logaddexp(0.0, (pinch - vds) / half) ** 2
         i_long = p.transconductance_density * (forward - reverse)
 
-        overdrive = half * np.logaddexp(0.0, pinch / half)
+        overdrive = half * soft
         saturation = 1.0 + overdrive / p.mobility_reduction_voltage
         clm = 1.0 + p.channel_length_modulation * vds
         return i_long * clm / saturation
@@ -88,29 +97,43 @@ class MosfetModel:
     def current_density(
         self, vgs: np.ndarray | float, vds: np.ndarray | float
     ) -> np.ndarray:
-        """Signed drain-current density (A/um); symmetric under S/D swap."""
+        """Signed drain-current density (A/um); symmetric under S/D swap.
+
+        For V_DS < 0 source and drain swap roles: the density is the
+        negated forward density at (V_GS - V_DS, -V_DS).  Each point
+        evaluates only its conducting direction.
+        """
         vgs = np.asarray(vgs, dtype=float)
         vds = np.asarray(vds, dtype=float)
-        vgs_b, vds_b = np.broadcast_arrays(vgs, vds)
-        forward = self._forward_density(vgs_b, np.maximum(vds_b, 0.0))
-        swapped = self._forward_density(vgs_b - vds_b, np.maximum(-vds_b, 0.0))
-        result = np.where(vds_b >= 0.0, forward, -swapped)
+        if vgs.shape != vds.shape:
+            vgs, vds = np.broadcast_arrays(vgs, vds)
+        swapped = vds < 0.0
+        density = self._forward_density(np.where(swapped, vgs - vds, vgs), np.abs(vds))
+        result = np.where(swapped, -density, density)
         return result if result.shape else float(result)
 
     def evaluate_density(
         self, vgs: np.ndarray | float, vds: np.ndarray | float, step: float = 1e-5
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Current density and its partial derivatives (central difference)."""
-        i0 = self.current_density(vgs, vds)
-        gm = (
-            self.current_density(np.asarray(vgs) + step, vds)
-            - self.current_density(np.asarray(vgs) - step, vds)
-        ) / (2.0 * step)
-        gds = (
-            self.current_density(vgs, np.asarray(vds) + step)
-            - self.current_density(vgs, np.asarray(vds) - step)
-        ) / (2.0 * step)
-        return i0, gm, gds
+        """Current density and its partial derivatives (central difference).
+
+        The point and its four probes (V_GS +/- step, V_DS +/- step) go
+        through :meth:`current_density` as one stacked ``(5, ...)``
+        array.
+        """
+        vgs = np.asarray(vgs, dtype=float)
+        vds = np.asarray(vds, dtype=float)
+        if vgs.shape != vds.shape:
+            vgs, vds = np.broadcast_arrays(vgs, vds)
+        shape = vgs.shape
+        probes = np.array((vgs, vds)).reshape(2, 1, -1) + step * _PROBE_OFFSETS
+        i = self.current_density(probes[0], probes[1])
+        i0 = i[0]
+        gm = (i[1] - i[2]) / (2.0 * step)
+        gds = (i[3] - i[4]) / (2.0 * step)
+        if not shape:
+            return float(i0[0]), float(gm[0]), float(gds[0])
+        return i0.reshape(shape), gm.reshape(shape), gds.reshape(shape)
 
     def on_current(self, vdd: float = 0.8) -> float:
         """Forward on-current density at V_GS = V_DS = vdd."""

@@ -9,9 +9,13 @@ device characteristic.
 
 Device currents span ~13 orders of magnitude (1e-17 A/um off current to
 1e-4 A/um on current).  Interpolating raw currents would drown the
-subthreshold decades in interpolation error, so
-:class:`CurrentTable` interpolates ``asinh(I / i_ref)`` and maps back
-through ``sinh`` — a smooth, sign-preserving log-like transform.
+subthreshold decades in interpolation error, so :class:`CurrentTable`
+factors the current into an analytic drain shape and a positive residue
+interpolated in log space.
+
+One kernel, :func:`evaluate_stacked`, evaluates tables at stacked
+``(2, m)`` coordinate arrays; the scalar tables and the stacked-batch
+registry (:mod:`repro.circuit.batch`) both run it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from repro.telemetry import core as telemetry
 from repro.verify import audits as verify_audits
 from repro.verify import core as verify
 
-__all__ = ["UniformGrid", "CubicTable2D", "CurrentTable"]
+__all__ = ["UniformGrid", "CubicTable2D", "CurrentTable", "evaluate_stacked"]
 
 
 @dataclass(frozen=True)
@@ -32,8 +36,8 @@ class UniformGrid:
     """A uniformly spaced 1-D sample axis.
 
     The spacing and the sample vector are computed once at
-    construction — ``cell_of`` sits inside every device evaluation of
-    every Newton iteration, so it must not redo the division or
+    construction — the cell lookup sits inside every device evaluation
+    of every Newton iteration, so it must not redo the division or
     allocate the linspace per call.
     """
 
@@ -68,15 +72,21 @@ class UniformGrid:
         Coordinates are clamped to the grid domain; callers handle
         out-of-domain extension separately.
         """
-        # np.minimum/np.maximum instead of np.clip: same result, none
-        # of the dispatch overhead (this runs several times per Newton
-        # iteration).  pos >= 0 after the clamp, so integer truncation
-        # is floor and only the upper cell bound needs enforcing.
         xc = np.minimum(np.maximum(x, self.start), self.stop)
-        pos = (xc - self.start) * self._inv_step
-        idx = np.minimum(pos.astype(np.intp), self.count - 2)
-        t = pos - idx
-        return idx, t
+        return _cell_of(xc, self.start, self._inv_step, self.count - 2)
+
+
+def _cell_of(xc, start, inv_step, top):
+    """Cell index and in-cell offset of already-clamped coordinates.
+
+    ``xc >= start`` after the clamp, so integer truncation is floor and
+    only the upper cell bound ``top`` needs enforcing.  Grid parameters
+    broadcast against ``xc``: scalars for one axis, ``(2, 1)`` columns
+    for a stacked (x, y) pair, per-point gathers for mixed tables.
+    """
+    pos = (xc - start) * inv_step
+    idx = np.minimum(pos.astype(np.intp), top)
+    return idx, pos - idx
 
 
 def _catmull_rom_weights(t: np.ndarray) -> np.ndarray:
@@ -114,6 +124,135 @@ _CATMULL_ROM_BASIS = 0.5 * np.array(
 """Power-basis form of the weights above: w_k(t) = sum_a B[a, k] t^a."""
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+_ONE_ZERO = _read_only(np.array([1.0, 0.0]))
+"""Constant power-basis entries: t^0 in the value row, d(t^0)/dt in the
+derivative row."""
+
+_TWO_THREE = _read_only(np.array([2.0, 3.0]))
+"""Factors taking (t, t^2) of the value row to (2t, 3t^2) of the
+derivative row."""
+
+
+def evaluate_stacked(
+    coeffs: np.ndarray,
+    p: np.ndarray,
+    lo,
+    hi,
+    inv,
+    top,
+    stride,
+    base=None,
+    shape_voltage=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table kernel: bicubic value, gradient and optional drain shape.
+
+    ``p`` stacks the coordinates as ``(2, m)`` rows (x, y) — for a
+    device table (V_GS, V_DS).  Grid parameters (``lo``/``hi`` domain
+    bounds, ``inv`` inverse steps, ``top`` last cell index, ``stride``
+    cells per x row, ``base`` first cell of each point's table in
+    ``coeffs``) are ``(2, 1)`` columns and scalars for one table, or
+    per-point gathers of shape ``(2, m)``/``(m,)`` when the points mix
+    tables.  Without ``shape_voltage`` this returns ``(f, df/dx,
+    df/dy)`` of the interpolated surface (continued as the tangent
+    plane outside the domain); with it, the surface is the log-residue
+    of a :class:`CurrentTable` and the result is ``(i, di/dvgs,
+    di/dvds)``.  Every output has shape ``(m,)``.
+    """
+    pc = np.minimum(np.maximum(p, lo), hi)
+    f, g, fxy = _bicubic(coeffs, pc, lo, inv, top, stride, base)
+    return _extend(p, pc, f, g, fxy, shape_voltage)
+
+
+def _bicubic(coeffs, pc, lo, inv, top, stride, base):
+    """In-domain stage of :func:`evaluate_stacked` at clamped points.
+
+    Returns ``(f, g, fxy)`` with ``g`` the stacked ``(2, m)`` gradient.
+    """
+    idx, t = _cell_of(pc, lo, inv, top)
+    cell = idx[0] * stride + idx[1]
+    if base is not None:
+        cell += base
+    cells = coeffs[cell]
+
+    # Power bases of both axes in one buffer: b[axis, point] holds the
+    # value row (1, t, t^2, t^3) and the derivative row (0, 1, 2t, 3t^2).
+    # Contract them with the baked per-cell coefficient blocks in two
+    # batched matmuls: out = U . C . V, shape (m, 2, 2).  V is made
+    # contiguous so the matmul sees the same operand layouts as a
+    # separately built (m, 4, 2) array.
+    m = cells.shape[0]
+    b = np.empty((2, m, 2, 4))
+    b[:, :, :, 0] = _ONE_ZERO
+    b[:, :, 1, 1] = 1.0
+    b[:, :, 0, 1] = t
+    t2 = np.multiply(t, t, out=b[:, :, 0, 2])
+    np.multiply(t2, t, out=b[:, :, 0, 3])
+    np.multiply(b[:, :, 0, 1:3], _TWO_THREE, out=b[:, :, 1, 2:])
+    out = (b[0] @ cells @ np.ascontiguousarray(b[1].transpose(0, 2, 1))).reshape(m, 4)
+
+    # out rows are (f, f_ty, f_tx, f_txty) in cell units.
+    g = out[:, 2:0:-1].T * inv
+    fxy = out[:, 3] * (inv[0] * inv[1])
+    return out[:, 0], g, fxy
+
+
+def _extend(p, pc, f, g, fxy, shape_voltage):
+    """Tangent-plane continuation outside the domain, then the shape.
+
+    The continuation (mixed term included) keeps values and first
+    derivatives continuous across the domain boundary.  It runs only
+    when some point lies outside; points inside need no correction.
+    """
+    d = p - pc
+    if d.any():
+        gd = g * d
+        f = f + gd[0] + gd[1] + fxy * d[0] * d[1]
+        g = g + fxy * d[::-1]
+    if shape_voltage is None:
+        return f, g[0], g[1]
+    shape, decay = _drain_shape(p[1], shape_voltage)
+    residue = np.exp(f)
+    current = shape * residue
+    dg = current * g
+    return current, dg[0], (decay / shape_voltage) * residue + dg[1]
+
+
+def _drain_shape(vds, shape_voltage):
+    """``sign(v) (1 - exp(-|v| / v_shape))`` and its exponential.
+
+    The exponential is returned too: divided by ``v_shape`` it is the
+    shape's derivative, so value and derivative share one ``exp``.
+    """
+    decay = np.exp(-np.abs(vds) / shape_voltage)
+    return np.sign(vds) * (1.0 - decay), decay
+
+
+def _stack(x, y) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Broadcast ``x``/``y`` and stack them as ``(2, m)`` float rows."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
+    return np.array((x, y)).reshape(2, -1), x.shape
+
+
+def _shaped(results, shape: tuple[int, ...]) -> tuple:
+    """Kernel outputs (flat per point) in the caller's broadcast shape.
+
+    Scalar input gives numpy scalars, as ufuncs on 0-d input do.
+    """
+    if len(shape) == 1:
+        return results
+    if not shape:
+        return tuple(r[0] for r in results)
+    return tuple(r.reshape(shape) for r in results)
+
+
 class CubicTable2D:
     """C1 bicubic interpolation of samples on a uniform 2-D grid.
 
@@ -122,7 +261,8 @@ class CubicTable2D:
     are continuous across the domain boundary.
 
     Evaluation runs on per-cell polynomial coefficients baked at
-    construction (two batched matmuls per call); the pre-optimization
+    construction (two batched matmuls per call, in
+    :func:`evaluate_stacked`); the pre-optimization
     weight-stacking einsum kernel is retained behind
     ``reference_evaluation`` so benchmarks can reconstruct the seed hot
     path and tests can pin the two kernels to each other.
@@ -158,6 +298,13 @@ class CubicTable2D:
         self._coeffs = np.ascontiguousarray(
             coeffs.reshape(-1, 4, 4)
         )  # indexed by ix * (ny - 1) + iy
+        # Grid parameters as (2, 1) columns (x row, y row) broadcasting
+        # against stacked (2, m) points in evaluate_stacked.
+        self._lo = _column(x_grid.start, y_grid.start)
+        self._hi = _column(x_grid.stop, y_grid.stop)
+        self._inv = _column(x_grid._inv_step, y_grid._inv_step)
+        self._top = _column(x_grid.count - 2, y_grid.count - 2, dtype=np.intp)
+        self._stride = y_grid.count - 1
         tel = telemetry.active()
         if tel is not None:
             tel.count("tables.builds")
@@ -169,13 +316,22 @@ class CubicTable2D:
         """Interpolate ``(f, df/dx, df/dy)`` at the given coordinates.
 
         Accepts scalars or broadcast-compatible arrays and returns
-        arrays of the broadcast shape (0-d arrays for scalar input).
+        arrays of the broadcast shape (numpy scalars for scalar input).
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != y.shape:
-            x, y = np.broadcast_arrays(x, y)
+        p, shape = _stack(x, y)
+        return _shaped(self._interpolate(p), shape)
 
+    def __call__(self, x: np.ndarray | float, y: np.ndarray | float) -> np.ndarray:
+        """Interpolated value only (same domain handling as evaluate)."""
+        return self.evaluate(x, y)[0]
+
+    def _interpolate(self, p: np.ndarray, shape_voltage: float | None = None):
+        """One scalar-path evaluation of stacked ``(2, m)`` points.
+
+        Counts the call, runs the sampled table audit, and dispatches
+        to :func:`evaluate_stacked` (or, under ``reference_evaluation``,
+        to the seed kernel plus the same continuation and shape).
+        """
         # Hot path: a direct module-global read instead of the
         # telemetry.active() call — this runs once per device group per
         # Newton iteration, and the function-call overhead is
@@ -183,79 +339,34 @@ class CubicTable2D:
         tel = telemetry._session
         if tel is not None:
             tel.count("tables.evals")
-            tel.count("tables.eval_points", x.size)
-
-        xc = np.minimum(np.maximum(x, self.x_grid.start), self.x_grid.stop)
-        yc = np.minimum(np.maximum(y, self.y_grid.start), self.y_grid.stop)
+            tel.count("tables.eval_points", p.shape[1])
 
         # Same direct module-global read as telemetry above: when
         # verification is off, the audit costs one attribute load.
         ver = verify._session
         if ver is not None and ver.options.table_audit and ver.table_due():
-            verify_audits.audit_table(ver, self, xc, yc)
+            verify_audits.audit_table(ver, self, p[0], p[1])
 
         if CubicTable2D.reference_evaluation:
-            f, fx, fy, fxy = self._evaluate_inside_reference(xc, yc)
-        else:
-            f, fx, fy, fxy = self._evaluate_inside(xc, yc)
-
-        dx = x - xc
-        dy = y - yc
-        outside = (dx != 0.0) | (dy != 0.0)
-        if np.any(outside):
-            value = f + fx * dx + fy * dy + fxy * dx * dy
-            dfdx = fx + fxy * dy
-            dfdy = fy + fxy * dx
-            return value, dfdx, dfdy
-        return f, fx, fy
-
-    def __call__(self, x: np.ndarray | float, y: np.ndarray | float) -> np.ndarray:
-        """Interpolated value only (same domain handling as evaluate)."""
-        return self.evaluate(x, y)[0]
+            pc = np.minimum(np.maximum(p, self._lo), self._hi)
+            f, fx, fy, fxy = self._evaluate_inside_reference(pc[0], pc[1])
+            return _extend(p, pc, f, np.array((fx, fy)), fxy, shape_voltage)
+        return evaluate_stacked(
+            self._coeffs, p, self._lo, self._hi, self._inv, self._top,
+            self._stride, shape_voltage=shape_voltage,
+        )
 
     def _evaluate_inside(
         self, x: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        ix, tx = self.x_grid.cell_of(x)
-        iy, ty = self.y_grid.cell_of(y)
-
-        # Gather the baked per-cell coefficient blocks and contract the
-        # power bases (value row/column 0, derivative row/column 1) in
-        # two batched matmuls: out = U . C . V, shape (N, 2, 2).
-        cells = self._coeffs[(ix * (self.y_grid.count - 1) + iy).reshape(-1)]
-        m = cells.shape[0]
-        txf = tx.reshape(-1)
-        tyf = ty.reshape(-1)
-        u = np.empty((m, 2, 4))
-        v = np.empty((m, 4, 2))
-        tx2 = txf * txf
-        u[:, 0, 0] = 1.0
-        u[:, 0, 1] = txf
-        u[:, 0, 2] = tx2
-        u[:, 0, 3] = tx2 * txf
-        u[:, 1, 0] = 0.0
-        u[:, 1, 1] = 1.0
-        u[:, 1, 2] = 2.0 * txf
-        u[:, 1, 3] = 3.0 * tx2
-        ty2 = tyf * tyf
-        v[:, 0, 0] = 1.0
-        v[:, 1, 0] = tyf
-        v[:, 2, 0] = ty2
-        v[:, 3, 0] = ty2 * tyf
-        v[:, 0, 1] = 0.0
-        v[:, 1, 1] = 1.0
-        v[:, 2, 1] = 2.0 * tyf
-        v[:, 3, 1] = 3.0 * ty2
-        out = u @ cells @ v
-
-        shape = x.shape
-        inv_hx = self.x_grid._inv_step
-        inv_hy = self.y_grid._inv_step
-        f = out[:, 0, 0].reshape(shape)
-        fx = (out[:, 1, 0] * inv_hx).reshape(shape)
-        fy = (out[:, 0, 1] * inv_hy).reshape(shape)
-        fxy = (out[:, 1, 1] * (inv_hx * inv_hy)).reshape(shape)
-        return f, fx, fy, fxy
+        """``(f, fx, fy, fxy)`` from the in-domain stage of the shared
+        kernel, at the coordinates clamped into the domain."""
+        p, shape = _stack(x, y)
+        pc = np.minimum(np.maximum(p, self._lo), self._hi)
+        f, g, fxy = _bicubic(
+            self._coeffs, pc, self._lo, self._inv, self._top, self._stride, None
+        )
+        return tuple(r.reshape(shape) for r in (f, g[0], g[1], fxy))
 
     def _evaluate_inside_reference(
         self, x: np.ndarray, y: np.ndarray
@@ -286,6 +397,11 @@ class CubicTable2D:
         fy = out[0, 1] / self.y_grid.step
         fxy = out[1, 1] / (self.x_grid.step * self.y_grid.step)
         return f, fx, fy, fxy
+
+
+def _column(x_value, y_value, dtype=float) -> np.ndarray:
+    """A read-only ``(2, 1)`` column of per-axis grid parameters."""
+    return _read_only(np.array([[x_value], [y_value]], dtype=dtype))
 
 
 def _pad_linear(values: np.ndarray) -> np.ndarray:
@@ -338,7 +454,7 @@ class CurrentTable:
 
         current = np.asarray(current, dtype=float)
         vds = vds_grid.points()
-        shape = self._shape(vds)[np.newaxis, :]
+        shape = _drain_shape(vds, shape_voltage)[0][np.newaxis, :]
         with np.errstate(divide="ignore", invalid="ignore"):
             residue = np.where(np.abs(shape) > 0.0, current / shape, np.nan)
 
@@ -361,12 +477,6 @@ class CurrentTable:
         if tel is not None:
             tel.count("tables.current_builds")
 
-    def _shape(self, vds: np.ndarray) -> np.ndarray:
-        return np.sign(vds) * (1.0 - np.exp(-np.abs(vds) / self.shape_voltage))
-
-    def _shape_derivative(self, vds: np.ndarray) -> np.ndarray:
-        return np.exp(-np.abs(vds) / self.shape_voltage) / self.shape_voltage
-
     @property
     def vgs_grid(self) -> UniformGrid:
         return self._table.x_grid
@@ -379,20 +489,8 @@ class CurrentTable:
         self, vgs: np.ndarray | float, vds: np.ndarray | float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(i, di/dvgs, di/dvds)`` in the stored current units."""
-        vgs = np.asarray(vgs, dtype=float)
-        vds = np.asarray(vds, dtype=float)
-        if vgs.shape != vds.shape:
-            vgs_b, vds_b = np.broadcast_arrays(vgs, vds)
-        else:
-            vgs_b, vds_b = vgs, vds
-
-        z, dz_dvgs, dz_dvds = self._table.evaluate(vgs_b, vds_b)
-        residue = np.exp(z)
-        shape = self._shape(vds_b)
-        current = shape * residue
-        di_dvgs = current * dz_dvgs
-        di_dvds = self._shape_derivative(vds_b) * residue + current * dz_dvds
-        return current, di_dvgs, di_dvds
+        p, shape = _stack(vgs, vds)
+        return _shaped(self._table._interpolate(p, self.shape_voltage), shape)
 
     def __call__(self, vgs: np.ndarray | float, vds: np.ndarray | float) -> np.ndarray:
         """Interpolated current only."""

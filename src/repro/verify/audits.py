@@ -251,9 +251,12 @@ def audit_transient_step(
 def audit_table(session: VerifySession, table, x: np.ndarray, y: np.ndarray) -> None:
     """Baked-coefficient table evaluation vs the retained seed kernel.
 
-    ``x``/``y`` are the already-clamped in-domain coordinates — the
-    tangent-plane extrapolation applied outside is shared arithmetic,
-    so comparing the inside kernels covers the optimized surface.
+    Both kernels evaluate at ``x``/``y`` clamped into the table domain:
+    the tangent-plane continuation applied outside and the drain shape
+    are shared arithmetic, so comparing the in-domain stage of the
+    shared kernel (:func:`repro.devices.tables.evaluate_stacked`, the
+    code every scalar and stacked device evaluation runs) with the seed
+    kernel covers the optimized surface.
     """
     session.count("table")
     optimized = table._evaluate_inside(x, y)

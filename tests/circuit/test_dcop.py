@@ -5,10 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuit.dcop import ConvergenceError, SolverOptions, newton_solve, solve_dc
+from repro.circuit.dcop import (
+    ConvergenceError,
+    SolverOptions,
+    newton_gen,
+    newton_solve,
+    solve_dc,
+)
 from repro.circuit.mna import MnaSystem
 from repro.circuit.netlist import Circuit
 from repro.devices.library import nmos_device, pmos_device, tfet_device
+from repro.telemetry import core as telemetry
 
 
 class TestLinear:
@@ -112,3 +119,58 @@ class TestRobustness:
         opts = SolverOptions()
         assert opts.gmin > 0
         assert opts.step_limit > 0
+
+
+class TestNewtonRequests:
+    """The assembly requests ``newton_gen`` yields to its driver."""
+
+    def _tfet_inverter(self):
+        c = Circuit()
+        c.add_voltage_source("vdd", "vdd", "0", 0.8)
+        c.add_voltage_source("vin", "in", "0", 0.3)
+        c.add_transistor("mp", "out", "in", "vdd", tfet_device(), "p", 0.1)
+        c.add_transistor("mn", "out", "in", "0", tfet_device(), "n", 0.1)
+        return c
+
+    def test_first_request_asks_for_the_jacobian_at_the_seed(self):
+        # Iteration 1 always stamps at x0, so the residual at x0 comes
+        # with that Jacobian instead of from an assembly of its own.
+        system = MnaSystem(self._tfet_inverter())
+        x0 = np.full(system.size, 0.2)
+        gen = newton_gen(system, x0, 0.0, SolverOptions())
+        request = gen.send(None)
+        gen.close()
+        assert request[0] is system
+        np.testing.assert_array_equal(request[1], x0)
+        assert request[7] is True
+
+    def test_every_jacobian_request_is_factorized(self):
+        system = MnaSystem(self._tfet_inverter())
+        gen = newton_gen(system, np.zeros(system.size), 0.0, SolverOptions())
+        jacobian_requests = 0
+        answer = None
+        with telemetry.enabled() as tel:
+            while True:
+                try:
+                    request = gen.send(answer)
+                except StopIteration as stop:
+                    x, iterations = stop.value
+                    break
+                _, x_req, t, gmin, transient, clamps, scale, want_jac = request
+                if want_jac:
+                    jacobian_requests += 1
+                    answer = system.assemble(
+                        x_req, t, gmin=gmin, transient=transient, clamps=clamps,
+                        source_scale=scale, copy=False,
+                    )
+                else:
+                    answer = (system.assemble_residual(
+                        x_req, t, gmin=gmin, transient=transient, clamps=clamps,
+                        source_scale=scale,
+                    ), None)
+        assert iterations >= 1
+        assert jacobian_requests == tel.counters["newton.jacobian_stamps"]
+        np.testing.assert_array_equal(x, newton_solve(
+            MnaSystem(self._tfet_inverter()), np.zeros(system.size), 0.0,
+            SolverOptions(),
+        )[0])

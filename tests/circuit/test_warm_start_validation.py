@@ -79,3 +79,55 @@ class TestSweepWarmStarts:
         points = dc_sweep(c, "vs", values)
         mid = np.array([op.voltage("mid") for op in points])
         np.testing.assert_allclose(mid, values / 2.0, atol=1e-7)
+
+
+class TestNonFiniteInputs:
+    """NaN/inf seeds and clamp targets fail where they enter, by name.
+
+    Inside the solver a non-finite node voltage reaches the device-table
+    cell lookup as a garbage index (``IndexError``), or, as a clamp
+    target, fails every DC fallback tier.
+    """
+
+    @pytest.fixture(scope="class")
+    def read_bench(self):
+        from repro.experiments.designs import proposed_cell
+
+        return proposed_cell().read_testbench(0.8)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_initial_guess(self, read_bench, value):
+        with pytest.raises(ValueError, match="initial guess for node 'q'"):
+            solve_dc(read_bench.circuit, initial_guess={"q": value})
+
+    def test_seed_vector(self, read_bench):
+        c = read_bench.circuit
+        x0 = np.zeros(c.node_count + len(c.voltage_sources))
+        x0[c.index_of("qb")] = np.nan
+        with pytest.raises(ValueError, match="seed for node 'qb'"):
+            solve_dc(c, x0=x0)
+
+    def test_seed_vector_branch_current(self, read_bench):
+        c = read_bench.circuit
+        x0 = np.zeros(c.node_count + len(c.voltage_sources))
+        x0[-1] = -np.inf
+        name = c.voltage_sources[-1].name
+        with pytest.raises(ValueError, match=f"voltage source '{name}'"):
+            solve_dc(c, x0=x0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_clamp_target(self, read_bench, value):
+        with pytest.raises(ValueError, match="clamp target for node 'q'"):
+            solve_dc(read_bench.circuit, clamp_nodes={"q": value})
+
+    def test_transient_initial_conditions(self, read_bench):
+        with pytest.raises(ValueError, match="node 'q'"):
+            simulate_transient(
+                read_bench.circuit, 1e-10, initial_conditions={"q": np.nan}
+            )
+
+    def test_transient_operating_point_guess(self, read_bench):
+        with pytest.raises(ValueError, match="initial guess for node 'qb'"):
+            simulate_transient(
+                read_bench.circuit, 1e-10, operating_point_guess={"qb": -np.inf}
+            )
