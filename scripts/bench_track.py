@@ -106,28 +106,6 @@ def selftest(tolerance: float) -> int:
         print("selftest FAILED: spice_batch gate breach (4.0x < 5x) not flagged")
         return 1
 
-    # The serve-fleet family: throughput_scale is the headline, the
-    # payload's gate_scale the hard floor.
-    fleet_record = bench.bench_record(
-        {"schema": "repro.bench.serve_fleet/v1", "created_unix": 1.0,
-         "throughput_scale": 3.7, "gate_scale": 3.0},
-        "selftest",
-    )
-    if (
-        fleet_record is None
-        or fleet_record["metric"] != "throughput_scale"
-        or fleet_record["direction"] != "higher"
-        or fleet_record["limit"] != 3.0
-    ):
-        print("selftest FAILED: serve_fleet payload did not normalize")
-        return 1
-    fleet_breach = bench.check_history(
-        [{**fleet_record, "value": 2.1}], tolerance
-    )
-    if not fleet_breach:
-        print("selftest FAILED: serve_fleet gate breach (2.1x < 3x) not flagged")
-        return 1
-
     # The compiled-array family: sparse-vs-dense speedup on the array
     # critical path, floored by the payload's min_speedup.
     array_record = bench.bench_record(
@@ -151,8 +129,7 @@ def selftest(tolerance: float) -> int:
         return 1
     print(
         "selftest ok: healthy history passes, planted regressions flagged "
-        f"({bad_problems[0]}; {breach[0]}; {fleet_breach[0]}; "
-        f"{array_breach[0]})"
+        f"({bad_problems[0]}; {breach[0]}; {array_breach[0]})"
     )
     return 0
 

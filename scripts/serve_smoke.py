@@ -22,20 +22,7 @@ wire protocol — and the kill is a real SIGKILL:
    recomputed than the batch total;
 7. SIGTERM drains the daemon: exit code 0, socket removed, final JSON
    + Prometheus metrics snapshots written (into ``SMOKE_ARTIFACTS``
-   when set, for CI upload);
-8. a 2-shard fleet (``--workers 2 --http-port``) comes up over the
-   same store: status sees both shards, queries route to both
-   keyspaces — ``(proposed, tt)`` lives on shard 0, ``(proposed, ss)``
-   on shard 1 (pinned consistent hash) — and the HTTP adapter answers
-   ``/v1/query`` and ``/metrics``;
-9. shard 1 is SIGKILLed mid-backfill of an ss-corner batch: the
-   survivor keeps answering shard 0's keyspace warm while shard 1's
-   keyspace degrades to structured ``shard_down`` errors;
-10. shard 1 is restarted by hand (``--shard-index 1`` against the same
-    front base address): the re-issued queries coalesce into the same
-    spec and resume from the engine checkpoint (``resumed >= 1``);
-11. SIGTERM drains the fleet supervisor: shards and front exit
-    cleanly, exit code 0.
+   when set, for CI upload).
 
 Run with ``PYTHONPATH=src python scripts/serve_smoke.py``; exits
 non-zero on the first violated expectation.
@@ -248,181 +235,8 @@ def main() -> int:
             "Prometheus metrics snapshot written",
         )
 
-        fleet_phase(spec, store, tmp_path)
-
     print("serve smoke: all checks passed")
     return 0
-
-
-def fleet_ss_queries(sock: Path, timeout_s: float = 600.0) -> list:
-    """Concurrent cold queries on shard 1's keyspace (ss corner)."""
-
-    def ask(vdd: float):
-        try:
-            with ServeClient(socket_path=sock, timeout_s=timeout_s) as client:
-                return client.query("drnm", design="proposed", vdd=vdd,
-                                    corner="ss")
-        except (ServeError, ConnectionError, OSError) as exc:
-            return exc
-
-    with ThreadPoolExecutor(max_workers=len(COLD_VDDS)) as pool:
-        return list(pool.map(ask, COLD_VDDS))
-
-
-def fleet_phase(spec: Path, store: Path, tmp_path: Path) -> None:
-    from repro.serve.shard import shard_socket_path
-
-    sock = tmp_path / "fleet.sock"
-    http_port = 18080 + (os.getpid() % 1000)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-
-    print("8. 2-shard fleet up: routed queries and the HTTP adapter")
-    supervisor = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "start",
-         "--spec", str(spec), "--store", str(store), "--socket", str(sock),
-         "--workers", "2", "--http-port", str(http_port),
-         "--coalesce-s", str(COALESCE_S)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env=env, cwd=ROOT,
-    )
-    try:
-        deadline = time.monotonic() + 120.0
-        while time.monotonic() < deadline:
-            if sock.exists():
-                try:
-                    with ServeClient(socket_path=sock, timeout_s=5.0) as probe:
-                        if probe.ping():
-                            break
-                except (ConnectionError, OSError):
-                    pass
-            if supervisor.poll() is not None:
-                check(False, "fleet supervisor stays up")
-            time.sleep(0.05)
-        else:
-            supervisor.kill()
-            check(False, "fleet front answered a ping within 120 s")
-
-        with ServeClient(socket_path=sock, timeout_s=60.0) as client:
-            status = client.status()
-            check(status.get("fleet") is True, "status reports a fleet")
-            check(status["shards_up"] == 2, "both shards up")
-            identities = [s["status"]["shard"]["index"] for s in status["shards"]]
-            check(identities == [0, 1], "shards know their slots")
-            shard1_pid = status["shards"][1]["status"]["pid"]
-
-            warm = client.query("drnm", design="proposed", vdd=0.8)
-            check(warm["served"] == "memory", "tt keyspace (shard 0) warm hit")
-            topology = client.map()
-            check(topology["fleet"] and topology["workers"] == 2,
-                  "map op describes the ring")
-
-        import urllib.request
-
-        with urllib.request.urlopen(
-            f"http://127.0.0.1:{http_port}/v1/query?"
-            "metric=drnm&design=proposed&vdd=0.8", timeout=30
-        ) as http_response:
-            body = json.loads(http_response.read())
-            check(body["ok"] and body["served"] == "memory",
-                  "HTTP /v1/query answers from memory")
-        with urllib.request.urlopen(
-            f"http://127.0.0.1:{http_port}/metrics", timeout=30
-        ) as http_response:
-            check(b"repro_serve_front_requests_total" in http_response.read(),
-                  "HTTP /metrics exposes fleet counters")
-
-        print("9. SIGKILL shard 1 mid-backfill; survivor keeps serving")
-        checkpoint_base = backfill_checkpoint_lines(store)
-        with ThreadPoolExecutor(max_workers=1) as firer:
-            doomed = firer.submit(fleet_ss_queries, sock)
-            deadline = time.monotonic() + 120.0
-            while time.monotonic() < deadline:
-                if backfill_checkpoint_lines(store) >= checkpoint_base + 2:
-                    break
-                time.sleep(0.02)
-            progress = backfill_checkpoint_lines(store) - checkpoint_base
-            check(
-                0 < progress < len(COLD_VDDS),
-                f"shard 1 checkpoint shows partial progress "
-                f"({progress}/{len(COLD_VDDS)})",
-            )
-            os.kill(shard1_pid, signal.SIGKILL)
-            doomed.result(timeout=120)  # clients fail; only reap them
-
-        with ServeClient(socket_path=sock, timeout_s=60.0) as client:
-            warm = client.query("drnm", design="proposed", vdd=0.8)
-            check(warm["served"] == "memory",
-                  "survivor keyspace still answers warm")
-            try:
-                client.query("drnm", design="proposed", vdd=0.8, corner="ss")
-                check(False, "dead keyspace must error")
-            except ServeError as exc:
-                check(exc.code == "shard_down",
-                      f"dead keyspace answers shard_down (got {exc.code})")
-            status = client.status()
-            check(status["shards_up"] == 1, "status reports the partial fleet")
-
-        print("10. restart shard 1 by hand; resume from the checkpoint")
-        shard_sock = shard_socket_path(sock, 1)
-        shard_sock.unlink(missing_ok=True)
-        restarted = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "start",
-             "--spec", str(spec), "--store", str(store), "--socket", str(sock),
-             "--workers", "2", "--shard-index", "1",
-             "--coalesce-s", str(COALESCE_S)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=env, cwd=ROOT,
-        )
-        try:
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                if shard_sock.exists():
-                    try:
-                        with ServeClient(socket_path=shard_sock,
-                                         timeout_s=5.0) as probe:
-                            if probe.ping():
-                                break
-                    except (ConnectionError, OSError):
-                        pass
-                if restarted.poll() is not None:
-                    check(False, "restarted shard stays up")
-                time.sleep(0.05)
-            else:
-                check(False, "restarted shard answered a ping within 60 s")
-
-            answers = fleet_ss_queries(sock)
-            for vdd, answer in zip(COLD_VDDS, answers):
-                check(
-                    isinstance(answer, dict) and answer["served"] == "backfill",
-                    f"re-issued ss {vdd:g} V query answered via backfill",
-                )
-            with ServeClient(socket_path=shard_sock, timeout_s=30.0) as client:
-                shard_status = client.status()
-            reports = shard_status["backfill"]["last_reports"] or []
-            resumed = sum(r["resumed"] for r in reports)
-            check(resumed >= 1,
-                  f"restarted shard resumed from the checkpoint "
-                  f"(resumed={resumed})")
-
-            print("11. SIGTERM drains the fleet")
-            supervisor.send_signal(signal.SIGTERM)
-            out, err = supervisor.communicate(timeout=90)
-            check(supervisor.returncode == 0,
-                  f"fleet supervisor exits 0 (stderr: {err.strip()!r})")
-            check("fleet drained and stopped" in out, "fleet drain message")
-            check(not sock.exists(), "front socket removed on shutdown")
-        finally:
-            if restarted.poll() is None:
-                restarted.terminate()
-                try:
-                    restarted.wait(timeout=60)
-                except subprocess.TimeoutExpired:
-                    restarted.kill()
-                    restarted.wait()
-    finally:
-        if supervisor.poll() is None:
-            supervisor.kill()
-            supervisor.wait()
 
 
 if __name__ == "__main__":

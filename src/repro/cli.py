@@ -5,11 +5,11 @@ Commands:
 * ``device-info`` — headline figures of merit of the calibrated devices;
 * ``cell <design> [--vdd V]`` — hold power, margins, and delays of one
   of the studied cells;
-* ``experiment <id>`` — regenerate a paper figure/table (alias of
-  ``python -m repro.experiments``, including the telemetry flags
-  ``--profile``, ``--trace``, ``--log-level``, ``--output-dir`` and the
-  batch-engine flags ``--samples``, ``--seed``, ``--jobs``,
-  ``--resume``);
+* ``experiment <id>`` — regenerate a paper figure/table: the rest of
+  the command line goes to ``python -m repro.experiments``, so both
+  take the same flags from one parser (``--list``, the telemetry
+  flags, the batch-engine flags such as ``--samples``, ``--jobs`` and
+  ``--batch-size``);
 * ``char build|status|query|export`` — the incremental characterization
   store (``repro.char``): build a metric grid (resumable, only missing
   points are simulated), inspect coverage, answer interpolated point
@@ -140,35 +140,6 @@ def _cmd_cell(args) -> int:
     print(f"  read delay : {'inf' if math.isinf(rd) else f'{rd * 1e12:.1f} ps'}")
     print(f"  area       : {cell_area_um2(cell):.3f} um^2")
     return 0
-
-
-def _cmd_experiment(args) -> int:
-    from repro.experiments.runner import main as experiments_main
-
-    argv = [args.experiment_id]
-    if args.profile:
-        argv.append("--profile")
-    if args.trace:
-        argv.extend(["--trace", args.trace])
-    if args.log_level:
-        argv.extend(["--log-level", args.log_level])
-    if args.trace_dir:
-        argv.extend(["--trace-dir", args.trace_dir])
-    if args.output_dir:
-        argv.extend(["--output-dir", args.output_dir])
-    if args.verify:
-        argv.append("--verify")
-    if args.samples is not None:
-        argv.extend(["--samples", str(args.samples)])
-    if args.seed is not None:
-        argv.extend(["--seed", str(args.seed)])
-    if args.jobs is not None:
-        argv.extend(["--jobs", str(args.jobs)])
-    if args.resume:
-        argv.append("--resume")
-    if args.char_store:
-        argv.extend(["--char-store", args.char_store])
-    return experiments_main(argv)
 
 
 def _cmd_char(args) -> int:
@@ -403,36 +374,13 @@ def _serve_start(args) -> int:
     from repro.char import resolve_spec
     from repro.serve.daemon import ServeConfig, serve
 
-    if args.shard_index is None and (args.workers > 1 or args.http_port):
-        return _serve_fleet(args)
-
-    socket_path = args.socket
-    tcp_port = args.port
-    shard_count = None
-    if args.shard_index is not None:
-        # A fleet member: --socket/--port name the FRONT's base address
-        # and the shard derives its own from them, so restarting shard
-        # i by hand only needs the same command line plus --shard-index.
-        from repro.serve.shard import shard_socket_path, shard_tcp_port
-
-        shard_count = args.workers
-        if not 0 <= args.shard_index < args.workers:
-            print(f"error: --shard-index {args.shard_index} outside "
-                  f"--workers {args.workers}", file=sys.stderr)
-            return 2
-        if tcp_port is not None:
-            socket_path = None
-            tcp_port = shard_tcp_port(args.port, args.shard_index)
-        else:
-            socket_path = shard_socket_path(args.socket, args.shard_index)
-
     try:
         specs = [resolve_spec(name) for name in (args.spec or ["nominal"])]
         config = ServeConfig(
             store_dir=args.store,
             specs=specs,
-            socket_path=socket_path,
-            tcp_port=tcp_port,
+            socket_path=args.socket,
+            tcp_port=args.port,
             max_inflight=args.max_inflight,
             backfill_depth=args.backfill_depth,
             coalesce_s=args.coalesce_s,
@@ -442,9 +390,6 @@ def _serve_start(args) -> int:
             verify_fraction=args.verify_fraction,
             metrics_out=args.metrics_out,
             trace_dir=args.trace_dir,
-            shard_index=args.shard_index,
-            shard_count=shard_count,
-            synthetic_service_s=args.synthetic_service_s,
         )
     except ValueError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
@@ -454,128 +399,14 @@ def _serve_start(args) -> int:
         where.append(str(config.socket_path))
     if config.tcp_port is not None:
         where.append(f"127.0.0.1:{config.tcp_port}")
-    label = (f"shard {args.shard_index}/{shard_count}"
-             if args.shard_index is not None else "serving")
-    print(f"{label} {', '.join(s.name for s in specs)} from {args.store} "
+    print(f"serving {', '.join(s.name for s in specs)} from {args.store} "
           f"on {' and '.join(where)} (SIGTERM drains)")
     asyncio.run(serve(config))
     print("serve: drained and stopped")
     return 0
 
 
-def _serve_fleet(args) -> int:
-    """Supervise ``--workers`` shard daemons behind one routing front."""
-    import asyncio
-    import subprocess
-    import time as time_module
-    from pathlib import Path
-
-    from repro.serve.client import ServeClient
-    from repro.serve.front import FrontConfig, ShardAddress, serve_front
-    from repro.serve.shard import shard_socket_path, shard_tcp_port
-
-    workers = args.workers
-    shard_cmd_base = [
-        sys.executable, "-m", "repro", "serve", "start",
-        "--store", args.store,
-        "--socket", args.socket,
-        "--workers", str(workers),
-        "--jobs", str(args.jobs),
-        "--max-inflight", str(args.max_inflight),
-        "--backfill-depth", str(args.backfill_depth),
-        "--coalesce-s", str(args.coalesce_s),
-        "--timeout-s", str(args.timeout_s),
-        "--drain-grace-s", str(args.drain_grace_s),
-        "--verify-fraction", str(args.verify_fraction),
-        "--synthetic-service-s", str(args.synthetic_service_s),
-    ]
-    for spec in args.spec or []:
-        shard_cmd_base += ["--spec", spec]
-    if args.port is not None:
-        shard_cmd_base += ["--port", str(args.port)]
-
-    shards, procs = [], []
-    for index in range(workers):
-        cmd = shard_cmd_base + ["--shard-index", str(index)]
-        if args.metrics_out:
-            out = Path(args.metrics_out)
-            cmd += ["--metrics-out",
-                    str(out.with_name(f"{out.stem}.shard{index}{out.suffix}"))]
-        if args.trace_dir:
-            cmd += ["--trace-dir", args.trace_dir]
-        procs.append(subprocess.Popen(cmd))
-        if args.port is not None:
-            shards.append(ShardAddress(tcp_port=shard_tcp_port(args.port, index)))
-        else:
-            shards.append(ShardAddress(
-                socket_path=shard_socket_path(args.socket, index)))
-
-    def _stop_shards() -> None:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in procs:
-            try:
-                proc.wait(timeout=args.drain_grace_s + 10.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-
-    # Wait for every shard to answer a ping (grid loading can take a
-    # while on a cold store) before exposing the front.
-    deadline = time_module.monotonic() + 120.0
-    try:
-        for index, address in enumerate(shards):
-            while True:
-                if procs[index].poll() is not None:
-                    print(f"error: shard {index} exited with "
-                          f"{procs[index].returncode} during startup",
-                          file=sys.stderr)
-                    _stop_shards()
-                    return 2
-                try:
-                    with ServeClient(socket_path=address.socket_path,
-                                     tcp_port=address.tcp_port,
-                                     timeout_s=5.0) as probe:
-                        if probe.ping():
-                            break
-                except (ConnectionError, FileNotFoundError, OSError):
-                    pass
-                if time_module.monotonic() > deadline:
-                    print(f"error: shard {index} did not come up within 120 s",
-                          file=sys.stderr)
-                    _stop_shards()
-                    return 2
-                time_module.sleep(0.1)
-
-        config = FrontConfig(
-            shards=shards,
-            socket_path=None if args.port else args.socket,
-            tcp_port=args.port,
-            http_port=args.http_port,
-            request_timeout_s=args.timeout_s + 30.0,
-            metrics_out=args.metrics_out,
-        )
-        where = [a.describe() for a in shards]
-        front_at = []
-        if config.socket_path is not None:
-            front_at.append(str(config.socket_path))
-        if config.tcp_port is not None:
-            front_at.append(f"127.0.0.1:{config.tcp_port}")
-        if config.http_port is not None:
-            front_at.append(f"http://127.0.0.1:{config.http_port}")
-        print(f"fleet: {workers} shards on {', '.join(where)}; front on "
-              f"{' and '.join(front_at)} (SIGTERM drains)")
-        asyncio.run(serve_front(config))
-    finally:
-        _stop_shards()
-    print("serve: fleet drained and stopped")
-    return 0
-
-
 def _format_serve_status(status: dict) -> str:
-    if status.get("fleet"):
-        return _format_fleet_status(status)
     lines = [
         f"serve daemon pid {status['pid']} — up {status['uptime_s']:.1f} s, "
         f"store {status['store']}"
@@ -600,35 +431,6 @@ def _format_serve_status(status: dict) -> str:
         f"{counters.get('serve.hits', 0)} hits, "
         f"{counters.get('serve.misses', 0)} misses, "
         f"{counters.get('serve.timeouts', 0)} timeouts"
-    )
-    return "\n".join(lines)
-
-
-def _format_fleet_status(status: dict) -> str:
-    lines = [
-        f"serve fleet front pid {status['pid']} — up "
-        f"{status['uptime_s']:.1f} s, {status['shards_up']}/"
-        f"{status['workers']} shards up"
-        + (" [draining]" if status.get("draining") else ""),
-    ]
-    for shard in status.get("shards", []):
-        if not shard.get("ok"):
-            lines.append(f"  shard {shard['shard']} ({shard['address']}): "
-                         f"DOWN — {shard.get('message', '')}")
-            continue
-        counters = (shard.get("status") or {}).get("counters", {})
-        lines.append(
-            f"  shard {shard['shard']} ({shard['address']}): "
-            f"{counters.get('serve.requests', 0)} requests, "
-            f"{counters.get('serve.hits', 0)} hits, "
-            f"{counters.get('serve.misses', 0)} misses"
-        )
-    aggregate = status.get("aggregate", {})
-    lines.append(
-        f"  aggregate: {aggregate.get('serve.requests', 0)} requests, "
-        f"{aggregate.get('serve.hits', 0)} hits, "
-        f"{aggregate.get('serve.misses', 0)} misses, "
-        f"{aggregate.get('serve.timeouts', 0)} timeouts"
     )
     return "\n".join(lines)
 
@@ -963,6 +765,14 @@ def _cmd_netlist(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["experiment"]:
+        # Imported here and only here: the registry pulls in every
+        # experiment module, which no other verb should pay for.
+        from repro.experiments.runner import main as experiments_main
+
+        return experiments_main(argv[1:], prog="repro experiment")
+
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -975,34 +785,11 @@ def main(argv: list[str] | None = None) -> int:
                       help="process-corner device cards (tt, ff, ss, fs, sf); "
                       "TFET designs only")
 
-    exp = sub.add_parser("experiment", help="regenerate a paper artifact")
-    exp.add_argument("experiment_id")
-    exp.add_argument("--profile", action="store_true",
-                     help="collect solver telemetry and write a run manifest")
-    exp.add_argument("--trace", metavar="PATH", default=None,
-                     help="write the structured JSON event trace to PATH")
-    exp.add_argument("--log-level", default=None,
-                     choices=("debug", "info", "warning", "error"),
-                     help="event threshold for the trace/event log")
-    exp.add_argument("--trace-dir", metavar="DIR", default=None,
-                     help="stream cross-process span trees into DIR and "
-                     "merge them into DIR/trace.json (see `repro trace`)")
-    exp.add_argument("--output-dir", metavar="DIR", default=None,
-                     help="directory for result JSON and run manifests")
-    exp.add_argument("--verify", action="store_true",
-                     help="re-check accepted solver results against the "
-                     "reference implementations while the experiment runs")
-    exp.add_argument("--samples", type=int, default=None, metavar="N",
-                     help="Monte-Carlo sample count (sampling experiments)")
-    exp.add_argument("--seed", type=int, default=None, metavar="S",
-                     help="root seed for the batch engine's per-sample seeds")
-    exp.add_argument("--jobs", type=int, default=None, metavar="J",
-                     help="worker processes; bit-identical to --jobs 1")
-    exp.add_argument("--resume", action="store_true",
-                     help="resume an interrupted run from its checkpoints")
-    exp.add_argument("--char-store", metavar="DIR", default=None,
-                     help="serve grid points from a pre-built "
-                     "characterization store (repro char build)")
+    # Listed for --help only: main() hands `experiment ...` to the
+    # runner's own parser before this one is built.
+    sub.add_parser("experiment", help="regenerate a paper artifact (the "
+                   "flags of python -m repro.experiments; see "
+                   "`repro experiment --help`)")
 
     char = sub.add_parser("char", help="incremental characterization store")
     char_sub = char.add_subparsers(dest="char_command", required=True)
@@ -1178,20 +965,9 @@ def main(argv: list[str] | None = None) -> int:
                              "(JSON; a .prom sibling is written too)")
     serve_start.add_argument("--trace-dir", metavar="DIR", default=None,
                              help="stream backfill-build span trees into DIR")
-    serve_start.add_argument("--workers", type=int, default=1, metavar="N",
-                             help="shard the keyspace over N daemon workers "
-                             "behind one routing front (default: 1, no fleet)")
-    serve_start.add_argument("--http-port", type=int, default=None,
-                             metavar="N", help="also expose the front over "
-                             "HTTP/1.1 on localhost port N (/v1/query, "
-                             "/v1/status, /metrics)")
-    serve_start.add_argument("--shard-index", type=int, default=None,
-                             help=argparse.SUPPRESS)  # fleet-internal: run as
-    # shard i of --workers, deriving the shard address from the front's
-    # --socket/--port base (also how an operator restarts a dead shard).
-    serve_start.add_argument("--synthetic-service-s", type=float, default=0.0,
-                             metavar="F", help="benchmark calibration: block "
-                             "F seconds per query (keep 0 in production)")
+    serve_start.add_argument("--workers", type=int, default=1, choices=(1,),
+                             help="always 1 (one daemon); kept only because "
+                             "perfbench/serve_mix.py passes --workers 1")
 
     for verb, verb_help in (
         ("status", "coverage, backfill queue, and request counters"),
@@ -1235,7 +1011,6 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "device-info": _cmd_device_info,
         "cell": _cmd_cell,
-        "experiment": _cmd_experiment,
         "char": _cmd_char,
         "array": _cmd_array,
         "netlist": _cmd_netlist,

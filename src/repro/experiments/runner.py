@@ -4,6 +4,8 @@
 ``python -m repro.experiments all`` regenerates everything (slow — the
 Monte-Carlo figures run hundreds of transient bisections);
 ``python -m repro.experiments --list`` prints the registry.
+``repro experiment ...`` hands its whole command line to :func:`main`,
+so both entry points take exactly the flags below, from one parser.
 
 Observability flags: ``--profile`` collects solver telemetry and
 writes a run manifest (wall time, Newton/fallback/step statistics,
@@ -21,7 +23,8 @@ runs (see :mod:`repro.verify`).
 Batch-engine flags (sampling experiments such as ``fig09``/``fig10``):
 ``--samples N`` sets the Monte-Carlo size, ``--jobs J`` fans the
 samples across J worker processes (bit-identical to ``--jobs 1``),
-``--seed S`` sets the root seed, and ``--resume`` continues an
+``--seed S`` sets the root seed, ``--batch-size K`` solves K samples
+per task as one stacked Newton batch, and ``--resume`` continues an
 interrupted run from its JSONL checkpoints under
 ``<output-dir>/checkpoints/``.  Experiments that do not sample ignore
 these flags with a note.
@@ -261,9 +264,12 @@ def _flush_runner_trace(trace_dir, trace_id, session) -> None:
     merge_trace(trace_dir)
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, prog: str = "repro.experiments") -> int:
+    """The one experiment command line, behind both ``python -m
+    repro.experiments`` and ``repro experiment`` (``prog`` names which
+    in usage and error messages)."""
     parser = argparse.ArgumentParser(
-        prog="repro.experiments",
+        prog=prog,
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument(

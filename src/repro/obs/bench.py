@@ -55,7 +55,6 @@ HEADLINES: dict[str, tuple[str, str, str | None]] = {
     "repro.bench.spice_batch": ("speedup", "higher", "gate"),
     "repro.bench.array": ("speedup", "higher", "min_speedup"),
     "repro.bench.serve": ("p99_warm_s", "lower", "gate_p99_s"),
-    "repro.bench.serve_fleet": ("throughput_scale", "higher", "gate_scale"),
     "repro.bench.telemetry": (
         "disabled_overhead_guard.overhead_fraction",
         "lower",

@@ -1,7 +1,7 @@
 """Online characterization service (``repro.serve``).
 
-The serving layer over the :mod:`repro.char` store (ROADMAP item 1): a
-long-running asyncio daemon that answers metric queries from in-memory
+The serving layer over the :mod:`repro.char` store: one long-running
+asyncio daemon that answers metric queries from in-memory
 :class:`~repro.char.query.CharGrid` surrogates, turns cache misses into
 coalesced, checkpointed :mod:`repro.engine` build batches, and streams
 the results back to every waiting client when the grids land.
@@ -18,13 +18,6 @@ the results back to every waiting client when the grids land.
   snapshots.
 * :mod:`repro.serve.client` — the blocking client the CLI verbs, load
   generator, and smoke tests use.
-* :mod:`repro.serve.shard` — the consistent-hash ownership map that
-  partitions the keyspace over a fleet of N daemon workers.
-* :mod:`repro.serve.front` — the fleet front: routes each query to the
-  owning shard, aggregates ``status``/``metrics``, degrades to
-  ``shard_down`` for dead shards' keyspace.
-* :mod:`repro.serve.http` — GET-only HTTP/1.1 adapter on the front
-  (``/v1/query``, ``/v1/status``, ``/metrics`` Prometheus text).
 
 Quick start::
 
@@ -32,10 +25,8 @@ Quick start::
     $ python -m repro serve start --spec nominal &
     $ python -m repro serve query drnm --design proposed --vdd 0.65
 
-Fleet (4 shard workers behind one front, plus HTTP)::
-
-    $ python -m repro serve start --spec nominal --workers 4 --http-port 8080 &
-    $ curl 'http://127.0.0.1:8080/v1/query?metric=drnm&design=proposed&vdd=0.65'
+Backfill builds run ``--jobs`` worker processes, which is how one
+daemon spreads cold misses over several cores.
 """
 
 from repro.serve.backfill import (
@@ -47,7 +38,6 @@ from repro.serve.backfill import (
 )
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import ServeConfig, ServeDaemon, serve
-from repro.serve.front import Front, FrontConfig, ShardAddress, ShardDown, serve_front
 from repro.serve.protocol import (
     ERROR_CODES,
     MAX_LINE_BYTES,
@@ -57,17 +47,10 @@ from repro.serve.protocol import (
     decode_line,
     encode_line,
     error_response,
-    normalize_request,
     ok_response,
     parse_request,
 )
 from repro.serve.registry import BACKFILLABLE_REASONS, GridRegistry, validate_point
-from repro.serve.shard import (
-    ShardMap,
-    routing_key,
-    shard_socket_path,
-    shard_tcp_port,
-)
 
 __all__ = [
     "BACKFILLABLE_REASONS",
@@ -75,8 +58,6 @@ __all__ = [
     "BackfillOverloaded",
     "BackfillQueue",
     "ERROR_CODES",
-    "Front",
-    "FrontConfig",
     "GridRegistry",
     "MAX_LINE_BYTES",
     "MissKey",
@@ -87,20 +68,12 @@ __all__ = [
     "ServeConfig",
     "ServeDaemon",
     "ServeError",
-    "ShardAddress",
-    "ShardDown",
-    "ShardMap",
     "batch_specs",
     "decode_line",
     "encode_line",
     "error_response",
-    "normalize_request",
     "ok_response",
     "parse_request",
-    "routing_key",
     "serve",
-    "serve_front",
-    "shard_socket_path",
-    "shard_tcp_port",
     "validate_point",
 ]

@@ -12,12 +12,6 @@ client is importable anywhere (benchmark worker threads included).
 ``request`` sends one JSON line and reads one response line;
 :class:`ServeError` carries the structured protocol error code on any
 ``ok: false`` response.
-
-The same client speaks to a single daemon or to a fleet front — the
-front relays each query to the owning shard and answers ``status`` /
-``metrics`` with fleet aggregates.  A query whose owning shard is
-unreachable raises ``ServeError`` with code ``shard_down``; the rest
-of the keyspace keeps serving.
 """
 
 from __future__ import annotations
@@ -132,10 +126,6 @@ class ServeClient:
 
     def status(self) -> dict:
         return self.request({"op": "status"})["status"]
-
-    def map(self) -> dict:
-        """The server's shard topology (``fleet``, ``workers``, …)."""
-        return self.request({"op": "map"})["map"]
 
     def metrics(self) -> dict:
         return self.request({"op": "metrics"})["metrics"]

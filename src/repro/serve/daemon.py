@@ -80,21 +80,6 @@ class ServeConfig:
     metrics_out: str | Path | None = None
     trace_dir: str | Path | None = None
 
-    shard_index: int | None = None
-    """This worker's position in a fleet (``None`` outside one); echoed
-    in ``status`` so a front can label aggregated payloads."""
-    shard_count: int | None = None
-    """Fleet size this worker belongs to (``None`` outside one)."""
-
-    synthetic_service_s: float = 0.0
-    """Benchmark calibration: block the event loop for this long per
-    query, emulating heavier per-request work.  Core-starved hosts
-    (1–2 visible cores) cannot demonstrate real CPU scaling across a
-    fleet, so ``benchmarks/test_serve_fleet.py`` uses this the same way
-    ``test_engine_speedup.py`` uses calibrated sleeps: the overlap of
-    independent worker loops is what gets measured, and the mode is
-    recorded in the emitted JSON.  Keep 0.0 in production."""
-
     def __post_init__(self) -> None:
         if self.socket_path is None and self.tcp_port is None:
             raise ValueError("serve needs a unix socket path or a TCP port")
@@ -104,6 +89,18 @@ class ServeConfig:
             raise ValueError("backfill_depth must be >= 1")
         if self.request_timeout_s <= 0.0:
             raise ValueError("request_timeout_s must be positive")
+        # Checked here rather than at the first backfill build, where a
+        # bad value would fail every cold miss of an otherwise live daemon.
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if not 0.0 <= self.verify_fraction <= 1.0:
+            raise ValueError(
+                f"verify_fraction must be in [0, 1], got {self.verify_fraction}"
+            )
+        if self.coalesce_s < 0.0:
+            raise ValueError(f"coalesce_s must be >= 0, got {self.coalesce_s}")
+        if self.drain_grace_s < 0.0:
+            raise ValueError(f"drain_grace_s must be >= 0, got {self.drain_grace_s}")
 
 
 class ServeDaemon:
@@ -277,8 +274,6 @@ class ServeDaemon:
             return protocol.ok_response(request, status=self._status())
         if op == "metrics":
             return protocol.ok_response(request, metrics=self._metrics())
-        if op == "map":
-            return protocol.ok_response(request, map=self._map())
         if op == "shutdown":
             already = self._draining
             self.request_shutdown()
@@ -324,11 +319,6 @@ class ServeDaemon:
     async def _query(self, request: dict) -> dict:
         t0 = time.perf_counter()
         coords = {k: request[k] for k in ("metric", "design", "vdd", "beta", "corner")}
-        if self.config.synthetic_service_s > 0.0:
-            # Deliberately blocking (see ServeConfig): the calibrated
-            # fleet benchmark measures how independent worker loops
-            # overlap loop-occupying work.
-            time.sleep(self.config.synthetic_service_s)
         self.registry.maybe_reload()
         try:
             with self.session.span("serve.query", **{
@@ -398,16 +388,8 @@ class ServeDaemon:
 
     # -- introspection payloads --------------------------------------------
 
-    def _map(self) -> dict:
-        """Single-worker shard map: a fleet front overrides this with
-        the real consistent-hash ring (``repro.serve.shard``)."""
-        payload: dict = {"fleet": False, "workers": self.config.shard_count or 1}
-        if self.config.shard_index is not None:
-            payload["shard"] = self.config.shard_index
-        return payload
-
     def _status(self) -> dict:
-        status = {
+        return {
             "schema": protocol.PROTOCOL_SCHEMA,
             "pid": os.getpid(),
             "uptime_s": round(time.time() - self._started_unix, 3),
@@ -421,12 +403,6 @@ class ServeDaemon:
             "backfill": self.backfill.status(),
             "counters": dict(sorted(self.session.counters.items())),
         }
-        if self.config.shard_index is not None:
-            status["shard"] = {
-                "index": self.config.shard_index,
-                "count": self.config.shard_count,
-            }
-        return status
 
     def _metrics(self) -> dict:
         from repro.obs.export import metrics_payload, to_prometheus

@@ -11,7 +11,6 @@ Requests are JSON objects with an ``op`` field::
      "beta": null, "corner": "tt", "method": "auto", "id": "q1"}
     {"op": "status"}
     {"op": "metrics"}
-    {"op": "map"}
     {"op": "shutdown"}
 
 Responses echo the request ``id`` (when given) and carry either a
@@ -37,9 +36,6 @@ Error codes (``ERROR_CODES``) are part of the protocol contract:
   failure is recorded in the store index), or it landed but became
   unservable before the answer could be read (a concurrent
   recalibration); retry after the store settles;
-* ``shard_down`` — a fleet front could not reach the shard that owns
-  the queried key (connect refused / timeout); the rest of the
-  keyspace keeps serving, retry once the shard is back;
 * ``internal`` — an unexpected server-side error.
 
 Values ride the same strict-JSON convention as the experiment
@@ -62,7 +58,6 @@ __all__ = [
     "OPS",
     "ProtocolError",
     "parse_request",
-    "normalize_request",
     "encode_line",
     "decode_line",
     "ok_response",
@@ -75,7 +70,7 @@ MAX_LINE_BYTES = 64 * 1024
 """Default request-line byte budget; the daemon closes connections
 that exceed it (after sending an ``oversized`` error)."""
 
-OPS = ("ping", "query", "status", "metrics", "map", "shutdown")
+OPS = ("ping", "query", "status", "metrics", "shutdown")
 
 ERROR_CODES = (
     "bad_request",
@@ -84,7 +79,6 @@ ERROR_CODES = (
     "shutting_down",
     "timeout",
     "backfill_failed",
-    "shard_down",
     "internal",
 )
 
@@ -116,8 +110,8 @@ def _reject_constant(literal: str):
 
 def _finite(name: str, value) -> float:
     """``value`` as a finite float, rejecting booleans (which are
-    ``int`` to ``isinstance``) and non-finite results either from the
-    HTTP adapter's string params (``"nan"``) or arithmetic."""
+    ``int`` to ``isinstance``) and non-finite results either from
+    numeric strings (``"nan"``) or arithmetic."""
     if isinstance(value, bool):
         raise ProtocolError("bad_request", f"{name} {value!r} is not a number")
     try:
@@ -146,13 +140,6 @@ def parse_request(line: bytes | str, max_bytes: int = MAX_LINE_BYTES) -> dict:
         raise
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProtocolError("bad_request", f"request is not valid JSON: {exc}")
-    return normalize_request(payload)
-
-
-def normalize_request(payload) -> dict:
-    """Validate one already-decoded request payload (the JSON-lines
-    path after :func:`parse_request`'s framing checks, and the HTTP
-    adapter's query-string params, which arrive as strings)."""
     if not isinstance(payload, dict):
         raise ProtocolError("bad_request", "request must be a JSON object")
     op = payload.get("op")

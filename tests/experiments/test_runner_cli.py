@@ -92,6 +92,7 @@ def fake_sampling_run(
     seed: int = 0,
     jobs: int = 1,
     resume: bool = False,
+    batch_size: int = 1,
     checkpoint_dir=None,
     cache_dir=None,
 ) -> ExperimentResult:
@@ -99,7 +100,15 @@ def fake_sampling_run(
     result = ExperimentResult("fakemc", "fake sampling", ["samples", "seed", "jobs"])
     result.add_row(samples, seed, jobs)
     result.notes.append(f"checkpoint_dir={checkpoint_dir} cache_dir={cache_dir} resume={resume}")
+    result.notes.append(f"samples={samples} batch_size={batch_size}")
     return result
+
+
+@pytest.fixture
+def sampling_registry(monkeypatch):
+    monkeypatch.setitem(
+        runner.REGISTRY, "fakemc", (fake_sampling_run, "fake sampling")
+    )
 
 
 class TestTracePathSuffixing:
@@ -144,12 +153,6 @@ class TestTracePathSuffixing:
 
 
 class TestEngineFlagPlumbing:
-    @pytest.fixture
-    def sampling_registry(self, monkeypatch):
-        monkeypatch.setitem(
-            runner.REGISTRY, "fakemc", (fake_sampling_run, "fake sampling")
-        )
-
     def test_engine_flags_forwarded(self, sampling_registry, tmp_path, capsys):
         assert (
             runner.main(
@@ -182,6 +185,52 @@ class TestEngineFlagPlumbing:
         captured = capsys.readouterr()
         assert "does not take --samples" in captured.err
         assert "fake experiment" in captured.out
+
+
+class TestOneFlagSurface:
+    """`repro experiment` is the runner's own parser, not a copy of it."""
+
+    def test_cli_forwards_batch_size(self, sampling_registry, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["experiment", "fakemc", "--batch-size", "4",
+                     "--samples", "8", "--output-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "samples=8 batch_size=4" in captured.out
+        assert "does not take" not in captured.err
+
+    def test_cli_list_prints_registry(self, sampling_registry, capsys):
+        from repro.cli import main
+
+        assert main(["experiment", "--list"]) == 0
+        out = capsys.readouterr().out
+        assert "fakemc" in out and "fake sampling" in out
+        assert "DRNM and WL_crit vs beta" in out
+
+    def test_both_entry_points_take_the_same_options(self, capsys):
+        import re
+
+        from repro.cli import main
+
+        def options(entry) -> set[str]:
+            with pytest.raises(SystemExit) as excinfo:
+                entry(["--help"])
+            assert excinfo.value.code == 0
+            help_text = capsys.readouterr().out
+            return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", help_text))
+
+        direct = options(runner.main)
+        via_cli = options(lambda argv: main(["experiment", *argv]))
+        assert via_cli == direct
+        assert {"--batch-size", "--list", "--samples", "--char-store"} <= direct
+
+    def test_cli_errors_name_the_cli_verb(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "--samples", "many"])
+        assert excinfo.value.code == 2
+        assert "repro experiment: error:" in capsys.readouterr().err
 
 
 class TestMainFlags:

@@ -19,7 +19,6 @@ import pytest
 from repro.char import CharSpec, CharStore, build_grid
 from repro.serve import ServeConfig, ServeDaemon
 from repro.serve.client import ServeClient
-from repro.serve.front import Front, FrontConfig, ShardAddress
 
 SERVE_SPEC = CharSpec(
     name="servetest", designs=("cmos",), vdds=(0.6, 0.8), metrics=("hold_power",)
@@ -78,104 +77,6 @@ class DaemonHarness:
 
     def client(self, **kwargs) -> ServeClient:
         return ServeClient(socket_path=self.config.socket_path, **kwargs)
-
-
-class FrontHarness:
-    """One fleet front on a background thread; `client()` connects."""
-
-    def __init__(self, config: FrontConfig):
-        self.config = config
-        self.front = Front(config)
-        self.loop: asyncio.AbstractEventLoop | None = None
-        self.thread = threading.Thread(target=self._run, daemon=True)
-
-    async def _main(self) -> None:
-        self.loop = asyncio.get_running_loop()
-        await self.front.run()
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    def start(self) -> "FrontHarness":
-        self.thread.start()
-        deadline = time.monotonic() + 15.0
-        path = Path(self.config.socket_path)
-        while time.monotonic() < deadline:
-            if path.exists():
-                return self
-            if not self.thread.is_alive():
-                raise RuntimeError("front thread died during startup")
-            time.sleep(0.01)
-        raise RuntimeError("front socket never appeared")
-
-    def stop(self, timeout_s: float = 20.0) -> None:
-        if self.thread.is_alive() and self.loop is not None:
-            try:
-                self.loop.call_soon_threadsafe(self.front.request_shutdown)
-            except RuntimeError:
-                pass
-        self.thread.join(timeout_s)
-        assert not self.thread.is_alive(), "front failed to drain"
-
-    def client(self, **kwargs) -> ServeClient:
-        return ServeClient(socket_path=self.config.socket_path, **kwargs)
-
-
-class Fleet:
-    """A front plus its in-process shard daemons, as one handle."""
-
-    def __init__(self, front: FrontHarness, shards: list[DaemonHarness]):
-        self.front = front
-        self.shards = shards
-
-    def client(self, **kwargs) -> ServeClient:
-        return self.front.client(**kwargs)
-
-
-@pytest.fixture
-def fleet_factory(tmp_path, seed_store_dir):
-    """Callable building a running 2+-shard fleet over one store copy.
-
-    All shards and the front share this process (and therefore one
-    telemetry session) — routing assertions should use the front's
-    ``serve.front.routed.shard<i>`` counters and each shard's
-    ``status.shard.index`` identity, not per-shard request counters.
-    """
-    started: list[object] = []
-    counter = [0]
-
-    def factory(workers: int = 2, http_port: int | None = None,
-                **daemon_overrides) -> Fleet:
-        counter[0] += 1
-        n = counter[0]
-        store_dir = tmp_path / f"fleet_store{n}"
-        shutil.copytree(seed_store_dir, store_dir)
-        shards, addresses = [], []
-        for index in range(workers):
-            sock = tmp_path / f"fleet{n}.shard{index}.sock"
-            config = ServeConfig(
-                store_dir=store_dir, specs=[SERVE_SPEC], socket_path=sock,
-                shard_index=index, shard_count=workers, **daemon_overrides,
-            )
-            shards.append(DaemonHarness(config).start())
-            addresses.append(ShardAddress(socket_path=sock))
-        front_config = FrontConfig(
-            shards=addresses,
-            socket_path=tmp_path / f"fleet{n}.sock",
-            http_port=http_port,
-            request_timeout_s=60.0,
-            connect_timeout_s=2.0,
-        )
-        front = FrontHarness(front_config).start()
-        fleet = Fleet(front, shards)
-        started.append(fleet)
-        return fleet
-
-    yield factory
-    for fleet in started:
-        fleet.front.stop()
-        for shard in fleet.shards:
-            shard.stop()
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.serve import protocol
+from repro.serve import ServeConfig, protocol
 from repro.serve.client import ServeError
 
 COLD = {"metric": "hold_power", "design": "cmos", "vdd": 0.55}
@@ -25,6 +25,31 @@ def _wait(predicate, timeout_s=30.0, interval_s=0.05):
             return True
         time.sleep(interval_s)
     return False
+
+
+class TestConfigValidation:
+    """Bad settings fail at construction, before any listener binds —
+    not later, as a backfill error on every cold miss of a live daemon."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("jobs", 0),
+            ("jobs", -2),
+            ("verify_fraction", -0.1),
+            ("verify_fraction", 1.5),
+            ("coalesce_s", -0.01),
+            ("drain_grace_s", -1.0),
+        ],
+    )
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} .*{value}"):
+            ServeConfig(**{field: value})
+
+    def test_accepts_the_range_edges(self):
+        config = ServeConfig(jobs=1, verify_fraction=1.0, coalesce_s=0.0,
+                             drain_grace_s=0.0)
+        assert config.verify_fraction == 1.0
 
 
 class TestWarmPath:
@@ -232,11 +257,6 @@ class TestBackfill:
             status = client.status()
         assert status["counters"]["serve.backfill.lost"] == 1
         assert status["backfill"]["batches_completed"] == 1
-
-    def test_map_op_outside_a_fleet(self, daemon_factory):
-        daemon = daemon_factory()
-        with daemon.client() as client:
-            assert client.map() == {"fleet": False, "workers": 1}
 
 
 class TestShutdown:

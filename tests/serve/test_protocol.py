@@ -137,18 +137,6 @@ class TestParseRequest:
             parse_request(json.dumps(payload).encode())
         assert _code(excinfo) == "bad_request"
 
-    def test_normalize_request_shared_with_http(self):
-        """The HTTP adapter feeds query params (all strings) through
-        ``normalize_request`` directly — same validation as the wire."""
-        request = protocol.normalize_request(
-            {"op": "query", "metric": "drnm", "design": "proposed",
-             "vdd": "0.65"}
-        )
-        assert request["vdd"] == 0.65 and request["corner"] == "tt"
-        with pytest.raises(ProtocolError):
-            protocol.normalize_request({"op": "query", "metric": "drnm",
-                                        "design": "proposed", "vdd": "inf"})
-
 
 class TestFraming:
     def test_round_trip(self):

@@ -155,6 +155,49 @@ class TestServeCLIOffline:
         ) == 2
         assert "unknown spec" in capsys.readouterr().err
 
+    def test_start_rejects_bad_jobs_before_serving(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.serve.daemon as daemon_module
+
+        def never(config):
+            raise AssertionError("daemon started with an invalid config")
+
+        monkeypatch.setattr(daemon_module, "serve", never)
+        assert main(
+            ["serve", "start", "--jobs", "0",
+             "--socket", str(tmp_path / "s.sock"), "--store", str(tmp_path)]
+        ) == 2
+        assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_start_accepts_only_one_worker(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "start", "--workers", "2",
+                  "--socket", str(tmp_path / "s.sock"), "--store", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_status_does_not_import_the_experiment_registry(self, tmp_path):
+        """Only `repro experiment` may pay for the registry import; the
+        serve daemon starts through this same entry point."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "serve",
+             "status", "--socket", str(tmp_path / "missing.sock")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.splitlines() if "|" in line}
+        assert "repro.cli" in imported
+        assert "repro.experiments.runner" not in imported
+
 
 class TestArrayCLI:
     def test_build_prints_structure(self, capsys):
