@@ -19,14 +19,26 @@ from __future__ import annotations
 import math
 
 from repro.circuit.dcop import ConvergenceError, drive
-from repro.circuit.transient import TransientOptions, simulate_transient, transient_gen
+from repro.circuit.transient import (
+    IntegratorState,
+    TransientOptions,
+    accepted_step_gen,
+    shared_steps,
+    simulate_transient,
+    step_breakpoints,
+    transient_gen,
+    transient_start_gen,
+)
 from repro.sram.assist import Assist
 from repro.sram.testbench import Testbench
+from repro.telemetry import core as telemetry
 
 __all__ = [
     "dynamic_read_noise_margin",
     "write_flips_cell",
     "critical_wordline_pulse",
+    "LATCH_FRACTION",
+    "ReferenceWlCritSearch",
     "WlCritSearch",
 ]
 
@@ -35,6 +47,12 @@ SETTLE_TIME = 1.0e-9
 
 FLIP_MARGIN = 0.0
 """v(one) - v(zero) below this at the end of settling counts as flipped."""
+
+LATCH_FRACTION = 0.7
+"""A WL_crit probe past its last breakpoint ends once the storage nodes
+are this fraction of their initial separation apart: with every source
+constant the regenerative pair only widens from there, so the sign of
+v(one) - v(zero) is the probe's outcome."""
 
 
 def dynamic_read_noise_margin(
@@ -83,11 +101,27 @@ class WlCritSearch:
     to flip the cell the write is declared impossible and the search
     returns ``math.inf`` — the paper's "infinite WL_crit".
 
-    Every bisection iteration simulates the same cell with only the
-    pulse width changed, so the t = 0 operating point is identical;
-    the search caches the first converged DC solution (node voltages)
-    and seeds every subsequent simulation with it, skipping the
-    repeated homotopy-from-zero DC solve.
+    ``bench_factory(pulse_width)`` must return benches that differ only
+    in the pulse width: every source waveform of two widths agrees up to
+    the first breakpoint the two benches do not share (the contract of
+    :meth:`repro.sram.base.SixTCellBase.write_bench_factory`).  Each
+    probe then integrates only what no earlier probe of the same search
+    has integrated, and only until its outcome is latched:
+
+    * The t = 0 operating point is the same for every width, so the
+      search seeds each probe's DC solve with the last converged one.
+    * A probe whose DC solution is bitwise equal to an earlier probe's
+      takes over that probe's accepted steps up to the first step the
+      step control would take differently
+      (:func:`repro.circuit.transient.shared_steps`), from the stored
+      probe that reaches furthest.
+    * A probe ends once all its sources are constant (it is past its
+      last breakpoint) and the storage nodes are :data:`LATCH_FRACTION`
+      of their initial separation apart; that sign is its outcome.
+
+    :attr:`decisions` lists the last search's probes as ``(width,
+    flipped)`` pairs, in order.  :class:`ReferenceWlCritSearch` keeps
+    the full-length probe.
     """
 
     def __init__(
@@ -105,7 +139,109 @@ class WlCritSearch:
         self.upper_bound = upper_bound
         self.relative_tolerance = relative_tolerance
         self.options = options
+        self.decisions: list[tuple[float, bool]] = []
         self._op_guess: dict[str, float] | None = None
+        self._probes: list[tuple[list[float], list[IntegratorState]]] = []
+
+    def _resume(self, start: IntegratorState, breakpoints, options) -> list[IntegratorState]:
+        """The longest stored trajectory prefix this probe would compute
+        itself from ``start``, or just ``[start]``."""
+        key = start.x.tobytes()
+        best = [start]
+        for stored_breaks, trajectory in self._probes:
+            if trajectory[0].x.tobytes() != key:
+                continue
+            n = shared_steps(trajectory, stored_breaks, breakpoints, options)
+            if trajectory[n].t > best[-1].t:
+                best = trajectory[: n + 1]
+        return best
+
+    def _flips_gen(self, bench_factory, width: float):
+        bench = bench_factory(width)
+        circuit = bench.circuit
+        t_stop = bench.settle_stop(SETTLE_TIME)
+        options = self.options or TransientOptions()
+        tel = telemetry.active()
+        one = circuit.index_of(bench.one_node)
+        zero = circuit.index_of(bench.zero_node)
+        try:
+            system, start = yield from transient_start_gen(
+                circuit, bench.initial_conditions, options, self._op_guess
+            )
+            breakpoints = step_breakpoints(circuit, t_stop)
+            trajectory = self._resume(start, breakpoints, options)
+            self._probes.append((breakpoints, trajectory))
+            if tel is not None and len(trajectory) > 1:
+                tel.count("wlcrit.steps_resumed", len(trajectory) - 1)
+            # Sources are constant from the last breakpoint before t_stop.
+            constant_from = breakpoints[-2] if len(breakpoints) > 1 else 0.0
+            latch = LATCH_FRACTION * abs(_node(start.x, one) - _node(start.x, zero))
+            state = trajectory[-1]
+            while state.t < t_stop - 1e-21:
+                state = yield from accepted_step_gen(
+                    system, state, breakpoints, options, tel
+                )
+                trajectory.append(state)
+                if state.t >= constant_from and (
+                    abs(_node(state.x, one) - _node(state.x, zero)) >= latch
+                ):
+                    if tel is not None:
+                        tel.count("wlcrit.probes_latched")
+                    break
+        except ConvergenceError:
+            # A non-converging corner case is treated as "did not
+            # flip": the bisection then errs toward a *larger* WL_crit,
+            # the conservative direction for a reliability metric.
+            return False
+        self._op_guess = dict(zip(circuit.node_names, (float(v) for v in start.x)))
+        if tel is not None:
+            tel.count("transient.simulations")
+        return _node(state.x, one) - _node(state.x, zero) < FLIP_MARGIN
+
+    def search_gen(self, bench_factory):
+        """Generator form of :meth:`search`, yielding every probe's
+        assembly requests — the WL_crit bisection of a stacked
+        Monte-Carlo batch member."""
+        # A new cell/assist invalidates the cached OP and stored probes.
+        self._op_guess = None
+        self._probes = []
+        self.decisions = []
+        if not (yield from self._probe_gen(bench_factory, self.upper_bound)):
+            return math.inf
+        if (yield from self._probe_gen(bench_factory, self.lower_bound)):
+            return self.lower_bound
+
+        lo, hi = self.lower_bound, self.upper_bound
+        while hi - lo > self.relative_tolerance * hi:
+            mid = math.sqrt(lo * hi)  # geometric: widths span 3+ decades
+            if (yield from self._probe_gen(bench_factory, mid)):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    def _probe_gen(self, bench_factory, width: float):
+        flipped = yield from self._flips_gen(bench_factory, width)
+        self.decisions.append((width, flipped))
+        return flipped
+
+    def search(self, bench_factory) -> float:
+        """``bench_factory(pulse_width) -> Testbench`` for this cell/assist.
+
+        Probes are not ``transient`` telemetry spans of their own; the
+        counters of every probe are recorded.
+        """
+        return drive(self.search_gen(bench_factory))
+
+
+class ReferenceWlCritSearch(WlCritSearch):
+    """The full-length probe: every probe simulates from t = 0 to the
+    end of its settle window and decides on the final state.
+
+    Kept as the reference :class:`WlCritSearch` is checked against
+    (value and probe decisions, ``scripts/wlcrit_identity.py``), the
+    way :class:`repro.circuit.mna_reference.ReferenceMnaSystem` is kept.
+    """
 
     def _flips_gen(self, bench_factory, width: float):
         bench = bench_factory(width)
@@ -118,9 +254,6 @@ class WlCritSearch:
                 operating_point_guess=self._op_guess,
             )
         except ConvergenceError:
-            # A non-converging corner case is treated as "did not
-            # flip": the bisection then errs toward a *larger* WL_crit,
-            # the conservative direction for a reliability metric.
             return False
         # states[0] is the converged t = 0 operating point; node_names
         # and state columns share the same index ordering.
@@ -129,32 +262,10 @@ class WlCritSearch:
         )
         return _flipped(bench, result)
 
-    def search_gen(self, bench_factory):
-        """Generator form of :meth:`search`, yielding every probe's
-        assembly requests — the WL_crit bisection of a stacked
-        Monte-Carlo batch member."""
-        self._op_guess = None  # a new cell/assist invalidates the cached OP
-        if not (yield from self._flips_gen(bench_factory, self.upper_bound)):
-            return math.inf
-        if (yield from self._flips_gen(bench_factory, self.lower_bound)):
-            return self.lower_bound
 
-        lo, hi = self.lower_bound, self.upper_bound
-        while hi - lo > self.relative_tolerance * hi:
-            mid = math.sqrt(lo * hi)  # geometric: widths span 3+ decades
-            if (yield from self._flips_gen(bench_factory, mid)):
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    def search(self, bench_factory) -> float:
-        """``bench_factory(pulse_width) -> Testbench`` for this cell/assist.
-
-        Probes are not ``transient`` telemetry spans of their own; the
-        counters of every probe are recorded.
-        """
-        return drive(self.search_gen(bench_factory))
+def _node(x, index: int) -> float:
+    """Node voltage from a solution vector (ground, index -1, is 0 V)."""
+    return 0.0 if index < 0 else float(x[index])
 
 
 def critical_wordline_pulse(

@@ -24,10 +24,13 @@ accepted/rejected step counts (split by rejection cause), predictor
 fallbacks, a step-size histogram, and breakpoint landings; disabled,
 the cost is one guard check per simulation call.
 
-Like the DC solver, the integrator exists once, as generators
-(:func:`attempt_step_gen`, :func:`transient_gen`) that yield their
-assembly requests; :func:`simulate_transient` drives one of them on
-the scalar path (:func:`repro.circuit.dcop.drive`), and
+Like the DC solver, the integrator exists once, as generators that
+yield their assembly requests.  :func:`accepted_step_gen` takes one
+accepted step from an explicit :class:`IntegratorState`;
+:func:`transient_gen` is a loop over it, and so is the WL_crit probe
+(:mod:`repro.analysis.stability`), which can resume from another
+probe's states.  :func:`simulate_transient` drives one generator on the
+scalar path (:func:`repro.circuit.dcop.drive`), and
 :func:`repro.circuit.batch.run_generators` drives many as a stacked
 batch.
 """
@@ -35,6 +38,7 @@ batch.
 from __future__ import annotations
 
 import bisect
+import math
 import time
 from dataclasses import dataclass
 
@@ -56,10 +60,15 @@ from repro.verify import audits as verify_audits
 from repro.verify import core as verify
 
 __all__ = [
+    "IntegratorState",
     "TransientOptions",
+    "accepted_step_gen",
     "attempt_step_gen",
+    "shared_steps",
     "simulate_transient",
+    "step_breakpoints",
     "transient_gen",
+    "transient_start_gen",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -181,19 +190,78 @@ def attempt_step_gen(
             ) from None
 
 
-def transient_gen(
+@dataclass(frozen=True, slots=True)
+class IntegratorState:
+    """One accepted time point and everything the step control carries
+    from it to the next step.
+
+    States are never mutated: :func:`accepted_step_gen` returns a new
+    one, so a list of them is a reusable trajectory (the WL_crit search
+    resumes later probes from an earlier probe's states).
+    """
+
+    t: float
+    h: float
+    """The step the controller wants next, before the breakpoint and
+    ``max_step`` cap."""
+
+    x: np.ndarray
+    x_prev: np.ndarray | None
+    """The previous accepted point (predictor history; None at t = 0)."""
+
+    h_prev: float
+    """The step accepted into this point (0 at t = 0)."""
+
+    charges: np.ndarray
+    currents: np.ndarray
+
+
+def step_breakpoints(circuit: Circuit, t_stop: float) -> list[float]:
+    """The times the integrator lands on exactly: every waveform
+    breakpoint inside (0, t_stop), then ``t_stop``."""
+    breakpoints = [b for b in circuit.breakpoints() if 0.0 < b < t_stop]
+    breakpoints.append(t_stop)
+    return breakpoints
+
+
+def _capped_step(
+    state: IntegratorState, breakpoints: list[float], options: TransientOptions
+) -> tuple[float, float]:
+    """``(next_break, h_cap)``: the next breakpoint after ``state.t`` and
+    the step the next attempt starts from, ``min(h, max_step,
+    next_break - t)`` — never across a breakpoint."""
+    k = bisect.bisect_right(breakpoints, state.t)
+    next_break = breakpoints[k] if k < len(breakpoints) else breakpoints[-1]
+    return next_break, min(state.h, options.max_step, next_break - state.t)
+
+
+def _landing(t: float, h_try: float, next_break: float) -> float:
+    """The time a step of ``h_try`` from ``t`` lands on.
+
+    Snaps accumulated-roundoff landings onto the breakpoint.  A fixed
+    step that divides the breakpoint time exactly in real arithmetic can
+    still leave ``t`` a few ulps short of it in floats; the leftover
+    ~ulp sliver step would get a companion conductance C/h so large that
+    Newton can never satisfy the absolute residual tolerance, and the
+    run dies in a step underflow.  The slack is a few ulps — far below
+    any real waveform feature spacing.
+    """
+    t_new = t + h_try
+    if t_new != next_break and abs(next_break - t_new) <= 64.0 * _EPS * next_break:
+        return next_break
+    return t_new
+
+
+def transient_start_gen(
     circuit: Circuit,
-    t_stop: float,
-    initial_conditions: dict[str, float] | None = None,
-    options: TransientOptions | None = None,
+    initial_conditions: dict[str, float] | None,
+    options: TransientOptions,
     operating_point_guess: dict[str, float] | None = None,
 ):
-    """Generator form of :func:`simulate_transient`: the integration loop."""
-    if t_stop <= 0.0:
-        raise ValueError("t_stop must be positive")
-    options = options or TransientOptions()
-    tel = telemetry.active()
+    """Build the circuit's system and solve its t = 0 operating point.
 
+    Returns ``(system, state)``, ``state`` the integrator state at t = 0.
+    """
     guess = dict(operating_point_guess or {})
     guess.update(initial_conditions or {})
     # Dense class through the module global so monkeypatched assemblers
@@ -217,69 +285,130 @@ def transient_gen(
     # to it, so mixing the two is exact.
     charges = system.capacitor_charges(x)
     currents = np.zeros_like(charges)  # caps carry no current at DC
+    return system, IntegratorState(0.0, options.initial_step, x, None, 0.0, charges, currents)
 
-    breakpoints = [b for b in circuit.breakpoints() if 0.0 < b < t_stop]
-    breakpoints.append(t_stop)
 
-    times = [0.0]
-    states = [x.copy()]
+def accepted_step_gen(
+    system: MnaSystem,
+    state: IntegratorState,
+    breakpoints: list[float],
+    options: TransientOptions,
+    tel,
+):
+    """One accepted step from ``state``; returns the next state.
 
-    t = 0.0
-    h = options.initial_step
-    x_prev: np.ndarray | None = None
-    h_prev = 0.0
-    while t < t_stop - 1e-21:
-        # Never step across a breakpoint; land on it exactly.
-        k = bisect.bisect_right(breakpoints, t)
-        next_break = breakpoints[k] if k < len(breakpoints) else t_stop
-        h_cap = min(h, options.max_step, next_break - t)
+    The step control: the attempt starts at :func:`_capped_step`,
+    :func:`attempt_step_gen` shrinks it until Newton and the voltage
+    guard accept, and the controller then updates the wanted step.
+    """
+    next_break, h_cap = _capped_step(state, breakpoints, options)
+    x_new, iterations, step_state, h_try = yield from attempt_step_gen(
+        system, state.x, state.x_prev, state.h_prev, state.t, h_cap,
+        state.charges, state.currents, options, tel,
+    )
+    t = _landing(state.t, h_try, next_break)
+    currents = system.capacitor_currents(x_new, step_state)
+    charges = system.capacitor_charges(x_new)
 
-        x_new, iterations, state, h_try = yield from attempt_step_gen(
-            system, x, x_prev, h_prev, t, h_cap, charges, currents, options, tel
+    ver = verify.active()
+    if ver is not None:
+        verify_audits.audit_transient_step(
+            ver, system, state.x, x_new, step_state, charges, currents
         )
 
-        t += h_try
-        # Snap accumulated-roundoff landings onto the breakpoint.  A
-        # fixed step that divides the breakpoint time exactly in real
-        # arithmetic can still leave ``t`` a few ulps short of it in
-        # floats; the leftover ~ulp sliver step would get a companion
-        # conductance C/h so large that Newton can never satisfy the
-        # absolute residual tolerance, and the run dies in a step
-        # underflow.  The slack is a few ulps — far below any real
-        # waveform feature spacing.
-        if t != next_break and abs(next_break - t) <= 64.0 * _EPS * next_break:
-            t = next_break
-        x_prev, h_prev = x, h_try
-        x = x_new
-        currents = system.capacitor_currents(x, state)
-        charges = system.capacitor_charges(x)
-        times.append(t)
-        states.append(x.copy())
+    if tel is not None:
+        tel.count("transient.steps_accepted")
+        tel.observe("transient.step_seconds", h_try)
+        if t >= next_break - 1e-21:
+            tel.count("transient.breakpoint_landings")
 
-        ver = verify.active()
-        if ver is not None:
-            verify_audits.audit_transient_step(
-                ver, system, x_prev, x, state, charges, currents
-            )
+    # Controller update.  ``h`` is the step the controller *wants*;
+    # ``h_cap`` is what the breakpoint/max_step clamp allowed this
+    # attempt, and ``h_try`` what was actually accepted.  Only a
+    # shrink during the attempt (Newton failure, dv limit) pulls the
+    # controller down — a step that was merely clamped to land on a
+    # breakpoint must not reset the working step to the sliver, which
+    # previously forced a 1.4x/step regrowth climb after every late
+    # breakpoint.
+    h = state.h
+    if h_try < h_cap:
+        h = h_try
+    elif iterations <= options.easy_iterations:
+        h = min(max(h, h_try) * options.growth, options.max_step)
+    return IntegratorState(t, h, x_new, state.x, h_try, charges, currents)
 
-        if tel is not None:
-            tel.count("transient.steps_accepted")
-            tel.observe("transient.step_seconds", h_try)
-            if t >= next_break - 1e-21:
-                tel.count("transient.breakpoint_landings")
 
-        # Controller update.  ``h`` is the step the controller *wants*;
-        # ``h_cap`` is what the breakpoint/max_step clamp allowed this
-        # attempt, and ``h_try`` what was actually accepted.  Only a
-        # shrink during the attempt (Newton failure, dv limit) pulls
-        # the controller down — a step that was merely clamped to land
-        # on a breakpoint must not reset the working step to the
-        # sliver, which previously forced a 1.4x/step regrowth climb
-        # after every late breakpoint.
-        if h_try < h_cap:
-            h = h_try
-        elif iterations <= options.easy_iterations:
-            h = min(max(h, h_try) * options.growth, options.max_step)
+def _first_unshared(a: list[float], b: list[float]) -> float:
+    """The earliest time in one sorted breakpoint list but not the other."""
+    for p, q in zip(a, b):
+        if p != q:
+            return min(p, q)
+    if len(a) != len(b):
+        return (a if len(a) > len(b) else b)[min(len(a), len(b))]
+    return math.inf
+
+
+def shared_steps(
+    trajectory: list[IntegratorState],
+    stored_breaks: list[float],
+    breakpoints: list[float],
+    options: TransientOptions,
+) -> int:
+    """How many of a stored run's steps another run would take bit for bit.
+
+    ``trajectory`` is the stored run's accepted states from t = 0 and
+    ``stored_breaks`` its :func:`step_breakpoints`; the other run has
+    the same circuit topology, t = 0 state and options, its own
+    ``breakpoints``, and sources that agree with the stored run's up to
+    the first breakpoint the two do not share (benches that differ
+    only in a pulse width).  Step ``i`` from ``trajectory[i]`` is
+    shared while both runs' step control makes the same choices from
+    that state — the same :func:`_capped_step` size and the same
+    :func:`_landing` snap — and the step ends no later than that first
+    unshared breakpoint, so every Newton solve of the step sees the
+    same residuals.
+    """
+    unshared = _first_unshared(stored_breaks, breakpoints)
+    t_stop = breakpoints[-1]
+    for i in range(len(trajectory) - 1):
+        state = trajectory[i]
+        stored_break, stored_cap = _capped_step(state, stored_breaks, options)
+        next_break, cap = _capped_step(state, breakpoints, options)
+        h_try = trajectory[i + 1].h_prev
+        if (
+            state.t >= t_stop - 1e-21
+            or cap != stored_cap
+            or state.t + cap > unshared
+            or _landing(state.t, h_try, next_break)
+            != _landing(state.t, h_try, stored_break)
+        ):
+            return i
+    return len(trajectory) - 1
+
+
+def transient_gen(
+    circuit: Circuit,
+    t_stop: float,
+    initial_conditions: dict[str, float] | None = None,
+    options: TransientOptions | None = None,
+    operating_point_guess: dict[str, float] | None = None,
+):
+    """Generator form of :func:`simulate_transient`: the integration loop."""
+    if t_stop <= 0.0:
+        raise ValueError("t_stop must be positive")
+    options = options or TransientOptions()
+    tel = telemetry.active()
+
+    system, state = yield from transient_start_gen(
+        circuit, initial_conditions, options, operating_point_guess
+    )
+    breakpoints = step_breakpoints(circuit, t_stop)
+    times = [state.t]
+    states = [state.x]
+    while state.t < t_stop - 1e-21:
+        state = yield from accepted_step_gen(system, state, breakpoints, options, tel)
+        times.append(state.t)
+        states.append(state.x)
 
     if tel is not None:
         tel.count("transient.simulations")

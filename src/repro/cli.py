@@ -231,11 +231,9 @@ def _cmd_char(args) -> int:
             # cell's wl_crit is data); encode non-finite floats with
             # the experiments.io convention so the output stays strict
             # JSON instead of allow_nan=False raising.
-            print(
-                json_module.dumps(
-                    _encode_json_tree(answer.to_json()), indent=2, allow_nan=False
-                )
-            )
+            from repro.experiments.io import encode_tree
+
+            print(json_module.dumps(encode_tree(answer.to_json()), indent=2, allow_nan=False))
         else:
             print(answer.summary())
         return 0
@@ -243,17 +241,6 @@ def _cmd_char(args) -> int:
     if args.char_command == "export":
         return _char_export(spec, store, args)
     raise AssertionError(f"unhandled char command {args.char_command!r}")
-
-
-def _encode_json_tree(value):
-    """Apply the experiments.io non-finite float encoding recursively."""
-    from repro.experiments.io import _encode_value
-
-    if isinstance(value, dict):
-        return {k: _encode_json_tree(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode_json_tree(v) for v in value]
-    return _encode_value(value)
 
 
 def _char_export(spec, store, args) -> int:
@@ -348,8 +335,9 @@ def _cmd_serve(args) -> int:
             print(f"error: daemon hung up: {exc}", file=sys.stderr)
             return 2
         if args.json:
-            print(json_module.dumps(
-                _encode_json_tree(response), indent=2, allow_nan=False))
+            from repro.experiments.io import encode_tree
+
+            print(json_module.dumps(encode_tree(response), indent=2, allow_nan=False))
         else:
             from repro.char.query import CharAnswer
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from repro.experiments.common import ExperimentResult
 
-__all__ = ["save_json", "load_json", "save_csv"]
+__all__ = ["encode_tree", "save_json", "load_json", "save_csv"]
 
 _INF_TOKEN = "Infinity"
 _NEG_INF_TOKEN = "-Infinity"
@@ -28,6 +28,16 @@ def _encode_value(value):
         if math.isnan(value):
             return {"__float__": _NAN_TOKEN}
     return value
+
+
+def encode_tree(value):
+    """Strict-JSON form of a tree of dicts, lists and tuples: every
+    non-finite float is wrapped as :func:`save_json` wraps it."""
+    if isinstance(value, dict):
+        return {k: encode_tree(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [encode_tree(v) for v in value]
+    return _encode_value(value)
 
 
 def _decode_value(value):

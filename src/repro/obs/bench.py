@@ -14,13 +14,15 @@ trajectory of the repo survives across runs and machines:
   ``disabled_overhead_guard.overhead_fraction`` (lower is better),
   gated by the file's ``budget_fraction``.
 
-``check_history`` flags two kinds of regression: a hard-limit breach
-(the latest value violates its own gate) and a trajectory drop (a
-higher-is-better metric fell more than ``tolerance`` below the median
-of its previous entries — how PR 2's 3.75x or PR 3's 2.4x silently
-eroding gets caught).  Lower-is-better metrics are judged on their
-hard budget only: a 0.05 % overhead doubling to 0.1 % is jitter, not a
-regression.
+``check_history`` judges only benches whose schema family is still in
+:data:`HEADLINES`; a deleted bench's records stay in the history (shown
+as ``retired``) but no longer gate.  It flags two kinds of regression:
+a hard-limit breach (the latest value violates its own gate) and a
+trajectory drop (a higher-is-better metric fell more than
+``tolerance`` below the median of its previous entries — how a 3.75x
+or 2.4x speedup silently eroding gets caught).  Lower-is-better
+metrics are judged on their hard budget only: a 0.05 % overhead
+doubling to 0.1 % is jitter, not a regression.
 
 ``repro bench history|check`` and ``scripts/bench_track.py`` are the
 entry points; CI appends fresh records and fails on ``check``.
@@ -177,19 +179,26 @@ def _median(values: list[float]) -> float:
     return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
+def _retired(record: dict) -> bool:
+    """Whether a record's bench family is gone from :data:`HEADLINES`."""
+    return str(record.get("bench_schema", "")).split("/")[0] not in HEADLINES
+
+
 def check_history(history: list[dict], tolerance: float = 0.25) -> list[str]:
     """Regression report over the history; empty list means healthy.
 
-    For each bench, the *latest* record is judged against (a) its hard
-    limit and (b), for higher-is-better metrics with at least one prior
-    entry, the median of all previous values minus ``tolerance``
-    (fractional).
+    For each bench still in :data:`HEADLINES`, the *latest* record is
+    judged against (a) its hard limit and (b), for higher-is-better
+    metrics with at least one prior entry, the median of all previous
+    values minus ``tolerance`` (fractional).
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
     problems: list[str] = []
     for bench, records in sorted(_grouped(history).items()):
         latest = records[-1]
+        if _retired(latest):
+            continue
         value = latest["value"]
         limit = latest.get("limit")
         direction = latest.get("direction", "higher")
@@ -240,7 +249,8 @@ def format_history(history: list[dict], tolerance: float = 0.25) -> str:
                 f"{latest['value']:.4g}",
                 f"{_median(previous):.4g}" if previous else "-",
                 limit_text,
-                "REGRESSED" if bench in problem_benches else "ok",
+                "retired" if _retired(latest)
+                else "REGRESSED" if bench in problem_benches else "ok",
             ]
         )
     widths = [

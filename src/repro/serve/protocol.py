@@ -51,6 +51,8 @@ from __future__ import annotations
 import json
 import math
 
+from repro.experiments.io import encode_tree
+
 __all__ = [
     "PROTOCOL_SCHEMA",
     "MAX_LINE_BYTES",
@@ -177,17 +179,6 @@ def parse_request(line: bytes | str, max_bytes: int = MAX_LINE_BYTES) -> dict:
     return request
 
 
-def _encode_tree(value):
-    """Strict-JSON encoding of a response tree (non-finite floats wrapped)."""
-    from repro.experiments.io import _encode_value
-
-    if isinstance(value, dict):
-        return {k: _encode_tree(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode_tree(v) for v in value]
-    return _encode_value(value)
-
-
 def _decode_tree(value):
     from repro.experiments.io import _decode_value
 
@@ -203,7 +194,7 @@ def _decode_tree(value):
 def encode_line(payload: dict) -> bytes:
     """One response/request dict as a newline-terminated JSON line."""
     return (
-        json.dumps(_encode_tree(payload), allow_nan=False, separators=(",", ":"))
+        json.dumps(encode_tree(payload), allow_nan=False, separators=(",", ":"))
         + "\n"
     ).encode()
 

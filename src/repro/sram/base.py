@@ -12,10 +12,10 @@ are mirror-symmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 from repro.circuit.netlist import Circuit
-from repro.circuit.waveforms import Pulse
+from repro.circuit.waveforms import Constant, Pulse, Waveform
 from repro.devices.charges import LinearCharge
 from repro.sram.assist import AccessWindow, Assist
 from repro.sram.cell import CellBuilder, CellSizing
@@ -98,7 +98,9 @@ class SixTCellBase:
         circuit, _ = self._new_circuit("read")
         window = AccessWindow(t_on, t_on + duration)
 
-        self._add_rails(circuit, vdd, assist, window)
+        vddc, vgnd = self._rails(vdd, assist, window)
+        circuit.add_voltage_source("vddc", "vddc", "0", vddc)
+        circuit.add_voltage_source("vgnd", "vgnd", "0", vgnd)
         wl_on = self.wl_active(vdd)
         if assist is not None:
             wl_on = assist.wl_active_level(wl_on, vdd)
@@ -133,32 +135,12 @@ class SixTCellBase:
         t_on: float = DEFAULT_ACCESS_START,
     ) -> Testbench:
         """Write the opposite state: bl driven low, blb driven high."""
-        self._check_assist(assist, "write")
         circuit, _ = self._new_circuit("write")
-        window = AccessWindow(t_on, t_on + pulse_width)
-
-        self._add_rails(circuit, vdd, assist, window)
-        wl_on = self.wl_active(vdd)
-        if assist is not None:
-            wl_on = assist.wl_active_level(wl_on, vdd)
-        circuit.add_voltage_source(
-            "wl", "wl", "0",
-            Pulse(self.wl_inactive(vdd), wl_on, t_start=t_on, width=pulse_width),
-        )
-        high_level = vdd
-        if assist is not None:
-            high_level = assist.bitline_level(vdd, vdd)
-        circuit.add_voltage_source("bl", "bl", "0", 0.0)
-        circuit.add_voltage_source(
-            "blb", "blb", "0",
-            Pulse(vdd, high_level, t_start=window.t_on, width=pulse_width)
-            if high_level != vdd
-            else vdd,
-        )
-
+        for name, waveform in self._write_sources(vdd, pulse_width, assist, t_on).items():
+            circuit.add_voltage_source(name, name, "0", waveform)
         ic = self._storage_ic(vdd)
         ic["wl"] = self.wl_inactive(vdd)
-        return Testbench(circuit, ic, window)
+        return Testbench(circuit, ic, AccessWindow(t_on, t_on + pulse_width))
 
     def write_bench_factory(
         self,
@@ -171,41 +153,21 @@ class SixTCellBase:
         The WL_crit bisection simulates the same cell a dozen-plus
         times with only the pulse widths changed; rebuilding the
         netlist per width is pure overhead in the Monte-Carlo hot loop.
-        This builds :meth:`write_testbench` once and swaps the
-        wordline (and, when the assist moves it, the blb) pulse per
-        call — the waveform-swap idiom the MNA source caches key on —
-        so each returned bench is value-identical to a fresh
-        ``write_testbench(vdd, width, assist)``.
+        This builds :meth:`write_testbench` once and swaps every source
+        waveform per call — the waveform-swap idiom the MNA source
+        caches key on — so each returned bench is value-identical to a
+        fresh ``write_testbench(vdd, width, assist)``, and two benches
+        differ only in pulse width.  The returned benches share the
+        circuit: a bench is current until the next call.
         """
         base = self.write_testbench(vdd, 1.0, assist=assist, t_on=t_on)
         circuit = base.circuit
-        wl_m = circuit.source_index("wl")
-        wl_src = circuit.voltage_sources[wl_m]
-        wl_off = self.wl_inactive(vdd)
-        wl_on = self.wl_active(vdd)
-        high_level = vdd
-        if assist is not None:
-            wl_on = assist.wl_active_level(wl_on, vdd)
-            high_level = assist.bitline_level(vdd, vdd)
-        blb_m = blb_src = None
-        if high_level != vdd:
-            blb_m = circuit.source_index("blb")
-            blb_src = circuit.voltage_sources[blb_m]
 
         def factory(pulse_width: float) -> Testbench:
-            circuit.voltage_sources[wl_m] = type(wl_src)(
-                wl_src.a,
-                wl_src.b,
-                Pulse(wl_off, wl_on, t_start=t_on, width=pulse_width),
-                wl_src.name,
-            )
-            if blb_m is not None:
-                circuit.voltage_sources[blb_m] = type(blb_src)(
-                    blb_src.a,
-                    blb_src.b,
-                    Pulse(vdd, high_level, t_start=t_on, width=pulse_width),
-                    blb_src.name,
-                )
+            sources = self._write_sources(vdd, pulse_width, assist, t_on)
+            for name, waveform in sources.items():
+                m = circuit.source_index(name)
+                circuit.voltage_sources[m] = replace(circuit.voltage_sources[m], waveform=waveform)
             window = AccessWindow(t_on, t_on + pulse_width)
             return Testbench(circuit, base.initial_conditions, window)
 
@@ -213,15 +175,38 @@ class SixTCellBase:
 
     # -- helpers ----------------------------------------------------------------
 
-    def _add_rails(
-        self, circuit: Circuit, vdd: float, assist: Assist | None, window: AccessWindow
-    ) -> None:
+    def _write_sources(
+        self, vdd: float, pulse_width: float, assist: Assist | None, t_on: float
+    ) -> dict[str, Waveform]:
+        """Name -> waveform of every source of a write bench, in netlist
+        order; the one definition :meth:`write_testbench` and
+        :meth:`write_bench_factory` share."""
+        self._check_assist(assist, "write")
+        window = AccessWindow(t_on, t_on + pulse_width)
+        vddc, vgnd = self._rails(vdd, assist, window)
+        wl_on = self.wl_active(vdd)
+        high_level = vdd
+        if assist is not None:
+            wl_on = assist.wl_active_level(wl_on, vdd)
+            high_level = assist.bitline_level(vdd, vdd)
+        return {
+            "vddc": vddc,
+            "vgnd": vgnd,
+            "wl": Pulse(self.wl_inactive(vdd), wl_on, t_start=t_on, width=pulse_width),
+            "bl": Constant(0.0),
+            "blb": Pulse(vdd, high_level, t_start=t_on, width=pulse_width)
+            if high_level != vdd
+            else Constant(vdd),
+        }
+
+    @staticmethod
+    def _rails(
+        vdd: float, assist: Assist | None, window: AccessWindow
+    ) -> tuple[Waveform, Waveform]:
+        """``(vddc, vgnd)`` waveforms: the rail assists pulse them."""
         if assist is None:
-            circuit.add_voltage_source("vddc", "vddc", "0", vdd)
-            circuit.add_voltage_source("vgnd", "vgnd", "0", 0.0)
-        else:
-            circuit.add_voltage_source("vddc", "vddc", "0", assist.vdd_rail(vdd, window))
-            circuit.add_voltage_source("vgnd", "vgnd", "0", assist.gnd_rail(vdd, window))
+            return Constant(vdd), Constant(0.0)
+        return assist.vdd_rail(vdd, window), assist.gnd_rail(vdd, window)
 
     @staticmethod
     def _check_assist(assist: Assist | None, operation: str) -> None:

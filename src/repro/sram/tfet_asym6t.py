@@ -20,12 +20,11 @@ all reproduced here:
 
 from __future__ import annotations
 
-from repro.circuit.waveforms import Pulse
+from repro.circuit.waveforms import Pulse, Waveform
 from repro.devices.library import tfet_device
 from repro.sram.assist import Assist
 from repro.sram.base import SixTCellBase
 from repro.sram.cell import CellBuilder, CellSizing, TfetDeviceSet
-from repro.sram.testbench import DEFAULT_ACCESS_START, Testbench
 
 __all__ = ["AsymTfet6TCell"]
 
@@ -67,13 +66,9 @@ class AsymTfet6TCell(SixTCellBase):
     def wl_active(self, vdd: float) -> float:
         return vdd
 
-    def write_testbench(
-        self,
-        vdd: float,
-        pulse_width: float,
-        assist: Assist | None = None,
-        t_on: float = DEFAULT_ACCESS_START,
-    ) -> Testbench:
+    def _write_sources(
+        self, vdd: float, pulse_width: float, assist: Assist | None, t_on: float
+    ) -> dict[str, Waveform]:
         """Write with the cell's built-in ground-raising assist.
 
         External assist techniques do not apply to this cell (the
@@ -81,13 +76,8 @@ class AsymTfet6TCell(SixTCellBase):
         """
         if assist is not None:
             raise ValueError("the asymmetric cell carries its own built-in write assist")
-        bench = super().write_testbench(vdd, pulse_width, assist=None, t_on=t_on)
-        m = bench.circuit.source_index("vgnd")
-        original = bench.circuit.voltage_sources[m]
-        bench.circuit.voltage_sources[m] = type(original)(
-            original.a,
-            original.b,
-            Pulse(0.0, BUILTIN_ASSIST_FRACTION * vdd, t_start=t_on, width=pulse_width),
-            original.name,
+        sources = super()._write_sources(vdd, pulse_width, None, t_on)
+        sources["vgnd"] = Pulse(
+            0.0, BUILTIN_ASSIST_FRACTION * vdd, t_start=t_on, width=pulse_width
         )
-        return bench
+        return sources

@@ -12,9 +12,11 @@ counters: an *engine* table (Jacobian stamp/reuse split, retries,
 timeouts, task success) for runs that went through the batch engine, a
 *batch solver* table (stacked-Newton runs/members, member
 retry/failure split, tick and assembly counts, sparse-vs-dense system
-selection) for runs using the batched SPICE tier, and a *char* table
+selection) for runs using the batched SPICE tier, a *char* table
 (store and serve hit/miss, points computed/failed) for
-characterization-store activity.
+characterization-store activity, and a *wl_crit* table (probes, the
+accepted steps probes took over from earlier probes, probes ended by
+the latch rule) for runs with WL_crit searches.
 """
 
 from __future__ import annotations
@@ -178,12 +180,33 @@ def _char_rows(manifests: list[dict]) -> list[list[str]]:
     return rows
 
 
+_WLCRIT_KEYS = ("wlcrit.steps_resumed", "wlcrit.probes_latched")
+
+
+def _wlcrit_rows(manifests: list[dict]) -> list[list[str]]:
+    rows = []
+    for manifest in manifests:
+        counters = manifest.get("telemetry", {}).get("counters", {})
+        if not any(counters.get(key) for key in _WLCRIT_KEYS):
+            continue
+        rows.append(
+            [
+                str(manifest.get("experiment_id", "?")),
+                str(counters.get("transient.simulations", 0)),
+                str(counters.get("wlcrit.steps_resumed", 0)),
+                str(counters.get("wlcrit.probes_latched", 0)),
+            ]
+        )
+    return rows
+
+
 def format_diag_report(manifests: list[dict]) -> str:
     """Solver health tables, one row per manifest.
 
-    Always renders the solver table; the engine and char sections are
-    appended only when at least one manifest recorded those counters,
-    so pre-engine manifests keep their old report shape.
+    Always renders the solver table; the engine, batch, char and
+    wl_crit sections are appended only when at least one manifest
+    recorded those counters, so pre-engine manifests keep their old
+    report shape.
     """
     header = [
         "experiment",
@@ -268,6 +291,17 @@ def format_diag_report(manifests: list[dict]) -> str:
                     "failed",
                 ],
                 char_rows,
+            )
+        )
+
+    wlcrit_rows = _wlcrit_rows(manifests)
+    if wlcrit_rows:
+        lines.append("")
+        lines.extend(
+            _render_table(
+                "== wl_crit diagnostics ==",
+                ["experiment", "transients", "steps resumed", "probes latched"],
+                wlcrit_rows,
             )
         )
     return "\n".join(lines)

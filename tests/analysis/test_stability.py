@@ -7,11 +7,13 @@ import math
 import pytest
 
 from repro.analysis.stability import (
+    ReferenceWlCritSearch,
     WlCritSearch,
     critical_wordline_pulse,
     dynamic_read_noise_margin,
 )
-from repro.sram import AccessConfig, CellSizing, Tfet6TCell
+from repro.char.designs import build_cell
+from repro.sram import WRITE_ASSISTS, AccessConfig, CellSizing, Tfet6TCell
 
 
 class FakeBenchFactory:
@@ -61,6 +63,16 @@ class TestWlCritSearch:
         result = search.search(FakeBenchFactory(threshold))
         assert result >= threshold
 
+    def test_decisions_record_every_probe_of_the_last_search(self):
+        search = ThresholdSearch(5e-10)
+        factory = FakeBenchFactory(5e-10)
+        search.search(factory)
+        assert [w for w, _ in search.decisions] == factory.calls
+        assert all(flipped == (w >= 5e-10) for w, flipped in search.decisions)
+        search.threshold = 1.0  # unwritable: a new search starts a new log
+        search.search(FakeBenchFactory(1.0))
+        assert search.decisions == [(search.upper_bound, False)]
+
     def test_bisection_is_logarithmic(self):
         factory = FakeBenchFactory(5e-10)
         search = ThresholdSearch(5e-10, relative_tolerance=0.02)
@@ -95,3 +107,46 @@ class TestOnRealCell:
     def test_drnm_bounded_by_supply(self, cell):
         drnm = dynamic_read_noise_margin(cell.read_testbench(0.8))
         assert 0.0 < drnm < 0.8 + 1e-6
+
+
+def _inward_p(beta):
+    return Tfet6TCell(CellSizing().with_beta(beta), access=AccessConfig.INWARD_P)
+
+
+IDENTITY_CASES = {
+    # name: (cell factory, vdd, write assist)
+    "proposed": (lambda: build_cell("proposed")[0], 0.7, None),
+    "7t": (lambda: build_cell("7t")[0], 0.8, None),
+    "outward_n": (lambda: build_cell("outward_n")[0], 0.9, None),
+    "inward_p": (lambda: build_cell("inward_p", beta=0.4)[0], 0.8, None),
+    "cmos": (lambda: build_cell("cmos", beta=0.4)[0], 0.8, None),
+    # fig06's set-up: the rail assist pulses vgnd around every width.
+    "vgnd_raising_beta2": (lambda: _inward_p(2.0), 0.8, WRITE_ASSISTS["vgnd_raising"]),
+}
+
+
+class TestMatchesReferenceSearch:
+    """The resuming, latching search against the full-length probes."""
+
+    @pytest.mark.parametrize("case", list(IDENTITY_CASES))
+    def test_same_value_and_probe_decisions(self, case):
+        make_cell, vdd, assist = IDENTITY_CASES[case]
+        reference = ReferenceWlCritSearch(upper_bound=8e-9)
+        search = WlCritSearch(upper_bound=8e-9)
+        expected = critical_wordline_pulse(make_cell(), vdd, assist=assist, search=reference)
+        value = critical_wordline_pulse(make_cell(), vdd, assist=assist, search=search)
+        assert math.isfinite(expected) and len(reference.decisions) > 2
+        assert value == expected
+        assert search.decisions == reference.decisions
+
+    def test_one_search_over_two_cells_matches_fresh_searches(self):
+        # fig06 keeps one search for every cell and assist.  The t = 0
+        # operating point is the same with and without wordline
+        # lowering, so resuming across the two searches would be wrong.
+        runs = [(_inward_p(1.0), None), (_inward_p(1.0), WRITE_ASSISTS["wl_lowering"])]
+        shared = WlCritSearch(upper_bound=8e-9)
+        for cell, assist in runs:
+            fresh = WlCritSearch(upper_bound=8e-9)
+            expected = critical_wordline_pulse(cell, 0.8, assist=assist, search=fresh)
+            assert critical_wordline_pulse(cell, 0.8, assist=assist, search=shared) == expected
+            assert shared.decisions == fresh.decisions

@@ -14,7 +14,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.stability import critical_wordline_pulse, dynamic_read_noise_margin
+from repro.analysis.stability import (
+    ReferenceWlCritSearch,
+    critical_wordline_pulse,
+    dynamic_read_noise_margin,
+)
 from repro.circuit.transient import simulate_transient
 from repro.experiments.designs import proposed_cell, proposed_read_assist
 from repro.telemetry import core as telemetry
@@ -69,9 +73,23 @@ def test_proposed_cell_drnm_matches_golden():
 
 
 def test_tfet_wlcrit_matches_golden():
+    # The full-length reference probes carry the recorded work counts.
     with telemetry.enabled() as tel:
-        wlcrit = critical_wordline_pulse(proposed_cell(), 0.8)
+        wlcrit = critical_wordline_pulse(
+            proposed_cell(), 0.8, search=ReferenceWlCritSearch()
+        )
     assert wlcrit == pytest.approx(7.419789006313753e-10, rel=RTOL, abs=0.0)
     assert tel.counters["transient.simulations"] == 11
     assert tel.counters["transient.steps_accepted"] == 1703
     assert tel.counters["newton.iterations"] == 6720
+
+    # The default search resumes and latches: the same value from the
+    # same 11 probes, with fewer steps.
+    with telemetry.enabled() as tel:
+        wlcrit = critical_wordline_pulse(proposed_cell(), 0.8)
+    assert wlcrit == pytest.approx(7.419789006313753e-10, rel=RTOL, abs=0.0)
+    assert tel.counters["transient.simulations"] == 11
+    assert tel.counters["transient.steps_accepted"] == 722
+    assert tel.counters["newton.iterations"] == 3034
+    assert tel.counters["wlcrit.steps_resumed"] == 694
+    assert tel.counters["wlcrit.probes_latched"] == 11

@@ -76,6 +76,6 @@ def test_wlcrit_probes_build_from_the_transient_global(reference):
     with telemetry.enabled() as tel:
         wlcrit = critical_wordline_pulse(proposed_cell(), 0.8, search=search)
     assert 1e-12 < wlcrit < 4e-9
-    # One system per probe, each probe a full transient.
+    # One system per probe; every step a probe integrates assembles on it.
     assert reference.instances == tel.counters["transient.simulations"] >= 3
     assert reference.assemblies >= tel.counters["transient.steps_accepted"]

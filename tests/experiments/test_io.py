@@ -8,7 +8,7 @@ import math
 import pytest
 
 from repro.experiments.common import ExperimentResult
-from repro.experiments.io import load_json, save_csv, save_json
+from repro.experiments.io import encode_tree, load_json, save_csv, save_json
 
 
 @pytest.fixture
@@ -70,6 +70,16 @@ class TestJsonRoundTrip:
         assert payload["rows"][0][0] == {"__float__": "NaN"}
         assert payload["rows"][0][1] == {"__float__": "-Infinity"}
         assert payload["rows"][0][2] == {"__float__": "Infinity"}
+
+
+def test_encode_tree_wraps_non_finite_floats_at_any_depth():
+    tree = {"value": math.inf, "rows": [(1.0, math.nan), {"lo": -math.inf}], "n": 3}
+    assert encode_tree(tree) == {
+        "value": {"__float__": "Infinity"},
+        "rows": [[1.0, {"__float__": "NaN"}], {"lo": {"__float__": "-Infinity"}}],
+        "n": 3,
+    }
+    json.dumps(encode_tree(tree), allow_nan=False)  # strict JSON
 
 
 class TestCsv:

@@ -179,3 +179,40 @@ class TestFormatHistory:
         append_history([record(engine_payload())], path)
         for line in path.read_text().splitlines():
             assert json.loads(line)["schema"] == RECORD_SCHEMA
+
+
+class TestRetiredBenches:
+    def fleet_record(self, value):
+        # As recorded while the fleet bench existed: gated by its own
+        # min_speedup of 2.0.
+        return {**record(engine_payload(value)), "bench": "serve_fleet",
+                "bench_schema": "repro.bench.serve_fleet/v1"}
+
+    def test_family_gone_from_headlines_is_not_judged(self):
+        # The fleet bench is deleted; even a gate breach in its last
+        # record no longer fails the check.
+        assert check_history([self.fleet_record(1.0)]) == []
+        assert check_history([self.fleet_record(1.0), record(engine_payload(1.2))]) != []
+
+    def test_retired_bench_stays_in_the_table(self):
+        text = format_history([self.fleet_record(1.0), record(engine_payload(3.5))])
+        assert "serve_fleet" in text and "retired" in text
+        assert "REGRESSED" not in text
+
+
+def test_committed_bench_results_are_recorded():
+    """Every committed BENCH_*.json is already in the tracked history, so
+    ``scripts/bench_track.py --check`` on a fresh checkout appends
+    nothing to it."""
+    from pathlib import Path
+
+    from repro.obs.bench import DEFAULT_HISTORY
+
+    root = Path(__file__).resolve().parents[2]
+    recorded = {(r["bench"], r["created_unix"]) for r in load_history(root / DEFAULT_HISTORY)}
+    for path in collect_bench_files(root):
+        rec = bench_record(json.loads(path.read_text()), path.name)
+        if rec is not None:
+            assert (rec["bench"], rec["created_unix"]) in recorded, (
+                f"{path.name} is not in {DEFAULT_HISTORY}; run scripts/bench_track.py"
+            )

@@ -206,3 +206,41 @@ class TestTestbenches:
     def test_settle_stop_past_window(self):
         bench = Tfet6TCell().write_testbench(0.8, 1e-9)
         assert bench.settle_stop() > bench.window.t_off
+
+
+def _source_table(bench, times):
+    """Every source's name, breakpoints and sampled values."""
+    return [
+        (s.name, tuple(s.waveform.breakpoints()), [s.waveform.value(t) for t in times])
+        for s in bench.circuit.voltage_sources
+    ]
+
+
+class TestWriteBenchFactory:
+    """A factory bench equals a fresh ``write_testbench`` of its width."""
+
+    TIMES = [i * 5e-12 for i in range(0, 700)]  # 0-3.5 ns, past every settle window
+
+    @pytest.mark.parametrize("assist_name", ["none", "vdd_lowering", "vgnd_raising",
+                                             "wl_lowering", "bl_raising"])
+    def test_every_source_matches_a_fresh_bench(self, assist_name):
+        from repro.sram import WRITE_ASSISTS
+
+        cell = Tfet6TCell()
+        assist = WRITE_ASSISTS.get(assist_name)
+        factory = cell.write_bench_factory(0.8, assist=assist)
+        for width in (5e-11, 1.2e-9, 5e-11):
+            bench = factory(width)
+            fresh = cell.write_testbench(0.8, width, assist=assist)
+            assert _source_table(bench, self.TIMES) == _source_table(fresh, self.TIMES)
+            assert bench.circuit.breakpoints() == fresh.circuit.breakpoints()
+            assert bench.window == fresh.window
+            assert bench.initial_conditions == fresh.initial_conditions
+
+    def test_asymmetric_cell_builtin_assist_follows_the_width(self):
+        cell = AsymTfet6TCell()
+        factory = cell.write_bench_factory(0.8)
+        for width in (5e-11, 1e-9):
+            bench = factory(width)
+            fresh = cell.write_testbench(0.8, width)
+            assert _source_table(bench, self.TIMES) == _source_table(fresh, self.TIMES)

@@ -183,3 +183,21 @@ class TestDiagCharSection:
         assert report.index("== solver diagnostics ==") < report.index(
             "== engine diagnostics =="
         ) < report.index("== char diagnostics ==")
+
+
+class TestDiagWlCritSection:
+    def test_wlcrit_counters_render(self):
+        tel = TelemetrySession()
+        tel.count("transient.simulations", 11)
+        tel.count("wlcrit.steps_resumed", 694)
+        tel.count("wlcrit.probes_latched", 9)
+        report = format_diag_report([build_manifest("fig04", "t", make_result(), tel, 2.0)])
+        section = report.split("== wl_crit diagnostics ==")[1]
+        assert "fig04" in section
+        assert "694" in section and "9" in section
+
+    def test_wlcrit_section_absent_without_searches(self):
+        tel = TelemetrySession()
+        tel.count("transient.simulations", 3)
+        manifest = build_manifest("figX", "t", make_result(), tel, 1.0)
+        assert "wl_crit diagnostics" not in format_diag_report([manifest])
