@@ -12,8 +12,9 @@ through the real CLI (separate processes, real SIGKILL):
    interpolated midpoint from the same store;
 5. a traced build (``--trace-dir``/``--metrics-out``) of a small fresh
    grid produces a merged ``trace.json`` with one span per simulated
-   point and JSON + Prometheus metrics snapshots; everything lands in
-   ``SMOKE_ARTIFACTS`` (when set) for CI upload.
+   point and a run manifest (with its Prometheus text) that joins it by
+   trace id; everything lands in ``SMOKE_ARTIFACTS`` (when set) for CI
+   upload.
 
 Run with ``PYTHONPATH=src python scripts/char_smoke.py``; exits
 non-zero on the first violated expectation.
@@ -148,7 +149,7 @@ def main() -> int:
         check(payload["method"] in ("linear", "cubic"), "midpoint interpolated")
         check(payload["value"] > 0.0, "interpolated hold power is positive")
 
-        print("5. traced build exports a merged trace and metrics snapshots")
+        print("5. traced build exports a merged trace and its run manifest")
         artifacts = Path(os.environ.get("SMOKE_ARTIFACTS", tmp_path / "artifacts"))
         artifacts.mkdir(parents=True, exist_ok=True)
         trace_spec = tmp_path / "smoke_trace.json"
@@ -156,7 +157,7 @@ def main() -> int:
         traced = cli(
             "build",
             "--trace-dir", str(artifacts / "char_trace"),
-            "--metrics-out", str(artifacts / "char_metrics.json"),
+            "--metrics-out", str(artifacts / "char_manifest.json"),
             store=tmp_path / "char_traced", spec=trace_spec,
         )
         check(traced.returncode == 0, "traced build exits 0")
@@ -168,15 +169,19 @@ def main() -> int:
             len(task_spans) == TRACE_ENTRIES,
             f"one task span per simulated point ({len(task_spans)}/{TRACE_ENTRIES})",
         )
-        metrics = json.loads((artifacts / "char_metrics.json").read_text())
-        counters = metrics["metrics"]["counters"]
+        manifest = json.loads((artifacts / "char_manifest.json").read_text())
+        counters = manifest["telemetry"]["counters"]
         check(
             counters.get("char.points_computed") == TRACE_ENTRIES,
-            "metrics snapshot records the computed points",
+            "run manifest records the computed points",
         )
         check(
-            (artifacts / "char_metrics.prom").exists(),
-            "Prometheus metrics snapshot written",
+            manifest["trace_id"] in json.loads(trace_file.read_text())["trace_ids"],
+            "run manifest joins the merged trace by trace id",
+        )
+        check(
+            (artifacts / "char_manifest.prom").exists(),
+            "Prometheus text written beside the manifest",
         )
 
     print("char smoke: all checks passed")

@@ -13,8 +13,8 @@ and in minutes, not hours:
 4. a traced rerun of both batches: the merged run-level trace must
    contain every task's span tree, the ConvergenceError forensics of
    the forced retries, and task spans covering most of the scheduler
-   wall; the trace and a metrics snapshot land in ``SMOKE_ARTIFACTS``
-   (when set) for CI upload.
+   wall; the trace and the run manifest (with its Prometheus text)
+   land in ``SMOKE_ARTIFACTS`` (when set) for CI upload.
 
 Run with ``PYTHONPATH=src python scripts/engine_smoke.py``; exits
 non-zero on the first violated expectation.
@@ -119,16 +119,22 @@ def main() -> int:
             "resumed run bit-identical to an uninterrupted run",
         )
 
-        print("4. traced batches merge into one run-level trace + metrics")
-        from repro.obs.export import write_metrics
+        print("4. traced batches merge into one run-level trace + manifest")
+        import json
+        import time
+
         from repro.obs.trace import load_trace, summarize_trace
         from repro.telemetry import core as telemetry
+        from repro.telemetry.manifest import build_manifest, write_manifest
 
         artifacts = Path(os.environ.get("SMOKE_ARTIFACTS", tmp_path / "artifacts"))
         artifacts.mkdir(parents=True, exist_ok=True)
         trace_dir = artifacts / "trace"
         trace_id = "5m0ke5m0ke5m0ke5"
-        with telemetry.enabled(log_level="error") as session:
+        start = time.perf_counter()
+        with telemetry.enabled(
+            log_level="error", trace=telemetry.TraceContext(trace_id)
+        ) as session:
             batch.run(
                 SAMPLES,
                 seed=SEED,
@@ -150,12 +156,12 @@ def main() -> int:
                     run_key="smoke-flaky",
                 ),
             )
-        write_metrics(
-            session,
-            artifacts / "engine_metrics.json",
-            artifacts / "engine_metrics.prom",
-            run="engine-smoke",
-            trace_id=trace_id,
+        manifest_path = write_manifest(
+            build_manifest(
+                "engine-smoke", "engine smoke", None, session,
+                time.perf_counter() - start,
+            ),
+            artifacts / "engine_manifest.json",
         )
         summary = summarize_trace(load_trace(trace_dir))
         check(
@@ -175,9 +181,16 @@ def main() -> int:
             f"task spans cover the scheduler wall "
             f"({100.0 * summary['task_coverage']:.1f} %)",
         )
+        manifest = json.loads(manifest_path.read_text())
         check(
-            (artifacts / "engine_metrics.prom").read_text().startswith("#"),
-            "Prometheus metrics snapshot written",
+            manifest["trace_id"] == trace_id
+            and manifest["telemetry"]["counters"]["engine.tasks_total"]
+            == SAMPLES + 8,
+            "manifest joins the trace and counts every task",
+        )
+        check(
+            manifest_path.with_suffix(".prom").read_text().startswith("#"),
+            "Prometheus text written beside the manifest",
         )
 
     print("engine smoke: all checks passed")

@@ -20,8 +20,8 @@ wire protocol — and the kill is a real SIGKILL:
    coalesces into the same spec, resumes from the checkpoint, and
    ``serve status`` reports ``resumed > 0`` with fewer points
    recomputed than the batch total;
-7. SIGTERM drains the daemon: exit code 0, socket removed, final JSON
-   + Prometheus metrics snapshots written (into ``SMOKE_ARTIFACTS``
+7. SIGTERM drains the daemon: exit code 0, socket removed, final run
+   manifest and its Prometheus text written (into ``SMOKE_ARTIFACTS``
    when set, for CI upload).
 
 Run with ``PYTHONPATH=src python scripts/serve_smoke.py``; exits
@@ -83,7 +83,7 @@ def start_daemon(spec: Path, store: Path, sock: Path, artifacts: Path):
         [sys.executable, "-m", "repro", "serve", "start",
          "--spec", str(spec), "--store", str(store), "--socket", str(sock),
          "--coalesce-s", str(COALESCE_S),
-         "--metrics-out", str(artifacts / "serve_metrics.json"),
+         "--metrics-out", str(artifacts / "serve_manifest.json"),
          "--trace-dir", str(artifacts / "serve_trace")],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=env, cwd=ROOT,
@@ -219,20 +219,20 @@ def main() -> int:
             "every missed point landed",
         )
 
-        print("7. SIGTERM drains cleanly and writes the metrics snapshot")
+        print("7. SIGTERM drains cleanly and writes the run manifest")
         daemon.send_signal(signal.SIGTERM)
         out, err = daemon.communicate(timeout=60)
         check(daemon.returncode == 0, f"daemon exits 0 (stderr: {err.strip()!r})")
         check("drained and stopped" in out, "drain message printed")
         check(not sock.exists(), "socket removed on shutdown")
-        metrics_path = artifacts / "serve_metrics.json"
-        check(metrics_path.exists(), "final JSON metrics snapshot written")
-        metrics = json.loads(metrics_path.read_text())
-        counters = metrics["metrics"]["counters"]
+        manifest_path = artifacts / "serve_manifest.json"
+        check(manifest_path.exists(), "final run manifest written")
+        manifest = json.loads(manifest_path.read_text())
+        counters = manifest["telemetry"]["counters"]
         check(counters.get("serve.requests", 0) >= 5, "request counters recorded")
         check(
-            metrics_path.with_suffix(".prom").exists(),
-            "Prometheus metrics snapshot written",
+            manifest_path.with_suffix(".prom").exists(),
+            "Prometheus text written beside the manifest",
         )
 
     print("serve smoke: all checks passed")

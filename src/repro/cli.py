@@ -166,6 +166,7 @@ def _cmd_char(args) -> int:
                 jobs=args.jobs,
                 verify_fraction=args.verify_fraction,
                 trace_dir=args.trace_dir,
+                trace_id=session.trace_id if session is not None else None,
             )
         finally:
             if session is not None:
@@ -176,19 +177,13 @@ def _cmd_char(args) -> int:
             misses = session.counters.get("char.store.misses", 0)
             print(f"store: {hits} hits, {misses} misses")
         if args.metrics_out and session is not None:
-            from pathlib import Path
+            from repro.telemetry.manifest import build_manifest, write_manifest
 
-            from repro.obs.export import write_metrics
-
-            json_path = Path(args.metrics_out)
-            write_metrics(
-                session,
-                json_path,
-                json_path.with_suffix(".prom"),
-                run=f"char:{args.spec}",
-                duration_s=report.wall_s,
+            manifest = build_manifest(
+                f"char:{args.spec}", f"repro char build {args.spec}", None,
+                session, report.wall_s,
             )
-            print(f"metrics: {json_path}")
+            print(f"metrics: {write_manifest(manifest, args.metrics_out)}")
         if args.trace_dir:
             from pathlib import Path
 
@@ -566,26 +561,18 @@ def _array_result_table(rows_spec, command: str):
 def _array_profiled(args, command: str, work):
     """Run ``work()`` under a telemetry session when --profile is set,
     writing a run manifest ``repro diag`` can summarize."""
-    import time as time_module
-
     if not args.profile:
         value, _ = work()
         return value
-    from repro.telemetry import core as telemetry
-    from repro.telemetry.manifest import build_manifest, manifest_path, write_manifest
+    from repro.telemetry.manifest import manifest_path, recorded_run
 
-    out_dir = args.output_dir or "results"
-    with telemetry.enabled() as session:
-        start = time_module.perf_counter()
-        with session.span(f"array.{command}"):
-            value, rows_spec = work()
-        wall = time_module.perf_counter() - start
-        result = _array_result_table(rows_spec, command)
-        manifest = build_manifest(
-            result.experiment_id, result.title, result, session, wall
-        )
-        write_manifest(manifest, out_dir)
-    print(f"manifest: {manifest_path(out_dir, result.experiment_id)}")
+    path = manifest_path(args.output_dir or "results", f"array_{command}")
+    with recorded_run(
+        f"array_{command}", f"repro array {command}", path, span=f"array.{command}"
+    ) as record:
+        value, rows_spec = work()
+        record.result = _array_result_table(rows_spec, command)
+    print(f"manifest: {path}")
     return value
 
 
@@ -803,8 +790,8 @@ def main(argv: list[str] | None = None) -> int:
                             help="stream the build batch's span trees into DIR "
                             "and merge them into DIR/trace.json")
     char_build.add_argument("--metrics-out", metavar="PATH", default=None,
-                            help="write the build's metrics snapshot to PATH "
-                            "(JSON; a .prom sibling is written too)")
+                            help="write the build's run manifest to PATH "
+                            "(JSON; its .prom sibling is written too)")
 
     char_status = char_sub.add_parser(
         "status", help="coverage of one spec: present/missing/failed/stale")
@@ -949,8 +936,8 @@ def main(argv: list[str] | None = None) -> int:
                              metavar="F", help="sample-audit fraction for "
                              "backfill builds")
     serve_start.add_argument("--metrics-out", metavar="PATH", default=None,
-                             help="write the final metrics snapshot to PATH "
-                             "(JSON; a .prom sibling is written too)")
+                             help="write the final run manifest to PATH "
+                             "(JSON; its .prom sibling is written too)")
     serve_start.add_argument("--trace-dir", metavar="DIR", default=None,
                              help="stream backfill-build span trees into DIR")
     serve_start.add_argument("--workers", type=int, default=1, choices=(1,),

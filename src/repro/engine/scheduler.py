@@ -21,12 +21,12 @@ returns a :class:`BatchReport`.  The contract:
   telemetry session, so run manifests of parallel runs stay as
   diagnosable as serial ones.
 * **Tracing** — with ``trace_dir`` configured, the scheduler mints a
-  :class:`~repro.obs.context.TraceSpec` (trace id + batch span id) and
-  threads it into every worker; workers stream per-task span trees to
-  per-process JSONL sinks, the scheduler records the batch span and
-  aggregate checkpoint-I/O span, and the sinks are merged into one
-  run-level ``trace.json`` when the batch completes (``repro trace``
-  renders it).
+  :class:`~repro.telemetry.core.TraceContext` (trace id, batch span id,
+  trace directory) and threads it into every worker; workers stream
+  per-task span trees and their sessions' events to per-process JSONL
+  sinks, the scheduler records the batch span and aggregate
+  checkpoint-I/O span, and the sinks are merged into one run-level
+  ``trace.json`` when the batch completes (``repro trace`` renders it).
 """
 
 from __future__ import annotations
@@ -148,9 +148,9 @@ def run_tasks(tasks: list[Task], config: EngineConfig = EngineConfig()) -> Batch
 
     trace = None
     if config.trace_dir is not None:
-        from repro.obs.context import TraceSpec
-
-        trace = TraceSpec.for_batch(config.trace_dir, config.run_key, config.trace_id)
+        trace = telemetry.TraceContext.for_batch(
+            config.trace_dir, config.run_key, config.trace_id
+        )
 
     start = time.perf_counter()
     batch_t0_unix = time.time()
@@ -219,13 +219,12 @@ def _finalize_trace(trace, config, report, log, batch_t0_unix) -> None:
     """Record the scheduler-side spans and merge the run-level trace."""
     from repro.obs.sink import SpanSink
     from repro.obs.trace import merge_trace
-    from repro.telemetry.core import derive_span_id
 
     sink = SpanSink(config.trace_dir, role="scheduler", trace_id=trace.trace_id)
     try:
         if isinstance(log, _TimedCheckpoint) and log.appends:
             sink.write_span(
-                derive_span_id(
+                telemetry.derive_span_id(
                     trace.trace_id, trace.parent_span_id, "checkpoint.io", 0
                 ),
                 trace.parent_span_id,

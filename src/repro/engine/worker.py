@@ -22,6 +22,7 @@ import threading
 import time
 import traceback
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 
@@ -109,40 +110,44 @@ class _TaskTrace:
     """Records one task's span tree into this process's trace sink.
 
     Built once per traced task; writes the attempt spans (and the
-    solver spans each attempt's telemetry session accumulated), any
-    failure-forensics events, and finally the task span itself.  All
-    span ids derive from the task's logical position (see
-    :mod:`repro.obs.context`), never from this process's identity.
+    solver spans and events each attempt's telemetry session
+    accumulated), any failure-forensics events, and finally the task
+    span itself.  All span ids derive from the task's logical position
+    (see :class:`~repro.telemetry.core.TraceContext`), never from this
+    process's identity.  Attempt sessions record events at the log
+    level of the session the task was started under (the runner's, or
+    its copy in a forked pool worker), so ``--log-level`` reaches the
+    workers' events too.
     """
 
-    def __init__(self, trace, task: Task):
-        from repro.obs.context import attempt_span_id, task_span_id
-        from repro.obs.sink import worker_sink
+    def __init__(self, trace: telemetry.TraceContext, task: Task):
+        from repro.obs.sink import SpanSink
 
-        self._attempt_id = attempt_span_id
         self.trace = trace
         self.task = task
-        self.sink = worker_sink(trace.directory, trace.trace_id)
-        self.task_span = task_span_id(trace.trace_id, trace.parent_span_id, task.index)
+        self.sink = SpanSink(trace.directory, role="worker", trace_id=trace.trace_id)
+        self.task_span = telemetry.task_span_id(
+            trace.trace_id, trace.parent_span_id, task.index
+        )
+        outer = telemetry.active()
+        self.log_level = outer.log_level if outer is not None else "error"
         self.t0_unix = time.time()
         self._attempt_t0 = (self.t0_unix, time.perf_counter())
 
     def begin_attempt(self, attempt: int) -> None:
         self._attempt_t0 = (time.time(), time.perf_counter())
 
+    def _attempt_id(self, attempt: int) -> str:
+        return telemetry.attempt_span_id(self.trace.trace_id, self.task_span, attempt)
+
     def context(self, attempt: int) -> telemetry.TraceContext:
         """The trace context rooting this attempt's solver spans."""
-        return telemetry.TraceContext(
-            trace_id=self.trace.trace_id,
-            parent_span_id=self._attempt_id(
-                self.trace.trace_id, self.task_span, attempt
-            ),
-        )
+        return replace(self.trace, parent_span_id=self._attempt_id(attempt))
 
     def end_attempt(self, attempt: int, session) -> None:
         t0_unix, t0_perf = self._attempt_t0
         self.sink.write_span(
-            self._attempt_id(self.trace.trace_id, self.task_span, attempt),
+            self._attempt_id(attempt),
             self.task_span,
             "attempt",
             t0_unix,
@@ -151,7 +156,7 @@ class _TaskTrace:
             attempt=attempt,
         )
         if session is not None:
-            self.sink.write_session_spans(session)
+            self.sink.write_session(session)
 
     def error(self, attempt: int, exc: BaseException) -> None:
         name = (
@@ -185,6 +190,7 @@ class _TaskTrace:
             outcome.wall_s,
             **fields,
         )
+        self.sink.close()
         return outcome
 
 
@@ -214,13 +220,13 @@ def execute_task(
     recorded as a structured failure (``error_type``
     ``VerificationError``) that survives the batch.
 
-    With ``trace`` (a :class:`~repro.obs.context.TraceSpec`), the task's
-    span tree — task, attempts, and the solver spans inside each
-    attempt — streams to this process's JSONL sink; each attempt's
-    telemetry session is rooted at the attempt span, so solver spans
-    parent correctly in the merged run-level trace.  Failed attempts
-    additionally emit ``convergence_error`` / ``task_error`` forensics
-    events.  Counter semantics are unchanged: task counters still ride
+    With ``trace`` (a batch's :class:`~repro.telemetry.core.TraceContext`),
+    the task's span tree — task, attempts, and the solver spans and
+    events inside each attempt — streams to this process's JSONL sink;
+    each attempt's telemetry session is rooted at the attempt span, so
+    solver spans parent correctly in the merged run-level trace.  Failed
+    attempts additionally emit ``convergence_error`` / ``task_error``
+    forensics events.  Counter semantics are unchanged: task counters still ride
     back on the outcome only for successful tasks.
     """
     start = time.perf_counter()
@@ -244,7 +250,8 @@ def execute_task(
                             tracer.context(attempt) if tracer is not None else None
                         )
                         with telemetry.enabled(
-                            log_level="error", trace=trace_ctx
+                            log_level=tracer.log_level if tracer is not None else "error",
+                            trace=trace_ctx,
                         ) as session:
                             with _attempt_deadline(timeout_s):
                                 value = task.fn(task.payload, ctx)

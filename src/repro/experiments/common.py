@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.telemetry.diag import format_table
+
 __all__ = ["ExperimentResult", "fmt_seconds", "fmt_volts", "fmt_power", "fmt_value"]
 
 
@@ -62,15 +64,8 @@ class ExperimentResult:
     def format(self) -> str:
         """Fixed-width text rendering of the table."""
         cells = [[fmt_value(v) for v in row] for row in self.rows]
-        widths = [
-            max(len(self.header[c]), *(len(r[c]) for r in cells)) if cells else len(self.header[c])
-            for c in range(len(self.header))
-        ]
         lines = [f"== {self.experiment_id}: {self.title} =="]
-        lines.append("  ".join(h.ljust(w) for h, w in zip(self.header, widths)))
-        lines.append("  ".join("-" * w for w in widths))
-        for row in cells:
-            lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
+        lines.extend(format_table(self.header, cells))
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)

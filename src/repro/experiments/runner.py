@@ -8,17 +8,17 @@ Monte-Carlo figures run hundreds of transient bisections);
 so both entry points take exactly the flags below, from one parser.
 
 Observability flags: ``--profile`` collects solver telemetry and
-writes a run manifest (wall time, Newton/fallback/step statistics,
-result checksum) next to the results; ``--trace out.json`` additionally
-dumps the structured event trace (suffixed per experiment id when
-several experiments run in one invocation); ``--log-level debug``
-widens what the trace records; ``--trace-dir DIR`` streams
-cross-process span trees (scheduler, workers, runner) into DIR and
-merges them into ``DIR/trace.json`` for ``repro trace``.  Instrumented
-runs also export ``<id>_metrics.json``/``.prom`` snapshots.  ``repro
-diag`` summarizes saved manifests.  ``--verify`` re-checks every accepted solver result
-against the retained reference implementations while the experiment
-runs (see :mod:`repro.verify`).
+writes the run manifest ``<id>_manifest.json`` (wall time,
+Newton/fallback/step statistics, result checksum, trace id) with its
+Prometheus text ``<id>_manifest.prom`` next to the results;
+``--trace-dir DIR`` streams cross-process span trees and session
+events (scheduler, workers, runner) into DIR and merges them into
+``DIR/trace.json`` for ``repro trace`` (one subdirectory per experiment
+when several run in one invocation); ``--log-level debug`` widens which
+events the trace records.  ``repro diag`` summarizes saved manifests.
+``--verify`` re-checks every accepted solver result against the
+retained reference implementations while the experiment runs (see
+:mod:`repro.verify`).
 
 Batch-engine flags (sampling experiments such as ``fig09``/``fig10``):
 ``--samples N`` sets the Monte-Carlo size, ``--jobs J`` fans the
@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-import time
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable
@@ -70,9 +69,8 @@ from repro.experiments import (
 )
 from repro.experiments.common import ExperimentResult
 from repro.experiments.io import save_json
-from repro.obs.export import write_metrics
 from repro.telemetry import core as telemetry
-from repro.telemetry.manifest import build_manifest, manifest_path, write_manifest
+from repro.telemetry.manifest import manifest_path, recorded_run
 from repro.verify import core as verify
 
 __all__ = ["REGISTRY", "run_experiment", "main", "DEFAULT_MANIFEST_DIR"]
@@ -136,7 +134,6 @@ def run_experiment(
     experiment_id: str,
     *,
     profile: bool = False,
-    trace_path: str | Path | None = None,
     log_level: str | None = None,
     trace_dir: str | Path | None = None,
     output_dir: str | Path | None = None,
@@ -146,19 +143,18 @@ def run_experiment(
     """Run one experiment by its registry id.
 
     Telemetry options: ``profile`` collects solver statistics and
-    writes a run manifest into ``output_dir`` (default ``results/``);
-    ``trace_path`` also dumps the structured event log; ``log_level``
-    sets the event threshold (implies collection).  ``output_dir``
-    additionally saves the result table as ``<id>.json``.
+    writes the run manifest (and its ``.prom`` beside it) into
+    ``output_dir`` (default ``results/``); ``log_level`` sets the event
+    threshold (implies collection).  ``output_dir`` additionally saves
+    the result table as ``<id>.json``.
 
     ``trace_dir`` turns on the cross-process trace pipeline
-    (:mod:`repro.obs`): a run-level trace id is minted here, threaded
-    through the engine into every worker for experiments whose ``run``
-    takes ``trace_dir``/``trace_id``, and the per-process span sinks are
-    merged into ``<trace_dir>/trace.json`` (rendered by ``repro
-    trace``).  Any instrumented run additionally exports its metrics
-    snapshot as ``<id>_metrics.json`` + ``<id>_metrics.prom`` next to
-    the manifest.
+    (:mod:`repro.obs`, implies collection): a run-level trace id is
+    minted here (the manifest's ``trace_id``), threaded through the
+    engine into every worker for experiments whose ``run`` takes
+    ``trace_dir``/``trace_id``, and the per-process sinks — span
+    records and session events — are merged into
+    ``<trace_dir>/trace.json`` (rendered by ``repro trace``).
 
     ``verify_run`` executes the whole experiment under a
     :mod:`repro.verify` session: every converged Newton solution,
@@ -189,36 +185,23 @@ def run_experiment(
             kwargs.setdefault("trace_dir", str(trace_dir))
             kwargs.setdefault("trace_id", trace_id)
 
-    instrument = bool(profile or trace_path or log_level or trace_dir)
+    instrument = bool(profile or log_level or trace_dir)
     verify_ctx = verify.enabled() if verify_run else nullcontext(None)
     with verify_ctx as ver:
         if not instrument:
             result = run(**kwargs)
         else:
-            trace_ctx = (
-                telemetry.TraceContext(trace_id=trace_id) if trace_id else None
-            )
-            with telemetry.enabled(
-                log_level=log_level or "info", trace=trace_ctx
-            ) as session:
-                start = time.perf_counter()
-                with session.span(f"experiment.{experiment_id}"):
-                    result = run(**kwargs)
-                wall = time.perf_counter() - start
-                manifest = build_manifest(experiment_id, title, result, session, wall)
-                write_manifest(manifest, output_dir or DEFAULT_MANIFEST_DIR)
-                if trace_path:
-                    session.write_trace(trace_path)
-                metrics_dir = Path(output_dir or DEFAULT_MANIFEST_DIR)
-                write_metrics(
-                    session,
-                    metrics_dir / f"{experiment_id}_metrics.json",
-                    metrics_dir / f"{experiment_id}_metrics.prom",
-                    run=experiment_id,
-                    duration_s=wall,
-                )
-                if trace_dir is not None:
-                    _flush_runner_trace(trace_dir, trace_id, session)
+            with recorded_run(
+                experiment_id,
+                title,
+                manifest_path(output_dir or DEFAULT_MANIFEST_DIR, experiment_id),
+                span=f"experiment.{experiment_id}",
+                log_level=log_level or "info",
+                trace=telemetry.TraceContext(trace_id) if trace_id else None,
+            ) as record:
+                record.result = result = run(**kwargs)
+            if trace_dir is not None:
+                _flush_runner_trace(trace_dir, trace_id, record.session)
     if ver is not None:
         totals = ", ".join(f"{k}={n}" for k, n in sorted(ver.audits.items()))
         # A zero count has two honest explanations: the experiment did
@@ -247,18 +230,19 @@ def run_experiment(
 
 
 def _flush_runner_trace(trace_dir, trace_id, session) -> None:
-    """Stream the runner session's spans into the trace and re-merge.
+    """Stream the runner session's spans and events into the trace and
+    re-merge.
 
     The engine already merged after each batch; merging again folds the
-    runner's own ``experiment.<id>`` span (and any spans from inline
-    solver work outside the engine) into the same ``trace.json``.
+    runner's own ``experiment.<id>`` span (and the spans and events of
+    inline solver work outside the engine) into the same ``trace.json``.
     """
     from repro.obs.sink import SpanSink
     from repro.obs.trace import merge_trace
 
     sink = SpanSink(trace_dir, role="runner", trace_id=trace_id)
     try:
-        sink.write_session_spans(session)
+        sink.write_session(session)
     finally:
         sink.close()
     merge_trace(trace_dir)
@@ -271,6 +255,9 @@ def main(argv: list[str] | None = None, prog: str = "repro.experiments") -> int:
     parser = argparse.ArgumentParser(
         prog=prog,
         description="Regenerate the paper's tables and figures.",
+        # No prefix matching: a deleted flag such as ``--trace`` must be
+        # an error, not an abbreviation of ``--trace-dir``.
+        allow_abbrev=False,
     )
     parser.add_argument(
         "experiment",
@@ -288,24 +275,18 @@ def main(argv: list[str] | None = None, prog: str = "repro.experiments") -> int:
         help="collect solver telemetry and write a run manifest",
     )
     parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="write the structured JSON event trace to PATH (implies telemetry)",
-    )
-    parser.add_argument(
         "--trace-dir",
         metavar="DIR",
         default=None,
-        help="stream cross-process span trees into DIR and merge them "
-        "into DIR/trace.json (rendered by `repro trace`); engine-backed "
+        help="stream cross-process span trees and events into DIR and merge "
+        "them into DIR/trace.json (rendered by `repro trace`); engine-backed "
         "experiments trace every worker task",
     )
     parser.add_argument(
         "--log-level",
         choices=sorted(telemetry.LEVELS, key=telemetry.LEVELS.get),
         default=None,
-        help="event threshold for the trace/event log (implies telemetry)",
+        help="event threshold for the trace's events (implies telemetry)",
     )
     parser.add_argument(
         "--verify",
@@ -382,7 +363,6 @@ def main(argv: list[str] | None = None, prog: str = "repro.experiments") -> int:
         result = run_experiment(
             experiment_id,
             profile=args.profile,
-            trace_path=_trace_path_for(args.trace, experiment_id, multi=len(ids) > 1),
             log_level=args.log_level,
             trace_dir=trace_dir,
             output_dir=args.output_dir,
@@ -390,7 +370,7 @@ def main(argv: list[str] | None = None, prog: str = "repro.experiments") -> int:
             **_supported_kwargs(experiment_id, engine_kwargs),
         )
         print(result.format())
-        if args.profile or args.trace or args.log_level or args.trace_dir:
+        if args.profile or args.log_level or args.trace_dir:
             print(
                 "manifest: %s"
                 % manifest_path(args.output_dir or DEFAULT_MANIFEST_DIR, experiment_id)
@@ -409,18 +389,6 @@ def _trace_dir_for(
     if trace_dir is None or not multi:
         return trace_dir
     return Path(trace_dir) / experiment_id
-
-
-def _trace_path_for(
-    trace: str | None, experiment_id: str, multi: bool
-) -> str | Path | None:
-    """Per-experiment trace path: when several experiments run in one
-    invocation (``all``), each trace gets the experiment id suffixed so
-    the last experiment cannot clobber the earlier ones."""
-    if trace is None or not multi:
-        return trace
-    path = Path(trace)
-    return path.with_name(f"{path.stem}_{experiment_id}{path.suffix or '.json'}")
 
 
 def _engine_kwargs(args) -> dict:

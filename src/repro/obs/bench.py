@@ -34,6 +34,8 @@ import json
 import time
 from pathlib import Path
 
+from repro.telemetry.diag import format_table
+
 __all__ = [
     "RECORD_SCHEMA",
     "DEFAULT_HISTORY",
@@ -253,12 +255,4 @@ def format_history(history: list[dict], tolerance: float = 0.25) -> str:
                 else "REGRESSED" if bench in problem_benches else "ok",
             ]
         )
-    widths = [
-        max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(len(header))
-    ]
-    lines = ["== bench history =="]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines)
+    return "\n".join(["== bench history ==", *format_table(header, rows)])

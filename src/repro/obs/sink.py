@@ -3,9 +3,10 @@
 Each process participating in a traced run — the scheduler, every pool
 worker, the experiment runner — streams its span and event records to
 its own append-only JSONL file under the trace directory
-(``<role>-<pid>.jsonl``).  One file per (process, role) means no
-cross-process locking; every record is flushed as soon as it is
-written, so a SIGKILL loses at most the record being formatted, and the
+(``<role>-<pid>.jsonl``; a pool worker reopens its file for each task).
+One file per (process, role) means no cross-process locking; every
+record is flushed as soon as it is written, so a SIGKILL loses at most
+the record being formatted, and the
 merge step (:func:`repro.obs.trace.merge_trace`) tolerates a torn final
 line exactly like the engine's checkpoint reader.
 
@@ -13,8 +14,10 @@ Record kinds (the ``kind`` field):
 
 * ``meta`` — one header line per file: schema, role, pid, start time;
 * ``span`` — ``{id, parent, name, t0_unix, dur_s, fields?}``;
-* ``event`` — ``{name, t_unix, level?, fields?}`` (e.g. the
-  ConvergenceError forensics workers emit for failed attempts).
+* ``event`` — ``{name, t_unix, level, fields?}``: a telemetry session's
+  events (``dcop.converged``, ``verify.violation``, ...; the span path
+  they fired in is the ``span`` field) and the ConvergenceError
+  forensics workers emit for failed attempts.
 """
 
 from __future__ import annotations
@@ -24,9 +27,12 @@ import os
 import time
 from pathlib import Path
 
-__all__ = ["SINK_SCHEMA", "SpanSink", "worker_sink", "reset_worker_sinks"]
+__all__ = ["SINK_SCHEMA", "SpanSink"]
 
 SINK_SCHEMA = "repro.obs.sink/v1"
+
+_EVENT_KEYS = ("seq", "t", "level", "name")
+"""The keys a session event record keeps for itself; the rest are fields."""
 
 
 class SpanSink:
@@ -42,23 +48,24 @@ class SpanSink:
         self.path = self.directory / f"{role}-{self.pid}.jsonl"
         self._handle = None
 
-    def _ensure_open(self) -> None:
-        if self._handle is None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a")
-            if self.path.stat().st_size == 0:
-                meta = {
-                    "kind": "meta",
-                    "schema": SINK_SCHEMA,
-                    "role": self.role,
-                    "pid": self.pid,
-                    "created_unix": time.time(),
-                }
-                if self.trace_id:
-                    meta["trace_id"] = self.trace_id
-                self._write(meta)
+    def _open(self) -> None:
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self._handle = self.path.open("a")
+        if self.path.stat().st_size == 0:
+            meta = {
+                "kind": "meta",
+                "schema": SINK_SCHEMA,
+                "role": self.role,
+                "pid": self.pid,
+                "created_unix": time.time(),
+            }
+            if self.trace_id:
+                meta["trace_id"] = self.trace_id
+            self._write(meta)
 
     def _write(self, record: dict) -> None:
+        if self._handle is None:
+            self._open()
         self._handle.write(json.dumps(record) + "\n")
         self._handle.flush()
 
@@ -71,7 +78,6 @@ class SpanSink:
         dur_s: float,
         **fields,
     ) -> None:
-        self._ensure_open()
         record = {
             "kind": "span",
             "id": span_id,
@@ -85,58 +91,36 @@ class SpanSink:
         self._write(record)
 
     def write_event(self, name: str, level: str = "info", **fields) -> None:
-        self._ensure_open()
-        record = {"kind": "event", "name": name, "t_unix": time.time(), "level": level}
+        self._write_event(name, level, time.time(), fields)
+
+    def _write_event(self, name: str, level: str, t_unix: float, fields: dict) -> None:
+        record = {"kind": "event", "name": name, "t_unix": t_unix, "level": level}
         if fields:
             record["fields"] = fields
         self._write(record)
 
-    def write_session_spans(self, session) -> None:
-        """Stream a telemetry session's span records into the sink.
+    def write_session(self, session) -> None:
+        """Stream a telemetry session's span records and events.
 
-        The records already carry deterministic ids and parents from
-        the session's :class:`~repro.telemetry.core.TraceContext`, so
-        they are written verbatim.
+        The span records already carry deterministic ids and parents
+        from the session's :class:`~repro.telemetry.core.TraceContext`,
+        so they are written verbatim; events (already filtered by the
+        session's log level) get their unix time from the session's
+        start.
         """
-        if not session.spans:
-            return
-        self._ensure_open()
         for record in session.spans:
             self._write({"kind": "span", **record})
-        if session.dropped_spans:
-            self.write_event(
-                "spans.dropped", level="warning", count=session.dropped_spans
+        for event in session.events:
+            fields = {k: v for k, v in event.items() if k not in _EVENT_KEYS}
+            self._write_event(
+                event["name"], event["level"], session.started_unix + event["t"], fields
             )
+        for what, dropped in (("spans", session.dropped_spans),
+                              ("events", session.dropped_events)):
+            if dropped:
+                self.write_event(f"{what}.dropped", level="warning", count=dropped)
 
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-# -- per-process sink cache ------------------------------------------------------
-#
-# Pool workers persist across tasks, so each process keeps one open
-# sink per trace directory.  The cache is keyed by pid as well: a
-# forked child inherits the parent's module state (including any open
-# sink from an earlier inline run) and must not write through the
-# inherited handle — same-file appends from two processes would
-# interleave mid-line.
-
-_sinks: dict[tuple[int, str], SpanSink] = {}
-
-
-def worker_sink(directory: str | Path, trace_id: str | None = None) -> SpanSink:
-    """This process's sink for ``directory`` (opened lazily, cached)."""
-    key = (os.getpid(), str(directory))
-    sink = _sinks.get(key)
-    if sink is None:
-        sink = _sinks[key] = SpanSink(directory, role="worker", trace_id=trace_id)
-    return sink
-
-
-def reset_worker_sinks() -> None:
-    """Close and forget every cached sink (test isolation)."""
-    for sink in _sinks.values():
-        sink.close()
-    _sinks.clear()

@@ -26,6 +26,7 @@ import time
 from pathlib import Path
 
 from repro.telemetry.core import atomic_write_text
+from repro.telemetry.diag import format_table
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -74,8 +75,8 @@ def _read_sink(path: Path) -> tuple[list[dict], list[dict], list[dict]]:
     return metas, spans, events
 
 
-def merge_trace(trace_dir: str | Path, out_path: str | Path | None = None) -> Path:
-    """Merge every JSONL sink under ``trace_dir`` into one trace file.
+def merge_trace(trace_dir: str | Path) -> Path:
+    """Merge every JSONL sink under ``trace_dir`` into its ``trace.json``.
 
     Spans are deduplicated by id (last record wins — a re-merged run
     after more batches refreshes rather than duplicates) and sorted by
@@ -84,7 +85,6 @@ def merge_trace(trace_dir: str | Path, out_path: str | Path | None = None) -> Pa
     atomically, so a concurrent reader never sees a half-merged file.
     """
     trace_dir = Path(trace_dir)
-    out_path = Path(out_path) if out_path is not None else trace_dir / MERGED_NAME
     spans_by_id: dict[str, dict] = {}
     events: list[dict] = []
     sources: list[str] = []
@@ -110,7 +110,7 @@ def merge_trace(trace_dir: str | Path, out_path: str | Path | None = None) -> Pa
         "spans": spans,
         "events": events,
     }
-    return atomic_write_text(out_path, json.dumps(payload, indent=1))
+    return atomic_write_text(trace_dir / MERGED_NAME, json.dumps(payload, indent=1))
 
 
 def load_trace(path: str | Path) -> dict:
@@ -281,20 +281,8 @@ def format_summary(trace: dict) -> str:
                     f"{1e3 * stats['max_s']:.2f}",
                 ]
             )
-        lines.extend(_table(header, rows))
+        lines.extend(format_table(header, rows))
     return "\n".join(lines)
-
-
-def _table(header: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [
-        max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c])
-        for c in range(len(header))
-    ]
-    out = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    out.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        out.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    return out
 
 
 def _pack_lanes(tasks: list[dict]) -> list[list[dict]]:
@@ -377,7 +365,7 @@ def format_slowest(trace: dict, top: int = 10) -> str:
             ]
         )
     lines = [f"== slowest tasks (top {len(ranked)} of {len(tasks)}) =="]
-    lines.extend(_table(header, rows))
+    lines.extend(format_table(header, rows))
     return "\n".join(lines)
 
 

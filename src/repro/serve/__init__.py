@@ -14,8 +14,8 @@ the results back to every waiting client when the grids land.
   deterministic ad-hoc specs → ``build_grid`` batches → resolved
   futures.
 * :mod:`repro.serve.daemon` — the event loop: admission control,
-  per-request timeouts, graceful drain, telemetry and metrics
-  snapshots.
+  per-request timeouts, graceful drain, telemetry and its run
+  manifest.
 * :mod:`repro.serve.client` — the blocking client the CLI verbs, load
   generator, and smoke tests use.
 

@@ -21,12 +21,15 @@ Operational contract:
   warm hit.
 * **Graceful shutdown** — SIGTERM/SIGINT (or a ``shutdown`` op) stops
   accepting, drains in-flight requests and backfill within
-  ``drain_grace_s``, writes the final metrics snapshot (JSON +
-  Prometheus), and exits.  In-flight backfill is checkpointed by the
-  engine continuously, so even an ungraceful kill loses nothing.
+  ``drain_grace_s``, writes the final run manifest (JSON, with its
+  Prometheus text beside it), and exits.  In-flight backfill is
+  checkpointed by the engine continuously, so even an ungraceful kill
+  loses nothing.
 * **Telemetry** — every request lands in ``serve.*`` counters/timers
-  on the daemon's session; ``metrics`` returns the same snapshot the
-  shutdown files persist, in both JSON and Prometheus text form.
+  on the daemon's session (warm queries are timed, not recorded as
+  span records, so a long-lived daemon holds no per-query state);
+  ``metrics`` returns the same run manifest the shutdown file
+  persists, with its Prometheus text form.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from repro.serve.backfill import (
 )
 from repro.serve.registry import BACKFILLABLE_REASONS, GridRegistry
 from repro.telemetry import core as telemetry
+from repro.telemetry.manifest import build_manifest, to_prometheus, write_manifest
 
 __all__ = ["ServeConfig", "ServeDaemon", "serve"]
 
@@ -195,19 +199,8 @@ class ServeDaemon:
             os._exit(0)
 
     def _write_metrics(self) -> None:
-        if self.config.metrics_out is None:
-            return
-        from repro.obs.export import write_metrics
-
-        json_path = Path(self.config.metrics_out)
-        json_path.parent.mkdir(parents=True, exist_ok=True)
-        write_metrics(
-            self.session,
-            json_path,
-            json_path.with_suffix(".prom"),
-            run="serve",
-            duration_s=time.time() - self._started_unix,
-        )
+        if self.config.metrics_out is not None:
+            write_manifest(self._manifest(), self.config.metrics_out)
 
     # -- connection handling -----------------------------------------------
 
@@ -321,9 +314,7 @@ class ServeDaemon:
         coords = {k: request[k] for k in ("metric", "design", "vdd", "beta", "corner")}
         self.registry.maybe_reload()
         try:
-            with self.session.span("serve.query", **{
-                "metric": coords["metric"], "design": coords["design"],
-            }):
+            with self.session.time_block("span.serve.query"):
                 answer = self.registry.answer(method=request["method"], **coords)
             self.session.count("serve.hits")
             return self._answer_response(request, answer, "memory", t0)
@@ -404,16 +395,15 @@ class ServeDaemon:
             "counters": dict(sorted(self.session.counters.items())),
         }
 
-    def _metrics(self) -> dict:
-        from repro.obs.export import metrics_payload, to_prometheus
-
-        payload = metrics_payload(
-            self.session.snapshot(),
-            run="serve",
-            trace_id=self.session.trace_id,
-            duration_s=time.time() - self._started_unix,
+    def _manifest(self) -> dict:
+        return build_manifest(
+            "serve", "repro serve", None, self.session,
+            time.time() - self._started_unix,
         )
-        return {"json": payload, "prom": to_prometheus(payload)}
+
+    def _metrics(self) -> dict:
+        manifest = self._manifest()
+        return {"json": manifest, "prom": to_prometheus(manifest)}
 
 
 async def serve(config: ServeConfig) -> None:

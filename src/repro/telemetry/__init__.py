@@ -4,7 +4,8 @@ Off by default with a guarded no-op fast path; enable a session to
 collect counters, histograms, wall-clock timers, hierarchical spans,
 and a structured JSON event log from the solvers.  See
 :mod:`repro.telemetry.core` for the primitives,
-:mod:`repro.telemetry.manifest` for per-run provenance records, and
+:mod:`repro.telemetry.manifest` for the per-run record (the one JSON
+rollup, with its Prometheus text beside it), and
 :mod:`repro.telemetry.diag` for the ``repro diag`` report.
 """
 

@@ -11,8 +11,8 @@ A :class:`TelemetrySession` aggregates three metric families plus a
 structured event log:
 
 * **counters** — monotonically increasing integers (``tel.count(name, n)``);
-* **histograms** — count/sum/min/max plus a bounded sample reservoir
-  for percentile estimates (``tel.observe(name, value)``);
+* **histograms** — count/sum/min/max plus a bounded, uniformly
+  sampled reservoir for percentile estimates (``tel.observe(name, value)``);
 * **timers** — histograms of wall-clock seconds (``tel.add_time`` or
   the ``tel.time_block(name)`` context manager);
 * **events** — level-filtered structured records (``tel.event``),
@@ -20,8 +20,9 @@ structured event log:
   span path.
 
 Spans (``with tel.span("experiment.fig04"): ...``) nest; each one
-records a timer under ``span.<path>`` and emits begin/end events, so a
-trace file reconstructs the call hierarchy of a run.
+records a timer under ``span.<path>`` and one span record (id, parent,
+start, duration), from which a trace reconstructs the call hierarchy
+of a run.
 
 Everything is plain-Python and dependency-free; sessions are not
 thread-safe (the simulator is single-threaded).
@@ -30,8 +31,8 @@ thread-safe (the simulator is single-threaded).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
+import random
 import tempfile
 import time
 from contextlib import contextmanager
@@ -45,11 +46,14 @@ __all__ = [
     "TraceContext",
     "active",
     "atomic_write_text",
+    "attempt_span_id",
+    "batch_span_id",
     "derive_span_id",
     "disable",
     "enable",
     "enabled",
     "mint_trace_id",
+    "task_span_id",
 ]
 
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
@@ -96,30 +100,63 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return path
 
 
+# The engine's span ids are pure functions of the trace id and the
+# span's logical position — never of pids, worker count or completion
+# order — so a merged trace of the same seeded run is identical at any
+# ``--jobs J`` modulo timestamps.
+
+
+def batch_span_id(trace_id: str, run_key: str) -> str:
+    """The deterministic span id of one engine batch."""
+    return derive_span_id(trace_id, "", f"batch[{run_key}]", 0)
+
+
+def task_span_id(trace_id: str, batch_id: str, index: int) -> str:
+    """The deterministic span id of task ``index`` within a batch."""
+    return derive_span_id(trace_id, batch_id, f"task[{index}]", 0)
+
+
+def attempt_span_id(trace_id: str, task_id: str, attempt: int) -> str:
+    """The deterministic span id of one task attempt."""
+    return derive_span_id(trace_id, task_id, f"attempt[{attempt}]", 0)
+
+
 @dataclass(frozen=True)
 class TraceContext:
     """Where a session's spans hang in a cross-process trace.
 
     ``trace_id`` names the run-level trace; ``parent_span_id`` is the
     id every *top-level* span of this session parents to (e.g. the
-    worker attempt span for a task's solver spans).  Sessions without a
-    context still record spans, under a privately minted trace id.
+    worker attempt span for a task's solver spans); ``directory`` is
+    the trace directory whose per-process sinks the spans and events
+    stream to.  Plain picklable data, so the engine hands one to every
+    worker by value.  Sessions without a context still record spans,
+    under a privately minted trace id.
     """
 
     trace_id: str
     parent_span_id: str = ""
+    directory: str | None = None
+
+    @staticmethod
+    def for_batch(directory, run_key: str, trace_id: str | None = None) -> "TraceContext":
+        """The context of one engine batch (fresh trace id unless given)."""
+        trace_id = trace_id or mint_trace_id()
+        return TraceContext(trace_id, batch_span_id(trace_id, run_key), str(directory))
 
 
 class Histogram:
     """Streaming summary of one observed quantity.
 
-    Exact count/sum/min/max plus a bounded reservoir of the first
-    ``max_samples`` observations for percentile estimates — enough for
-    step-size and iteration-count distributions without unbounded
-    memory on million-step campaigns.
+    Exact count/sum/min/max plus a bounded reservoir of ``max_samples``
+    observations for percentile estimates, so million-step campaigns
+    need no unbounded memory.  Uniform reservoir sampling (Algorithm R)
+    makes the quantiles describe the whole run, not its start; each
+    histogram draws from its own fixed-seed generator, so the same
+    observations always give the same snapshot.
     """
 
-    __slots__ = ("count", "total", "minimum", "maximum", "samples", "max_samples")
+    __slots__ = ("count", "total", "minimum", "maximum", "samples", "max_samples", "_rng")
 
     def __init__(self, max_samples: int = 512):
         self.count = 0
@@ -128,6 +165,7 @@ class Histogram:
         self.maximum = float("-inf")
         self.samples: list[float] = []
         self.max_samples = max_samples
+        self._rng: random.Random | None = None
 
     def record(self, value: float) -> None:
         value = float(value)
@@ -139,6 +177,12 @@ class Histogram:
             self.maximum = value
         if len(self.samples) < self.max_samples:
             self.samples.append(value)
+            return
+        if self._rng is None:
+            self._rng = random.Random(0)
+        slot = int(self._rng.random() * self.count)
+        if slot < self.max_samples:
+            self.samples[slot] = value
 
     @property
     def mean(self) -> float:
@@ -200,6 +244,7 @@ class TelemetrySession:
         self._seq = 0
         self._span_seq = 0
         self.started = clock()
+        self.started_unix = time.time()
 
     @property
     def trace_id(self) -> str:
@@ -265,14 +310,14 @@ class TelemetrySession:
     def span(self, name: str, **fields):
         """Hierarchical timed section; nests with enclosing spans.
 
-        Besides the ``span.<path>`` timer and the begin/end events, each
-        completed span appends one structured *span record* (id, parent
-        id, name, unix start time, duration, fields) to :attr:`spans`.
-        Span ids derive deterministically from the session's
-        :class:`TraceContext` (see :func:`derive_span_id`), so worker
-        sessions configured with the same context produce identical span
-        trees for identical work — the substrate of the cross-process
-        trace pipeline (:mod:`repro.obs`).
+        Besides the ``span.<path>`` timer, each completed span appends
+        one structured *span record* (id, parent id, name, unix start
+        time, duration, fields) to :attr:`spans`.  Span ids derive
+        deterministically from the session's :class:`TraceContext` (see
+        :func:`derive_span_id`), so worker sessions configured with the
+        same context produce identical span trees for identical work —
+        the substrate of the cross-process trace pipeline
+        (:mod:`repro.obs`).
         """
         parent_id = (
             self._span_ids[-1] if self._span_ids else self.trace.parent_span_id
@@ -282,7 +327,6 @@ class TelemetrySession:
         self._span_stack.append(name)
         self._span_ids.append(span_id)
         path = self.span_path
-        self.event("span.begin", level="debug", **fields)
         t0_unix = time.time()
         start = self.clock()
         try:
@@ -290,7 +334,6 @@ class TelemetrySession:
         finally:
             duration = self.clock() - start
             self.add_time(f"span.{path}", duration)
-            self.event("span.end", level="debug", duration_s=duration)
             self._span_stack.pop()
             self._span_ids.pop()
             if len(self.spans) < self.max_spans:
@@ -322,27 +365,6 @@ class TelemetrySession:
                 for name, timer in sorted(self.timers.items())
             },
         }
-
-    def write_trace(self, path: str | Path) -> Path:
-        """Write the full session (metrics, events, spans) as one JSON file.
-
-        The write is atomic (write-then-rename), so a run killed
-        mid-dump leaves either no trace file or a complete one — never
-        a truncated JSON document.
-        """
-        payload = {
-            "schema": "repro.telemetry.trace/v1",
-            "created_unix": time.time(),
-            "trace_id": self.trace_id,
-            "log_level": self.log_level,
-            "duration_s": self.clock() - self.started,
-            "metrics": self.snapshot(),
-            "events": self.events,
-            "spans": self.spans,
-            "dropped_events": self.dropped_events,
-            "dropped_spans": self.dropped_spans,
-        }
-        return atomic_write_text(path, json.dumps(payload, indent=2))
 
 
 # -- global session management --------------------------------------------------

@@ -17,6 +17,10 @@ selection) for runs using the batched SPICE tier, a *char* table
 characterization-store activity, and a *wl_crit* table (probes, the
 accepted steps probes took over from earlier probes, probes ended by
 the latch rule) for runs with WL_crit searches.
+
+:func:`format_table` is the one fixed-width table printer; ``repro
+trace``, ``repro bench history`` and experiment result tables use it
+too.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-__all__ = ["load_manifests", "format_diag_report"]
+__all__ = ["load_manifests", "format_diag_report", "format_table"]
 
 _TIER_LABELS = (
     ("warm_start", "warm"),
@@ -32,6 +36,19 @@ _TIER_LABELS = (
     ("gmin_stepping", "gmin"),
     ("source_stepping", "src"),
 )
+
+
+def format_table(header: list[str], rows: list[list[str]]) -> list[str]:
+    """Left-aligned columns two spaces apart, under a dashed rule."""
+    widths = [
+        max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c])
+        for c in range(len(header))
+    ]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
+    lines.append("  ".join("-" * w for w in widths))
+    for row in rows:
+        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
+    return lines
 
 
 def load_manifests(paths) -> list[dict]:
@@ -61,7 +78,7 @@ def load_manifests(paths) -> list[dict]:
     return manifests
 
 
-def _fallback_summary(counters: dict) -> str:
+def _fallback_summary(manifest: dict, counters: dict) -> str:
     parts = [
         f"{label}:{counters[f'dcop.converged.{tier}']}"
         for tier, label in _TIER_LABELS
@@ -70,238 +87,131 @@ def _fallback_summary(counters: dict) -> str:
     return " ".join(parts) if parts else "-"
 
 
-def _render_table(title: str, header: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [
-        max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c])
-        for c in range(len(header))
-    ]
-    lines = [title]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    return lines
+def _count(key: str):
+    return lambda manifest, counters: str(counters.get(key, 0))
 
 
-_ENGINE_KEYS = (
-    "newton.jacobian_stamps",
-    "newton.jacobian_reuses",
-    "engine.retries",
-    "engine.timeouts",
-    "engine.convergence_errors",
-    "engine.tasks_total",
+def _pair(a: str, b: str):
+    return lambda manifest, counters: f"{counters.get(a, 0)}/{counters.get(b, 0)}"
+
+
+def _experiment(manifest: dict, counters: dict) -> str:
+    return str(manifest.get("experiment_id", "?"))
+
+
+def _transient_balance(manifest: dict, counters: dict) -> str:
+    rejected = counters.get("transient.rejected_newton", 0) + counters.get(
+        "transient.rejected_dv_limit", 0
+    )
+    return f"{counters.get('transient.steps_accepted', 0)}/{rejected}"
+
+
+def _jacobian_reuse(manifest: dict, counters: dict) -> str:
+    stamps = counters.get("newton.jacobian_stamps", 0)
+    reuses = counters.get("newton.jacobian_reuses", 0)
+    return f"{100.0 * reuses / (stamps + reuses) if stamps + reuses else 0.0:.0f}%"
+
+
+def _tasks_ok(manifest: dict, counters: dict) -> str:
+    total = counters.get("engine.tasks_total", 0)
+    failed = counters.get("engine.tasks_failed", 0)
+    return f"{total - failed}/{total}" if total else "-"
+
+
+def _members_split(manifest: dict, counters: dict) -> str:
+    members = counters.get("batch.members", 0)
+    retried = counters.get("batch.member_retries", 0)
+    failed = counters.get("batch.member_failures", 0)
+    return f"{members - failed}/{retried}/{failed}" if members else "-"
+
+
+_SECTIONS = (
+    # (title, gating counters (none: always shown), columns)
+    ("solver", (), (
+        ("experiment", _experiment),
+        ("wall (s)", lambda manifest, _: f"{manifest.get('wall_time_s', 0.0):.2f}"),
+        ("dc solves", _count("dcop.solves")),
+        ("newton iters", _count("newton.iterations")),
+        ("fallback tiers", _fallback_summary),
+        ("tran acc/rej", _transient_balance),
+        ("checksum", lambda manifest, _: manifest.get("result", {}).get(
+            "checksum_sha256", "")[:12]),
+    )),
+    ("engine", (
+        "newton.jacobian_stamps",
+        "newton.jacobian_reuses",
+        "engine.retries",
+        "engine.timeouts",
+        "engine.convergence_errors",
+        "engine.tasks_total",
+    ), (
+        ("experiment", _experiment),
+        ("jac stamp/reuse", _pair("newton.jacobian_stamps", "newton.jacobian_reuses")),
+        ("reuse", _jacobian_reuse),
+        ("retries", _count("engine.retries")),
+        ("timeouts", _count("engine.timeouts")),
+        ("conv errors", _count("engine.convergence_errors")),
+        ("tasks ok", _tasks_ok),
+    )),
+    ("batch solver", (
+        "batch.runs",
+        "batch.members",
+        "mna.sparse_selected",
+        "mna.dense_selected",
+    ), (
+        ("experiment", _experiment),
+        ("runs", _count("batch.runs")),
+        ("members", _count("batch.members")),
+        ("ok/retried/failed", _members_split),
+        ("ticks", _count("batch.ticks")),
+        ("assemblies", _count("batch.member_assemblies")),
+        ("sparse/dense", _pair("mna.sparse_selected", "mna.dense_selected")),
+    )),
+    ("char", (
+        "char.store.hits",
+        "char.store.misses",
+        "char.serve.hits",
+        "char.serve.misses",
+        "char.points_computed",
+        "char.points_failed",
+    ), (
+        ("experiment", _experiment),
+        ("store hit/miss", _pair("char.store.hits", "char.store.misses")),
+        ("serve hit/miss", _pair("char.serve.hits", "char.serve.misses")),
+        ("computed", _count("char.points_computed")),
+        ("failed", _count("char.points_failed")),
+    )),
+    ("wl_crit", ("wlcrit.steps_resumed", "wlcrit.probes_latched"), (
+        ("experiment", _experiment),
+        ("transients", _count("transient.simulations")),
+        ("steps resumed", _count("wlcrit.steps_resumed")),
+        ("probes latched", _count("wlcrit.probes_latched")),
+    )),
 )
-
-
-def _engine_rows(manifests: list[dict]) -> list[list[str]]:
-    rows = []
-    for manifest in manifests:
-        counters = manifest.get("telemetry", {}).get("counters", {})
-        if not any(counters.get(key) for key in _ENGINE_KEYS):
-            continue
-        stamps = counters.get("newton.jacobian_stamps", 0)
-        reuses = counters.get("newton.jacobian_reuses", 0)
-        reuse_pct = 100.0 * reuses / (stamps + reuses) if stamps + reuses else 0.0
-        total = counters.get("engine.tasks_total", 0)
-        failed = counters.get("engine.tasks_failed", 0)
-        rows.append(
-            [
-                str(manifest.get("experiment_id", "?")),
-                f"{stamps}/{reuses}",
-                f"{reuse_pct:.0f}%",
-                str(counters.get("engine.retries", 0)),
-                str(counters.get("engine.timeouts", 0)),
-                str(counters.get("engine.convergence_errors", 0)),
-                f"{total - failed}/{total}" if total else "-",
-            ]
-        )
-    return rows
-
-
-_BATCH_KEYS = (
-    "batch.runs",
-    "batch.members",
-    "mna.sparse_selected",
-    "mna.dense_selected",
-)
-
-
-def _batch_rows(manifests: list[dict]) -> list[list[str]]:
-    rows = []
-    for manifest in manifests:
-        counters = manifest.get("telemetry", {}).get("counters", {})
-        if not any(counters.get(key) for key in _BATCH_KEYS):
-            continue
-        members = counters.get("batch.members", 0)
-        retried = counters.get("batch.member_retries", 0)
-        failed = counters.get("batch.member_failures", 0)
-        rows.append(
-            [
-                str(manifest.get("experiment_id", "?")),
-                str(counters.get("batch.runs", 0)),
-                str(members),
-                f"{members - failed}/{retried}/{failed}" if members else "-",
-                str(counters.get("batch.ticks", 0)),
-                str(counters.get("batch.member_assemblies", 0)),
-                f"{counters.get('mna.sparse_selected', 0)}/"
-                f"{counters.get('mna.dense_selected', 0)}",
-            ]
-        )
-    return rows
-
-
-_CHAR_KEYS = (
-    "char.store.hits",
-    "char.store.misses",
-    "char.serve.hits",
-    "char.serve.misses",
-    "char.points_computed",
-    "char.points_failed",
-)
-
-
-def _char_rows(manifests: list[dict]) -> list[list[str]]:
-    rows = []
-    for manifest in manifests:
-        counters = manifest.get("telemetry", {}).get("counters", {})
-        if not any(counters.get(key) for key in _CHAR_KEYS):
-            continue
-        rows.append(
-            [
-                str(manifest.get("experiment_id", "?")),
-                f"{counters.get('char.store.hits', 0)}/"
-                f"{counters.get('char.store.misses', 0)}",
-                f"{counters.get('char.serve.hits', 0)}/"
-                f"{counters.get('char.serve.misses', 0)}",
-                str(counters.get("char.points_computed", 0)),
-                str(counters.get("char.points_failed", 0)),
-            ]
-        )
-    return rows
-
-
-_WLCRIT_KEYS = ("wlcrit.steps_resumed", "wlcrit.probes_latched")
-
-
-def _wlcrit_rows(manifests: list[dict]) -> list[list[str]]:
-    rows = []
-    for manifest in manifests:
-        counters = manifest.get("telemetry", {}).get("counters", {})
-        if not any(counters.get(key) for key in _WLCRIT_KEYS):
-            continue
-        rows.append(
-            [
-                str(manifest.get("experiment_id", "?")),
-                str(counters.get("transient.simulations", 0)),
-                str(counters.get("wlcrit.steps_resumed", 0)),
-                str(counters.get("wlcrit.probes_latched", 0)),
-            ]
-        )
-    return rows
 
 
 def format_diag_report(manifests: list[dict]) -> str:
     """Solver health tables, one row per manifest.
 
-    Always renders the solver table; the engine, batch, char and
-    wl_crit sections are appended only when at least one manifest
-    recorded those counters, so pre-engine manifests keep their old
-    report shape.
+    Always renders the solver table; every other section is appended
+    only when at least one manifest recorded one of its gating
+    counters, and lists only those manifests, so pre-engine manifests
+    keep their old report shape.
     """
-    header = [
-        "experiment",
-        "wall (s)",
-        "dc solves",
-        "newton iters",
-        "fallback tiers",
-        "tran acc/rej",
-        "checksum",
-    ]
-    rows = []
-    for manifest in manifests:
-        counters = manifest.get("telemetry", {}).get("counters", {})
-        rejected = counters.get("transient.rejected_newton", 0) + counters.get(
-            "transient.rejected_dv_limit", 0
-        )
-        checksum = manifest.get("result", {}).get("checksum_sha256", "")
-        rows.append(
-            [
-                str(manifest.get("experiment_id", "?")),
-                f"{manifest.get('wall_time_s', 0.0):.2f}",
-                str(counters.get("dcop.solves", 0)),
-                str(counters.get("newton.iterations", 0)),
-                _fallback_summary(counters),
-                f"{counters.get('transient.steps_accepted', 0)}/{rejected}",
-                checksum[:12],
-            ]
-        )
-    lines = _render_table("== solver diagnostics ==", header, rows)
-    if not rows:
-        lines.append("(no run manifests found — run an experiment with --profile)")
-
-    engine_rows = _engine_rows(manifests)
-    if engine_rows:
-        lines.append("")
-        lines.extend(
-            _render_table(
-                "== engine diagnostics ==",
-                [
-                    "experiment",
-                    "jac stamp/reuse",
-                    "reuse",
-                    "retries",
-                    "timeouts",
-                    "conv errors",
-                    "tasks ok",
-                ],
-                engine_rows,
-            )
-        )
-
-    batch_rows = _batch_rows(manifests)
-    if batch_rows:
-        lines.append("")
-        lines.extend(
-            _render_table(
-                "== batch solver diagnostics ==",
-                [
-                    "experiment",
-                    "runs",
-                    "members",
-                    "ok/retried/failed",
-                    "ticks",
-                    "assemblies",
-                    "sparse/dense",
-                ],
-                batch_rows,
-            )
-        )
-
-    char_rows = _char_rows(manifests)
-    if char_rows:
-        lines.append("")
-        lines.extend(
-            _render_table(
-                "== char diagnostics ==",
-                [
-                    "experiment",
-                    "store hit/miss",
-                    "serve hit/miss",
-                    "computed",
-                    "failed",
-                ],
-                char_rows,
-            )
-        )
-
-    wlcrit_rows = _wlcrit_rows(manifests)
-    if wlcrit_rows:
-        lines.append("")
-        lines.extend(
-            _render_table(
-                "== wl_crit diagnostics ==",
-                ["experiment", "transients", "steps resumed", "probes latched"],
-                wlcrit_rows,
-            )
-        )
+    lines: list[str] = []
+    for title, gate, columns in _SECTIONS:
+        rows = []
+        for manifest in manifests:
+            counters = manifest.get("telemetry", {}).get("counters", {})
+            if gate and not any(counters.get(key) for key in gate):
+                continue
+            rows.append([cell(manifest, counters) for _, cell in columns])
+        if gate and not rows:
+            continue
+        if lines:
+            lines.append("")
+        lines.append(f"== {title} diagnostics ==")
+        lines.extend(format_table([name for name, _ in columns], rows))
+        if not rows:
+            lines.append("(no run manifests found — run an experiment with --profile)")
     return "\n".join(lines)

@@ -64,15 +64,29 @@ class TestRunExperiment:
         assert telemetry.active() is None
 
     def test_trace_written(self, fake_registry, tmp_path):
-        trace = tmp_path / "trace.json"
+        # The one trace file holds the runner session's events beside
+        # its spans, and the manifest joins it by trace id.
+        trace_dir = tmp_path / "trace"
         runner.run_experiment(
-            "fake", trace_path=trace, log_level="debug", output_dir=tmp_path
+            "fake", trace_dir=trace_dir, log_level="debug", output_dir=tmp_path
         )
-        payload = json.loads(trace.read_text())
-        assert payload["schema"] == "repro.telemetry.trace/v1"
+        payload = json.loads((trace_dir / "trace.json").read_text())
+        assert payload["schema"] == "repro.obs.trace/v1"
         names = [e["name"] for e in payload["events"]]
         assert "dcop.converged" in names
-        assert payload["metrics"]["counters"]["newton.solves"] >= 1
+        assert "span.begin" not in names and "span.end" not in names
+        assert [s["name"] for s in payload["spans"]].count("experiment.fake") == 1
+        manifest = json.loads((tmp_path / "fake_manifest.json").read_text())
+        assert payload["trace_ids"] == [manifest["trace_id"]]
+        assert manifest["telemetry"]["counters"]["newton.solves"] >= 1
+
+    def test_instrumented_run_writes_one_rollup(self, fake_registry, tmp_path):
+        runner.run_experiment("fake", profile=True, output_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fake.json", "fake_manifest.json", "fake_manifest.prom",
+        ]
+        prom = (tmp_path / "fake_manifest.prom").read_text()
+        assert 'repro_dcop_solves_total{run="fake"} 1' in prom
 
     def test_output_dir_saves_result_json(self, fake_registry, tmp_path):
         out = tmp_path / "nested"
@@ -111,45 +125,36 @@ def sampling_registry(monkeypatch):
     )
 
 
-class TestTracePathSuffixing:
-    def test_multi_run_gets_experiment_suffix(self):
-        assert (
-            str(runner._trace_path_for("out.json", "fig02", multi=True))
-            == "out_fig02.json"
-        )
-
-    def test_single_run_keeps_the_exact_path(self):
-        assert runner._trace_path_for("out.json", "fig02", multi=False) == "out.json"
+class TestTraceDirPerExperiment:
+    def test_single_run_uses_the_directory_itself(self):
+        assert runner._trace_dir_for("d", "fig02", multi=False) == "d"
 
     def test_none_stays_none(self):
-        assert runner._trace_path_for(None, "fig02", multi=True) is None
-
-    def test_suffix_added_when_path_has_no_extension(self):
-        assert (
-            str(runner._trace_path_for("trace", "fig04", multi=True))
-            == "trace_fig04.json"
-        )
+        assert runner._trace_dir_for(None, "fig02", multi=True) is None
 
     def test_all_run_writes_one_trace_per_experiment(
         self, monkeypatch, tmp_path
     ):
-        # Regression: `all --trace out.json` used to clobber every trace
-        # with the last experiment's.
+        # Regression: `all` used to leave only the last experiment's
+        # trace; each experiment gets its own subdirectory.
         monkeypatch.setattr(
             runner,
             "REGISTRY",
             {"fake_a": (fake_run, "a"), "fake_b": (fake_run, "b")},
         )
-        trace = tmp_path / "out.json"
+        trace_dir = tmp_path / "traces"
         assert (
             runner.main(
-                ["all", "--trace", str(trace), "--output-dir", str(tmp_path)]
+                ["all", "--trace-dir", str(trace_dir), "--output-dir", str(tmp_path)]
             )
             == 0
         )
-        assert not trace.exists()
-        assert (tmp_path / "out_fake_a.json").exists()
-        assert (tmp_path / "out_fake_b.json").exists()
+        assert not (trace_dir / "trace.json").exists()
+        for experiment_id in ("fake_a", "fake_b"):
+            trace = json.loads((trace_dir / experiment_id / "trace.json").read_text())
+            names = [s["name"] for s in trace["spans"]]
+            assert names.count(f"experiment.{experiment_id}") == 1
+            assert len(trace["spans"]) == 2  # the experiment span + its dcop span
 
 
 class TestEngineFlagPlumbing:

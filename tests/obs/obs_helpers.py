@@ -24,3 +24,15 @@ def flaky_once(payload, ctx) -> float:
 
 def always_diverges(payload, ctx) -> float:
     raise ConvergenceError("no operating point found")
+
+
+def divider_solve(payload, ctx) -> float:
+    """One real DC solve, so the task span carries solver counters."""
+    from repro.circuit.dcop import solve_dc
+    from repro.circuit.netlist import Circuit
+
+    c = Circuit()
+    c.add_voltage_source("v1", "in", "0", 1.0)
+    c.add_resistor("in", "out", 1e3)
+    c.add_resistor("out", "0", 1e3 * (1 + payload))
+    return solve_dc(c).voltage("out")

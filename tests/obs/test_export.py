@@ -1,16 +1,16 @@
-"""Tests for the metrics export layer (JSON envelope + Prometheus text)."""
+"""Tests for the manifest's Prometheus text and its one writer."""
 
 from __future__ import annotations
 
 import json
 
-from repro.obs.export import (
-    METRICS_SCHEMA,
-    metrics_payload,
-    to_prometheus,
-    write_metrics,
-)
 from repro.telemetry.core import TelemetrySession, TraceContext
+from repro.telemetry.manifest import (
+    MANIFEST_SCHEMA,
+    build_manifest,
+    to_prometheus,
+    write_manifest,
+)
 
 
 def make_session() -> TelemetrySession:
@@ -21,23 +21,6 @@ def make_session() -> TelemetrySession:
     tel.observe("newton.iters_per_solve", 8.0)
     tel.add_time("dcop.wall", 0.25)
     return tel
-
-
-class TestEnvelope:
-    def test_payload_shape(self):
-        payload = metrics_payload(
-            make_session().snapshot(), run="fig09", trace_id="x", duration_s=1.5
-        )
-        assert payload["schema"] == METRICS_SCHEMA
-        assert payload["run"] == "fig09"
-        assert payload["trace_id"] == "x"
-        assert payload["duration_s"] == 1.5
-        assert payload["metrics"]["counters"]["dcop.solves"] == 7
-
-    def test_bare_defaults(self):
-        payload = metrics_payload({})
-        assert payload["run"] is None
-        assert payload["trace_id"] is None
 
 
 class TestPrometheus:
@@ -63,10 +46,8 @@ class TestPrometheus:
         assert "repro_dcop_wall_seconds_sum 0.25" in text
 
     def test_run_label_applied_and_escaped(self):
-        payload = metrics_payload(
-            make_session().snapshot(), run='fig"09"', duration_s=2.0
-        )
-        text = to_prometheus(payload)
+        manifest = build_manifest('fig"09"', "t", None, make_session(), 2.0)
+        text = to_prometheus(manifest)
         assert 'repro_dcop_solves_total{run="fig\\"09\\""} 7' in text
         assert "# TYPE repro_run_duration_seconds gauge" in text
         assert 'repro_run_duration_seconds{run="fig\\"09\\""} 2.0' in text
@@ -89,23 +70,20 @@ class TestPrometheus:
 class TestWriteMetrics:
     def test_writes_both_formats_atomically(self, tmp_path):
         json_path = tmp_path / "m.json"
-        prom_path = tmp_path / "m.prom"
-        written = write_metrics(
-            make_session(), json_path, prom_path, run="fig09", duration_s=1.0
+        written = write_manifest(
+            build_manifest("fig09", "t", None, make_session(), 1.0), json_path
         )
-        assert written == [json_path, prom_path]
+        assert written == json_path
         payload = json.loads(json_path.read_text())
-        assert payload["schema"] == METRICS_SCHEMA
-        assert prom_path.read_text().startswith("#")
+        assert payload["schema"] == MANIFEST_SCHEMA
+        assert payload["telemetry"]["counters"]["dcop.solves"] == 7
+        assert (tmp_path / "m.prom").read_text().startswith("#")
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_trace_id_defaults_to_session(self, tmp_path):
-        write_metrics(make_session(), tmp_path / "m.json")
+        write_manifest(
+            build_manifest("fig09", "t", None, make_session(), 1.0),
+            tmp_path / "m.json",
+        )
         payload = json.loads((tmp_path / "m.json").read_text())
         assert payload["trace_id"] == "abad1deaabad1dea"
-
-    def test_accepts_pretaken_snapshot(self, tmp_path):
-        write_metrics(make_session().snapshot(), tmp_path / "m.json", run="r")
-        payload = json.loads((tmp_path / "m.json").read_text())
-        assert payload["trace_id"] is None
-        assert payload["metrics"]["counters"]["dcop.solves"] == 7

@@ -8,18 +8,10 @@ import pytest
 
 from repro.cli import main
 from repro.engine import EngineConfig, Task, derive_seed, run_tasks
-from repro.obs.sink import reset_worker_sinks
 
 from obs_helpers import flaky_once, seeded_value
 
 TRACE_ID = "c11c11c11c11c11c"
-
-
-@pytest.fixture(autouse=True)
-def _clean_sinks():
-    reset_worker_sinks()
-    yield
-    reset_worker_sinks()
 
 
 @pytest.fixture()

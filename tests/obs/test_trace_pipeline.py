@@ -15,26 +15,25 @@ import json
 import pytest
 
 from repro.engine import EngineConfig, Task, derive_seed, run_tasks
-from repro.obs.context import TraceSpec, attempt_span_id, batch_span_id, task_span_id
-from repro.obs.sink import SpanSink, reset_worker_sinks
+from repro.obs.sink import SpanSink
 from repro.obs.trace import (
     format_convergence,
     load_trace,
     merge_trace,
     summarize_trace,
 )
+from repro.telemetry import core as telemetry
+from repro.telemetry.core import (
+    TraceContext,
+    attempt_span_id,
+    batch_span_id,
+    task_span_id,
+)
 
-from obs_helpers import always_diverges, flaky_once, seeded_value
+from obs_helpers import always_diverges, divider_solve, flaky_once, seeded_value
 
 TRACE_ID = "feedfacefeedface"
 N_TASKS = 6
-
-
-@pytest.fixture(autouse=True)
-def _clean_sinks():
-    reset_worker_sinks()
-    yield
-    reset_worker_sinks()
 
 
 def make_tasks(fn=seeded_value, n=N_TASKS):
@@ -116,7 +115,6 @@ class TestMergeDeterminism:
         for jobs in (1, 2):
             trace_dir, _ = run_traced(tmp_path, jobs=jobs)
             shapes.append(shape(load_trace(trace_dir)))
-            reset_worker_sinks()
         assert shapes[0] == shapes[1]
 
     def test_retries_are_traced_identically_across_jobs(self, tmp_path):
@@ -130,7 +128,6 @@ class TestMergeDeterminism:
             assert summary["attempts"] == 2 * N_TASKS
             assert summary["retried_tasks"] == N_TASKS
             shapes.append(shape(load_trace(trace_dir)))
-            reset_worker_sinks()
         assert shapes[0] == shapes[1]
 
     def test_remerge_is_idempotent(self, tmp_path):
@@ -242,8 +239,44 @@ class TestSinkHygiene:
         assert first["trace_id"] == TRACE_ID
 
     def test_spec_for_batch_reuses_pinned_trace_id(self, tmp_path):
-        spec = TraceSpec.for_batch(tmp_path, "k", trace_id=TRACE_ID)
+        spec = TraceContext.for_batch(tmp_path, "k", trace_id=TRACE_ID)
         assert spec.trace_id == TRACE_ID
         assert spec.parent_span_id == batch_span_id(TRACE_ID, "k")
-        fresh = TraceSpec.for_batch(tmp_path, "k")
+        assert spec.directory == str(tmp_path)
+        fresh = TraceContext.for_batch(tmp_path, "k")
         assert fresh.trace_id != TRACE_ID
+
+
+class TestSessionEvents:
+    """Worker sessions stream their events beside their spans, at the
+    log level of the session the batch runs under."""
+
+    def run_divider(self, tmp_path, jobs, log_level):
+        trace_dir = tmp_path / f"events_j{jobs}_{log_level}"
+        tasks = [
+            Task(index=k, fn=divider_solve, payload=k, seed=derive_seed(3, k))
+            for k in range(2)
+        ]
+        config = EngineConfig(
+            jobs=jobs, trace_dir=trace_dir, trace_id=TRACE_ID, run_key="events"
+        )
+        with telemetry.enabled(log_level=log_level):
+            run_tasks(tasks, config)
+        return load_trace(trace_dir)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_debug_events_reach_the_trace(self, tmp_path, jobs):
+        trace = self.run_divider(tmp_path, jobs, "debug")
+        converged = [e for e in trace["events"] if e["name"] == "dcop.converged"]
+        assert len(converged) == 2
+        assert {e["level"] for e in converged} == {"debug"}
+        assert {e["fields"]["tier"] for e in converged} == {"cold_start"}
+        assert all(e["fields"]["span"] == "dcop" for e in converged)
+        attempts = [s for s in trace["spans"] if s["name"] == "attempt"]
+        for event in converged:
+            assert min(s["t0_unix"] for s in attempts) <= event["t_unix"]
+
+    def test_events_below_the_level_stay_out(self, tmp_path):
+        trace = self.run_divider(tmp_path, 1, "info")
+        assert trace["events"] == []
+        assert any(s["name"] == "dcop" for s in trace["spans"])

@@ -86,9 +86,23 @@ class TestWarmPath:
         with daemon.client() as client:
             client.query("hold_power", design="cmos", vdd=0.6)
             metrics = client.metrics()
-        counters = metrics["json"]["metrics"]["counters"]
+        manifest = metrics["json"]
+        assert manifest["schema"] == "repro.run-manifest/v1"
+        assert manifest["experiment_id"] == "serve"
+        assert "result" not in manifest
+        counters = manifest["telemetry"]["counters"]
         assert counters["serve.hits"] == 1
-        assert "repro_serve_hits_total" in metrics["prom"]
+        assert 'repro_serve_hits_total{run="serve"} 1' in metrics["prom"]
+
+    def test_warm_queries_keep_no_span_records(self, daemon_factory):
+        daemon = daemon_factory()
+        n = 25
+        with daemon.client() as client:
+            for _ in range(n):
+                client.query("hold_power", design="cmos", vdd=0.6)
+            manifest = client.metrics()["json"]
+        assert daemon.daemon.session.spans == []
+        assert manifest["telemetry"]["timers"]["span.serve.query"]["count"] == n
 
     def test_tcp_listener_speaks_the_same_protocol(self, daemon_factory):
         import socket as socketlib
@@ -279,7 +293,8 @@ class TestShutdown:
         assert metrics_out.exists()
         assert metrics_out.with_suffix(".prom").exists()
         payload = json.loads(metrics_out.read_text())
-        assert payload["run"] == "serve"
+        assert payload["experiment_id"] == "serve"
+        assert payload["telemetry"]["counters"]["serve.requests"] >= 1
 
     def test_queries_rejected_while_draining(self, daemon_factory):
         daemon = daemon_factory()

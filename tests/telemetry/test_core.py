@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.telemetry import core as telemetry
@@ -94,25 +92,15 @@ class TestSession:
         with tel.span("outer"):
             with tel.span("inner"):
                 assert tel.span_path == "outer/inner"
+                tel.event("inside")
         assert tel.span_path == ""
         assert "span.outer" in tel.timers
         assert "span.outer/inner" in tel.timers
-        names = [e["name"] for e in tel.events]
-        assert names == ["span.begin", "span.begin", "span.end", "span.end"]
-        assert tel.events[1]["span"] == "outer/inner"
-
-    def test_write_trace_round_trips(self, tmp_path):
-        tel = TelemetrySession(log_level="debug")
-        tel.count("c", 2)
-        tel.observe("h", 0.5)
-        tel.event("hello", payload=[1, 2])
-        path = tel.write_trace(tmp_path / "trace.json")
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == "repro.telemetry.trace/v1"
-        assert payload["metrics"]["counters"]["c"] == 2
-        assert payload["metrics"]["histograms"]["h"]["count"] == 1
-        assert payload["events"][0]["name"] == "hello"
-        assert payload["dropped_events"] == 0
+        # Each span is one record holding its start and duration; spans
+        # emit no begin/end events of their own.
+        assert [s["name"] for s in tel.spans] == ["inner", "outer"]
+        assert [e["name"] for e in tel.events] == ["inside"]
+        assert tel.events[0]["span"] == "outer/inner"
 
 
 class TestGlobalSession:

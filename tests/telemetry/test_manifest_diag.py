@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 
+import pytest
+
 from repro.experiments.common import ExperimentResult
-from repro.telemetry.core import TelemetrySession
+from repro.telemetry.core import TelemetrySession, TraceContext
 from repro.telemetry.diag import format_diag_report, load_manifests
 from repro.telemetry.manifest import (
     MANIFEST_SCHEMA,
@@ -64,15 +67,74 @@ class TestManifest:
 
     def test_write_and_load_round_trip(self, tmp_path):
         manifest = self.build()
-        path = write_manifest(manifest, tmp_path / "deep" / "dir")
-        assert path == manifest_path(tmp_path / "deep" / "dir", "figX")
+        target = manifest_path(tmp_path / "deep" / "dir", "figX")
+        path = write_manifest(manifest, target)
+        assert path == target
         loaded = load_manifests([path.parent])
         assert len(loaded) == 1
         assert loaded[0]["experiment_id"] == "figX"
 
     def test_manifest_is_valid_json(self, tmp_path):
-        path = write_manifest(self.build(), tmp_path)
+        path = write_manifest(self.build(), manifest_path(tmp_path, "figX"))
         json.loads(path.read_text())
+
+    def test_carries_the_session_trace_id(self):
+        tel = TelemetrySession(trace=TraceContext(trace_id="abad1deaabad1dea"))
+        manifest = build_manifest("figX", "t", make_result(), tel, 1.0)
+        assert manifest["trace_id"] == "abad1deaabad1dea"
+
+    def test_result_block_only_with_a_table(self):
+        manifest = build_manifest("serve", "daemon", None, TelemetrySession(), 1.0)
+        assert "result" not in manifest
+        assert manifest["telemetry"]["counters"] == {}
+
+    def test_prometheus_text_written_beside(self, tmp_path):
+        path = write_manifest(self.build(), manifest_path(tmp_path, "figX"))
+        prom = path.with_suffix(".prom").read_text()
+        assert prom.startswith("# repro.run-manifest/v1")
+        assert 'repro_dcop_solves_total{run="figX"} 3' in prom
+
+
+class _TornWriter:
+    """A text handle that writes half of what it is given, then fails."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        self._handle.flush()
+        raise OSError(28, "No space left on device")
+
+    def close(self):
+        self._handle.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_manifest(self, tmp_path, monkeypatch):
+        path = manifest_path(tmp_path, "figX")
+        write_manifest(TestManifest().build(), path)
+        real_open = io.open
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return _TornWriter(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(io, "open", torn_open)
+        newer = TestManifest().build()
+        newer["wall_time_s"] = 9.0
+        with pytest.raises(OSError):
+            write_manifest(newer, path)
+        monkeypatch.undo()
+        loaded = load_manifests([tmp_path])
+        assert [m["wall_time_s"] for m in loaded] == [1.25]
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestLoadManifests:
@@ -80,14 +142,22 @@ class TestLoadManifests:
         (tmp_path / "fig02.json").write_text(json.dumps({"rows": []}))
         (tmp_path / "broken_manifest.json").write_text("{not json")
         tel = TelemetrySession()
-        write_manifest(build_manifest("a", "t", make_result(), tel, 0.1), tmp_path)
+        write_manifest(
+            build_manifest("a", "t", make_result(), tel, 0.1),
+            manifest_path(tmp_path, "a"),
+        )
         loaded = load_manifests([tmp_path])
         assert [m["experiment_id"] for m in loaded] == ["a"]
 
     def test_accepts_explicit_files_and_sorts(self, tmp_path):
         tel = TelemetrySession()
-        p_b = write_manifest(build_manifest("b", "t", make_result(), tel, 0.1), tmp_path)
-        p_a = write_manifest(build_manifest("a", "t", make_result(), tel, 0.1), tmp_path)
+        p_b, p_a = (
+            write_manifest(
+                build_manifest(eid, "t", make_result(), tel, 0.1),
+                manifest_path(tmp_path, eid),
+            )
+            for eid in ("b", "a")
+        )
         loaded = load_manifests([p_b, p_a])
         assert [m["experiment_id"] for m in loaded] == ["a", "b"]
 
@@ -105,7 +175,7 @@ class TestDiagReport:
         tel.count("transient.rejected_newton", 3)
         tel.count("transient.rejected_dv_limit", 1)
         manifest = build_manifest("figX", "demo", make_result(), tel, 2.5)
-        write_manifest(manifest, tmp_path)
+        write_manifest(manifest, manifest_path(tmp_path, "figX"))
 
         report = format_diag_report(load_manifests([tmp_path]))
         assert "figX" in report

@@ -62,8 +62,8 @@ class TestExperimentTelemetryFlags:
                     "experiment",
                     "tab_area",
                     "--profile",
-                    "--trace",
-                    str(tmp_path / "trace.json"),
+                    "--trace-dir",
+                    str(tmp_path / "trace"),
                     "--output-dir",
                     str(tmp_path),
                 ]
@@ -73,7 +73,14 @@ class TestExperimentTelemetryFlags:
         out = capsys.readouterr().out
         assert "tab_area_manifest.json" in out
         assert (tmp_path / "tab_area_manifest.json").exists()
-        assert (tmp_path / "trace.json").exists()
+        assert (tmp_path / "tab_area_manifest.prom").exists()
+        assert (tmp_path / "trace" / "trace.json").exists()
+        assert not list(tmp_path.glob("*_metrics.*"))
+
+    def test_trace_path_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "tab_area", "--trace", "t.json"])
+        assert excinfo.value.code == 2
 
 
 class TestDiag:
