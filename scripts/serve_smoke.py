@@ -22,7 +22,8 @@ wire protocol — and the kill is a real SIGKILL:
    recomputed than the batch total;
 7. SIGTERM drains the daemon: exit code 0, socket removed, final run
    manifest and its Prometheus text written (into ``SMOKE_ARTIFACTS``
-   when set, for CI upload).
+   when set, for CI upload), and the manifest's ``trace_id`` is one of
+   the merged backfill trace's ``trace_ids``.
 
 Run with ``PYTHONPATH=src python scripts/serve_smoke.py``; exits
 non-zero on the first violated expectation.
@@ -43,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.obs.trace import load_trace  # noqa: E402
 from repro.serve.client import ServeClient, ServeError  # noqa: E402
 
 SPEC = {
@@ -233,6 +235,12 @@ def main() -> int:
         check(
             manifest_path.with_suffix(".prom").exists(),
             "Prometheus text written beside the manifest",
+        )
+        trace = load_trace(artifacts / "serve_trace")
+        check(
+            manifest["trace_id"] in trace["trace_ids"],
+            f"manifest trace id {manifest['trace_id']} joins the trace "
+            f"(trace ids {trace['trace_ids']})",
         )
 
     print("serve smoke: all checks passed")

@@ -41,9 +41,11 @@ def set_table_cache(cache) -> None:
     """Install (or with ``None`` remove) an on-disk table cache.
 
     The batch engine's workers call this from their initializer so that
-    the expensive physics sampling behind :func:`tfet_device` is paid
-    once per unique quantized scale across the whole worker pool rather
-    than once per process.  The in-process ``lru_cache`` stays in front
+    the physics sampling behind :func:`tfet_device` is paid once per
+    unique quantized scale across the whole worker pool rather than
+    once per process.  Per 141x141 table, sampling takes about 2.5 ms
+    and a load about 1.5 ms; the coefficient bake, about 7.5 ms, follows
+    either (2-vCPU x86 VM).  The in-process ``lru_cache`` stays in front
     of the disk layer, so installing a cache never slows the hot path.
     """
     global _table_cache
@@ -75,8 +77,8 @@ def _current_table_cached(model, oxide_scale: float, table_points: int) -> Curre
     """Build the current table, going through the disk cache if installed.
 
     Cache entries hold the raw sampled grid; interpolant construction is
-    repeated on load (cheap, deterministic), so hits are bit-identical
-    to fresh builds.
+    repeated on load (deterministic), so hits are bit-identical to fresh
+    builds.
     """
     cache = _table_cache
     if cache is None:

@@ -176,7 +176,13 @@ class TfetPhysicalModel:
         ``reverse_bias`` is the positive magnitude of the (negative)
         drain-source voltage.
         """
-        vgs = np.asarray(vgs, dtype=float)
+        return self._reverse_density(self.gate_transfer_density(vgs), reverse_bias)
+
+    def _reverse_density(
+        self, transfer: np.ndarray, reverse_bias: np.ndarray | float
+    ) -> np.ndarray:
+        """:meth:`reverse_density` from a precomputed
+        :meth:`gate_transfer_density` (broadcast against ``reverse_bias``)."""
         v = np.maximum(np.asarray(reverse_bias, dtype=float), 0.0)
         vt = thermal_voltage(self.temperature)
 
@@ -185,7 +191,7 @@ class TfetPhysicalModel:
         diode = diode * (1.0 - np.exp(-v / vt))
 
         gated = (
-            self.gate_transfer_density(vgs)
+            transfer
             * self.drain_saturation_factor(v)
             * np.exp(-v / self.reverse.gate_fade_voltage)
         )
@@ -200,17 +206,25 @@ class TfetPhysicalModel:
 
         Positive V_DS is the forward (intended) direction; negative
         V_DS is the reverse condition of Fig. 2(b).
+
+        Each factor is evaluated on its own un-broadcast operand and the
+        branches broadcast only when combined, so a (V_GS column, V_DS
+        row) table grid solves the gate electrostatics once per V_GS.
+        That is bit-identical to solving on the broadcast grid: the
+        solver works point by point except for its stopping test, a max
+        over all points, and a grid repeating the same gate voltages has
+        the same max as those voltages alone.
         """
         vgs = np.asarray(vgs, dtype=float)
         vds = np.asarray(vds, dtype=float)
-        vgs_b, vds_b = np.broadcast_arrays(vgs, vds)
+        transfer = self.gate_transfer_density(vgs)
 
         forward = (
-            self.gate_transfer_density(vgs_b) * self.drain_saturation_factor(vds_b)
-            + self._floor_density(np.maximum(vds_b, 0.0))
+            transfer * self.drain_saturation_factor(vds)
+            + self._floor_density(np.maximum(vds, 0.0))
         )
-        reverse = self.reverse_density(vgs_b, -vds_b)
-        result = np.where(vds_b >= 0.0, forward, -reverse)
+        reverse = self._reverse_density(transfer, -vds)
+        result = np.where(vds >= 0.0, forward, -reverse)
         return result if result.shape else float(result)
 
     # -- headline metrics -----------------------------------------------------

@@ -6,9 +6,9 @@ techniques"; channel-length variation and random dopant fluctuation are
 argued to be negligible for TFETs.  We therefore sample a multiplicative
 thickness scale in the +/-5 % band, independently per transistor.
 
-Sampled scales are quantized onto a fine grid so that table generation
-(the expensive physics step) can be cached and shared across samples,
-assist techniques, and experiments.
+Sampled scales are quantized onto a fine grid so that each scale's
+device table (about 10 ms to sample and bake at 141x141 points) can be
+cached and shared across samples, assist techniques, and experiments.
 """
 
 from __future__ import annotations

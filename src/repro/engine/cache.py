@@ -4,13 +4,16 @@
 is enough for a serial run but means every worker process of a batch
 run pays the physics step (sampling the calibrated model onto a
 141x141 grid) again for every thickness scale it encounters.  This
-cache persists the *sampled current grid* — the expensive part — keyed
-by the quantized oxide-thickness scale, so across a whole worker pool
-(and across runs) each unique scale is sampled exactly once.
+cache persists the *sampled current grid*, keyed by the quantized
+oxide-thickness scale, so across a whole worker pool (and across runs)
+each unique scale is sampled exactly once.
 
 Only the raw samples are stored; the interpolant and the charge model
-are rebuilt on load (cheap, deterministic numpy work), so a cache hit
-is bit-identical to a fresh build.  Writes go through a temp file and
+are rebuilt on load (deterministic numpy work), so a cache hit is
+bit-identical to a fresh build.  Per 141x141 table, a load takes about
+1.5 ms against about 2.5 ms of sampling, and the coefficient bake that
+follows either one about 7.5 ms (2-vCPU x86 VM), so a hit saves about
+a tenth of a build.  Writes go through a temp file and
 ``os.replace`` so concurrent workers racing on the same scale can only
 ever observe a complete file; the race loser overwrites with identical
 bytes.

@@ -14,8 +14,8 @@ returns a :class:`BatchReport`.  The contract:
   flushed to the JSONL log the moment it lands, and ``resume=True``
   replays completed indices instead of recomputing them.
 * **Shared caching** — workers are initialized with the on-disk
-  device-table cache so the expensive physics sampling is paid once
-  per unique quantized scale across the whole pool.
+  device-table cache so the physics sampling is paid once per unique
+  quantized scale across the whole pool.
 * **Telemetry** — per-task counters (solver statistics, cache hits,
   retry counts) are aggregated across workers into the caller's active
   telemetry session, so run manifests of parallel runs stay as

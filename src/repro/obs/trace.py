@@ -25,6 +25,7 @@ import json
 import time
 from pathlib import Path
 
+from repro.obs.sink import SINK_SCHEMA
 from repro.telemetry.core import atomic_write_text
 from repro.telemetry.diag import format_table
 
@@ -78,6 +79,11 @@ def _read_sink(path: Path) -> tuple[list[dict], list[dict], list[dict]]:
 def merge_trace(trace_dir: str | Path) -> Path:
     """Merge every JSONL sink under ``trace_dir`` into its ``trace.json``.
 
+    A ``*.jsonl`` file is a sink — read, and listed in ``sources`` —
+    only when it holds a ``meta`` record of schema ``SINK_SCHEMA``, so
+    other logs kept in the directory (an engine checkpoint, say) are
+    left out by schema check, not filename guessing.
+
     Spans are deduplicated by id (last record wins — a re-merged run
     after more batches refreshes rather than duplicates) and sorted by
     ``(t0_unix, id)``; the id tie-break keeps the order deterministic
@@ -91,6 +97,8 @@ def merge_trace(trace_dir: str | Path) -> Path:
     trace_ids: set[str] = set()
     for path in sorted(trace_dir.glob("*.jsonl")):
         metas, spans, sink_events = _read_sink(path)
+        if not any(meta.get("schema") == SINK_SCHEMA for meta in metas):
+            continue
         sources.append(path.name)
         for meta in metas:
             if meta.get("trace_id"):

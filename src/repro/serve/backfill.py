@@ -108,6 +108,7 @@ class BackfillQueue:
         jobs: int = 1,
         verify_fraction: float = 0.0,
         trace_dir: str | None = None,
+        trace_id: str | None = None,
     ):
         self.store = store
         self.depth = depth
@@ -115,6 +116,7 @@ class BackfillQueue:
         self.jobs = jobs
         self.verify_fraction = verify_fraction
         self.trace_dir = trace_dir
+        self.trace_id = trace_id
         self._pending: dict[MissKey, asyncio.Future] = {}
         self._in_flight: dict[MissKey, asyncio.Future] = {}
         self._kick = asyncio.Event()
@@ -225,6 +227,7 @@ class BackfillQueue:
                 jobs=self.jobs,
                 verify_fraction=self.verify_fraction,
                 trace_dir=self.trace_dir,
+                trace_id=self.trace_id,
             )
             reports.append(
                 {

@@ -114,6 +114,14 @@ class ServeDaemon:
         self.config = config
         self.store = CharStore(config.store_dir)
         self.registry = GridRegistry(self.store, config.specs)
+        # Held by reference: the backfill thread briefly shadows the
+        # global session during task execution, so the daemon must
+        # never depend on telemetry.active() for its own accounting.
+        existing = telemetry.active()
+        self._owns_session = existing is None
+        self.session = existing or telemetry.enable()
+        # Backfill builds trace under the session's id, so the daemon's
+        # manifest joins the trace under its trace directory.
         self.backfill = BackfillQueue(
             self.store,
             depth=config.backfill_depth,
@@ -121,13 +129,8 @@ class ServeDaemon:
             jobs=config.jobs,
             verify_fraction=config.verify_fraction,
             trace_dir=str(config.trace_dir) if config.trace_dir else None,
+            trace_id=self.session.trace_id,
         )
-        # Held by reference: the backfill thread briefly shadows the
-        # global session during task execution, so the daemon must
-        # never depend on telemetry.active() for its own accounting.
-        existing = telemetry.active()
-        self._owns_session = existing is None
-        self.session = existing or telemetry.enable()
         self._servers: list[asyncio.base_events.Server] = []
         self._shutdown = asyncio.Event()
         self._draining = False

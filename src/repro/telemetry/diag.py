@@ -26,6 +26,7 @@ too.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 __all__ = ["load_manifests", "format_diag_report", "format_table"]
@@ -55,7 +56,9 @@ def load_manifests(paths) -> list[dict]:
     """Load manifests from files and/or directories, sorted by id.
 
     Non-manifest JSON files (e.g. the result tables that share the
-    directory) are skipped by schema check, not filename guessing.
+    directory) are skipped by schema check, not filename guessing.  An
+    unreadable or torn file is skipped too, with one line on stderr
+    naming it, so a damaged run never vanishes from the report unseen.
     """
     candidates: list[Path] = []
     for entry in paths:
@@ -69,6 +72,7 @@ def load_manifests(paths) -> list[dict]:
         try:
             payload = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
+            print(f"note: skipping unreadable {path}", file=sys.stderr)
             continue
         if isinstance(payload, dict) and str(payload.get("schema", "")).startswith(
             "repro.run-manifest/"

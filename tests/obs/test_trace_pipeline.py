@@ -175,6 +175,24 @@ class TestMergeRobustness:
         merge_trace(trace_dir)
         assert shape(load_trace(trace_dir)) == before
 
+    def test_checkpoint_log_in_trace_dir_is_not_a_source(self, tmp_path):
+        trace_dir = tmp_path / "trace_with_ckpt"
+        checkpoint = trace_dir / "ckpt.jsonl"
+        run_tasks(
+            make_tasks(),
+            EngineConfig(
+                retries=1,
+                trace_dir=trace_dir,
+                trace_id=TRACE_ID,
+                run_key="ckpt",
+                checkpoint_path=checkpoint,
+            ),
+        )
+        assert checkpoint.exists()
+        sinks = sorted(p.name for p in trace_dir.glob("*.jsonl") if p != checkpoint)
+        assert sinks
+        assert load_trace(trace_dir)["sources"] == sinks
+
     def test_merge_is_atomic_and_loadable_from_dir_or_file(self, tmp_path):
         trace_dir, _ = run_traced(tmp_path, jobs=1)
         from_dir = load_trace(trace_dir)

@@ -193,6 +193,16 @@ class TestBackfill:
         assert status["backfill"]["batches_completed"] == 1
         assert status["backfill"]["points_completed"] == 1
 
+    def test_manifest_joins_the_backfill_trace(self, daemon_factory, tmp_path):
+        from repro.obs.trace import load_trace
+
+        trace_dir = tmp_path / "trace"
+        daemon = daemon_factory(coalesce_s=0.05, trace_dir=trace_dir)
+        with daemon.client() as client:
+            assert client.query(**COLD)["served"] == "backfill"
+            manifest = client.metrics()["json"]
+        assert load_trace(trace_dir)["trace_ids"] == [manifest["trace_id"]]
+
     def test_coalesced_clients_share_one_build(self, daemon_factory):
         daemon = daemon_factory(coalesce_s=0.4)
 

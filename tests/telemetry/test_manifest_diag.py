@@ -164,6 +164,22 @@ class TestLoadManifests:
     def test_missing_path_ignored(self, tmp_path):
         assert load_manifests([tmp_path / "nope"]) == []
 
+    def test_torn_manifest_is_named_on_stderr(self, tmp_path, capsys):
+        from repro.cli import main
+
+        tel = TelemetrySession()
+        write_manifest(
+            build_manifest("good", "t", make_result(), tel, 0.1),
+            manifest_path(tmp_path, "good"),
+        )
+        torn = manifest_path(tmp_path, "torn")
+        torn.write_text(manifest_path(tmp_path, "good").read_text()[:40])
+
+        assert main(["diag", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "good" in captured.out
+        assert captured.err.splitlines() == [f"note: skipping unreadable {torn}"]
+
 
 class TestDiagReport:
     def test_report_rows(self, tmp_path):
