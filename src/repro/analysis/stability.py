@@ -37,6 +37,7 @@ __all__ = [
     "dynamic_read_noise_margin",
     "write_flips_cell",
     "critical_wordline_pulse",
+    "wlcrit_bench_factory",
     "LATCH_FRACTION",
     "ReferenceWlCritSearch",
     "WlCritSearch",
@@ -276,9 +277,16 @@ def critical_wordline_pulse(
 ) -> float:
     """WL_crit in seconds for a cell at the given supply (inf if unwritable)."""
     search = search or WlCritSearch()
+    return search.search(wlcrit_bench_factory(cell, vdd, assist))
+
+
+def wlcrit_bench_factory(cell, vdd: float, assist: Assist | None = None):
+    """The ``pulse_width -> Testbench`` factory a WL_crit search of
+    ``cell`` at ``vdd`` probes (what :func:`critical_wordline_pulse`
+    hands :meth:`WlCritSearch.search`)."""
     factory = getattr(cell, "write_bench_factory", None)
     if factory is not None:
         # One built netlist for the whole bisection (waveform swaps per
         # width) instead of a rebuild per probe — value-identical.
-        return search.search(factory(vdd, assist=assist))
-    return search.search(lambda width: cell.write_testbench(vdd, width, assist=assist))
+        return factory(vdd, assist=assist)
+    return lambda width: cell.write_testbench(vdd, width, assist=assist)

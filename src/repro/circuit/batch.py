@@ -1,31 +1,52 @@
 """Stacked-batch SPICE: K same-topology variants solved as one block.
 
-Monte-Carlo campaigns solve thousands of *variants of one topology* —
-same nodes, same stamps, different device tables — and the scalar path
-pays the full python/numpy dispatch overhead of every assembly once per
-variant.  This module removes that multiplier.  The solver control flow
-(Newton damping, line search, jacobian reuse, transient step control,
-DC fallback tiers, the WL_crit bisection above them) exists once, as
-generators that suspend at every residual/Jacobian request
-(:func:`repro.circuit.dcop.newton_gen` / ``solve_dc_gen``,
-:func:`repro.circuit.transient.transient_gen`,
+Monte-Carlo campaigns and parameter sweeps solve many *variants of one
+topology* — same nodes, same stamps, different device tables, widths
+or waveforms — and the scalar path pays the full python/numpy dispatch
+overhead of every assembly once per variant.  This module removes that
+multiplier.  The solver control flow (Newton damping, line search,
+jacobian reuse, transient step control, DC fallback tiers, the WL_crit
+bisection above them) exists once, as generators that suspend at every
+residual/Jacobian request (:func:`repro.circuit.dcop.newton_gen` /
+``solve_dc_gen``, :func:`repro.circuit.transient.transient_gen`,
 :meth:`repro.analysis.stability.WlCritSearch.search_gen`).  The scalar
 entry points drive one generator each (:func:`repro.circuit.dcop.drive`,
 a batch of one).  :func:`run_generators` drives many: it collects the
 suspended requests each tick and serves them with one batched assembly
-over a ``(K, size)`` state block — one scatter-add per stamp kind for
-the whole batch instead of one per member.  This module holds only that
-stacked assembler and its driver.
+over a ``(K, size)`` state block.  This module holds only that stacked
+assembler and its driver.
+
+Each stamp kind is a fixed number of numpy calls over the whole block,
+whatever K is: one stacked mat-vec for the linear elements, masked adds
+for gmin (members with gmin = 0 get no stamp), one block subtraction
+for the voltage sources, and one ``np.add.at`` per kind for clamps,
+current sources, transistors and capacitors (each member's own scatter
+indices, offset to its row, in the member's own order; f and J share
+one buffer, so a kind that lands in both is one scatter).  What still
+loops over the members is reading their requests, sampling their
+sources (each system keeps its own ``(t, waveform identity)`` cache,
+:meth:`MnaSystem._source_values`), the per-member MOSFET calls and
+handing out the answers.
 
 Bit-exactness is the design contract, not an aspiration: every batched
 stamp replicates the scalar assembly expression-for-expression (same
-operation order, same elementwise arithmetic, per-member ``matmul`` for
-the linear stamp because a fused dgemm is *not* bit-stable), and the
-device tables run the very kernel the scalar tables run
+operation order, same elementwise arithmetic), and the device tables
+run the very kernel the scalar tables run
 (:func:`repro.devices.tables.evaluate_stacked`), so a batch of any size
-produces solution vectors bit-identical to the scalar path.
-``repro.verify`` leans on this — batch members can be audited by
-re-running them scalar and comparing exactly.
+produces solution vectors bit-identical to the scalar path.  The linear
+stamp needs care: ``np.matmul(LIN, X[:, :, None])`` on the stacked
+``(K, n, n)`` block runs one gemv per member, the kernel of the scalar
+``np.matmul(lin, x)``, and is bytes-equal to it; the single dgemm
+``X @ LIN.T`` is *not* (both measured; ``tests/circuit/test_batch.py``
+pins the first).  ``repro.verify`` leans on this — batch members can be
+audited by re-running them scalar and comparing exactly.
+
+Members must share node, branch, transistor and current-source counts
+and the capacitor wiring (nodes, kinds, p-mirroring); anything else may
+differ per member: device tables and models, widths, capacitor charge
+parameters and scale (the device width, so a β sweep is one batch),
+source waveforms, and each request's time, gmin, clamps, integration
+method and source scale.
 
 The two drivers differ only in how they assemble; what that changes is
 deliberate and value-neutral:
@@ -78,8 +99,9 @@ class MemberOutcome:
 
 # An assembly request, yielded by the solver generators:
 #   (system, x, t, gmin, transient, clamps, source_scale, want_jac)
-# The driver answers with (f, jac) — f a fresh array, jac a view into
-# the tick buffer (valid until the generator's next yield) or None.
+# The driver answers with (f, jac) — f a row of the tick's own copy of
+# the residual block (no later tick writes it), jac a view into the
+# tick buffer (valid until the generator's next yield) or None.
 
 
 class _TableRegistry:
@@ -159,7 +181,7 @@ class _MemberPlan:
 
     __slots__ = (
         "system", "lin", "vs_waves", "t_tbl", "t_sign", "t_width",
-        "t_d", "t_g", "t_s", "t_fallback", "all_table",
+        "t_d", "t_g", "t_s", "t_fallback",
     )
 
     def __init__(self, system: MnaSystem, registry: _TableRegistry):
@@ -188,11 +210,17 @@ class _MemberPlan:
                 # Non-table models (e.g. the MOSFET baseline) evaluate
                 # through the scalar model call, member by member.
                 self.t_fallback.append(group)
-        self.all_table = not self.t_fallback
+
+
+def _by_row(parts: list[np.ndarray], stride: int) -> np.ndarray:
+    """Member ``i``'s own index array offset by ``i * stride``, all
+    members concatenated: one scatter over the flattened block that
+    applies each member's stamps in the member's own order."""
+    return np.concatenate([i * stride + p for i, p in enumerate(parts)]).astype(np.intp)
 
 
 class _Layout:
-    """Buffers and concatenated scatter arrays for one active set.
+    """Buffers and row-offset index arrays for one active set.
 
     Valid while the active members, their order, and each member's plan
     are unchanged; the driver rebuilds it on any change (bounded by the
@@ -203,220 +231,267 @@ class _Layout:
 
     def __init__(self, plans: list[_MemberPlan]):
         self.plans = plans
-        first = plans[0].system
+        systems = [p.system for p in plans]
+        first = systems[0]
         self.n = n = first.n_nodes
         self.size = size = first.size
         self.n_t = n_t = first._t_count
         bank = first._caps
         self.n_c = n_c = len(bank)
-        for plan in plans:
-            sys = plan.system
+        n_is = first._is_values.size
+        for sys in systems:
             if (
                 sys.n_nodes != n
                 or sys.size != size
                 or sys._t_count != n_t
+                or sys._is_values.size != n_is
                 or len(sys._caps) != n_c
             ):
                 raise ValueError("batch members must share one topology")
 
-        K = len(plans)
+        self.K = K = len(plans)
+        rows = np.arange(K, dtype=np.intp)
         self.X = np.zeros((K, size))
         self.XG = np.zeros((K, n + 1))
-        self.F = np.zeros((K, size))
-        self.Fr = self.F.reshape(-1)
-        self.JAC = np.zeros((K, size, size))
-        self.JACr = self.JAC.reshape(-1)
-        self.JAC2 = self.JAC.reshape(K, size * size)
-        self.LIN = np.empty((K, size, size))
-        for i, plan in enumerate(plans):
-            self.LIN[i] = plan.system._lin
-        self.diag_flat = first._diag_flat
+        self.XGr = self.XG.reshape(-1)
+        # Every member's f, then every member's J, in one buffer: a
+        # stamp kind that lands in both is one scatter over FJ.
+        self.FJ = np.zeros(K * size * (size + 1))
+        self.Fr = self.FJ[: K * size]
+        self.F = self.Fr.reshape(K, size)
+        self.JACr = self.FJ[K * size:]
+        self.JAC = self.JACr.reshape(K, size, size)
+        self.JAC2 = self.JACr.reshape(K, size * size)
+        self.LIN = np.array([sys._lin for sys in systems])
+        # Views of every row's node and branch equations in f and node
+        # diagonal in J.
+        self.Fn = self.F[:, :n]
+        self.Fb = self.F[:, n:]
+        self.DIAG = self.JAC2[:, :: size + 1][:, :n]
+
+        self.is_idx = _by_row([sys._is_idx for sys in systems], size)
+        self.is_sign = np.concatenate([sys._is_sign for sys in systems])
+        self.is_val = _by_row([sys._is_member for sys in systems], n_is)
+        self.is_row = np.repeat(rows, [sys._is_idx.size for sys in systems])
 
         if n_t:
-            self.S = np.vstack([p.t_s for p in plans])
-            self.G = np.vstack([p.t_g for p in plans])
-            self.D = np.vstack([p.t_d for p in plans])
-            self.SIGN = np.vstack([p.t_sign for p in plans])
-            self.WIDTH = np.vstack([p.t_width for p in plans])
-            self.TBL = np.vstack([p.t_tbl for p in plans])
-            self.all_table = all(p.all_table for p in plans)
-            # Residual/Jacobian scatters concatenate each member's OWN
-            # index arrays offset to its row; within-member ordering is
-            # preserved, so the single add.at matches the scalar adds.
-            self.tf_idx = np.concatenate(
-                [i * size + p.system._tf_idx for i, p in enumerate(plans)]
+            # Source, gate and drain of every device, offset to its row of XG.
+            self.SGD = (rows * (n + 1))[:, None] + np.array(
+                [[p.t_s for p in plans], [p.t_g for p in plans], [p.t_d for p in plans]]
             )
-            self.tf_sign = np.concatenate([p.system._tf_sign for p in plans])
-            self.tf_mem = np.concatenate(
-                [i * n_t + p.system._tf_member for i, p in enumerate(plans)]
+            self.SIGN = np.array([p.t_sign for p in plans])
+            width = np.array([p.t_width for p in plans])
+            # Multipliers of (gds, gm, j): width, width and the scalar's
+            # sign * width.
+            self.MUL = np.array((width, width, self.SIGN * width))
+            self.TBL = np.array([p.t_tbl for p in plans])
+            self.TAB = self.TBL >= 0
+            self.fallback = [(i, p.t_fallback) for i, p in enumerate(plans) if p.t_fallback]
+            # Per device (gds, gm, j) as evaluated, and the stamped
+            # coefficients: gds, gm, drain current and gm + gds.
+            self.R = np.zeros((3, K, n_t))
+            self.R2 = self.R.reshape(3, K * n_t)
+            self.COEF = np.zeros((4, K, n_t))
+            self.COEFr = self.COEF.reshape(-1)
+            kn = K * n_t
+            row_of_kind = np.array([0, 1, 3]) * kn  # the scalar's gds, gm, sum
+            # The f scatter, then the J scatter, as one.
+            self.t_dst = np.concatenate((
+                _by_row([sys._tf_idx for sys in systems], size),
+                K * size + _by_row([sys._tj_flat for sys in systems], size * size),
+            ))
+            self.t_sign = np.concatenate(
+                [sys._tf_sign for sys in systems] + [sys._tj_sign for sys in systems]
             )
-            self.tj_flat = np.concatenate(
-                [i * size * size + p.system._tj_flat for i, p in enumerate(plans)]
-            )
-            self.tj_sign = np.concatenate([p.system._tj_sign for p in plans])
-            self.tj_kind = np.concatenate([p.system._tj_kind for p in plans])
-            self.tj_mem = np.concatenate(
-                [i * n_t + p.system._tj_member for i, p in enumerate(plans)]
-            )
-            self.ID = np.zeros((K, n_t))
-            self.GM = np.zeros((K, n_t))
-            self.GDS = np.zeros((K, n_t))
-            self.COEF = np.zeros((3, K, n_t))
-            self.COEF2 = self.COEF.reshape(3, K * n_t)
+            self.t_coef = np.concatenate((
+                2 * kn + _by_row([sys._tf_member for sys in systems], n_t),
+                _by_row([row_of_kind[sys._tj_kind] + sys._tj_member for sys in systems], n_t),
+            ))
             self.T_X = np.full((K, n), np.nan)
             self.T_VALID = np.zeros(K, dtype=bool)
 
         if n_c:
-            # Capacitor wiring (nodes, signs, linear/step kinds, scale,
-            # mirror) is topology, identical across members; only the
-            # charge-model parameters vary with the device sample.
-            for plan in plans[1:]:
-                other = plan.system._caps
+            # Capacitor wiring (nodes, signs, kinds, mirror) is topology,
+            # identical across members; the charge-model parameters and
+            # the scale (the device width) are per-member rows.
+            for sys in systems[1:]:
+                other = sys._caps
                 if not (
                     np.array_equal(other.a, bank.a)
                     and np.array_equal(other.b, bank.b)
                     and np.array_equal(other.kind, bank.kind)
-                    and np.array_equal(other.scale, bank.scale)
                     and np.array_equal(other.mirror, bank.mirror)
                 ):
                     raise ValueError("batch members must share one topology")
-            self.cap_a = bank.a
-            self.cap_b = bank.b
-            self.cap_scale = bank.scale
-            self.cap_mirror = bank.mirror
-            self.cap_step = bank._step
-            self.cap_all_linear = all(p.system._caps._all_linear for p in plans)
-            self.cap_other = any(p.system._caps.other for p in plans)
-            self.C_SCLIN = np.vstack([p.system._caps._scaled_lin for p in plans])
-            self.C_LIN = np.vstack([p.system._caps.c_lin for p in plans])
-            self.C_LOW = np.vstack([p.system._caps.c_low for p in plans])
-            self.C_SPAN = np.vstack([p.system._caps._c_span for p in plans])
-            self.C_VSTEP = np.vstack([p.system._caps.v_step for p in plans])
-            self.C_WIDTH = np.vstack([p.system._caps.width for p in plans])
-            self.cf_idx = first._cf_idx
-            self.cf_sign = first._cf_sign
-            self.cf_member = first._cf_member
-            self.cj_flat = first._cj_flat
-            self.cj_sign = first._cj_sign
-            self.cj_member = first._cj_member
+            self.cap_linear = bank._all_linear
+            self.cap_other = bool(bank.other)
+            self.cap_step = np.flatnonzero(bank._step)
+            self.step_mirror = bank.mirror[self.cap_step]
+            # Terminal columns in XG (ground, -1, is the last column).
+            self.cap_ab = np.array((bank.a, bank.b)) % (n + 1)
+            caps = [sys._caps for sys in systems]
+            # Per-member rows over every capacitor: scale * c_lin, c_lin,
+            # scale, c_low, c_high - c_low, v_step, width.
+            self.CP = np.array([
+                [c._scaled_lin for c in caps],
+                [c.c_lin for c in caps],
+                [c.scale for c in caps],
+                [c.c_low for c in caps],
+                [c._c_span for c in caps],
+                [c.v_step for c in caps],
+                [c.width for c in caps],
+            ])
+            self.no_current = np.zeros(n_c)
+            self._tr: list[int] | None = None
+
+    def transient_rows(self, tr: list[int]) -> tuple:
+        """The capacitor stamp's gathers for transient rows ``tr``.
+
+        Recomputed only when the set of rows in transient changes: the
+        XG indices of every capacitor's terminals, the rows' parameter
+        blocks, a ``(2, len(tr), n_c)`` buffer for the companion
+        currents and conductances, and one scatter (every row's f
+        stamps, then every row's J stamps) from that buffer into FJ.
+        """
+        if tr != self._tr:
+            first = self.plans[0].system
+            size, n_c, step = self.size, self.n_c, self.cap_step
+            trows = np.array(tr, dtype=np.intp)
+            nt = len(tr)
+            at = np.arange(nt, dtype=np.intp)[:, None] * n_c
+            ab = (trows * (self.n + 1))[:, None] + self.cap_ab[:, None, :]
+            params = self.CP[:, trows]
+            sc_lin, c_lin, scale = params[:3]
+            steps = params[2:, :, step]  # scale onwards, on the step capacitors
+            src = np.concatenate((
+                (at + first._cf_member).reshape(-1),
+                nt * n_c + (at + first._cj_member).reshape(-1),
+            ))
+            dst = np.concatenate((
+                ((trows * size)[:, None] + first._cf_idx).reshape(-1),
+                self.K * size + ((trows * size * size)[:, None] + first._cj_flat).reshape(-1),
+            ))
+            sign = np.concatenate((np.tile(first._cf_sign, nt), np.tile(first._cj_sign, nt)))
+            self._tr = list(tr)
+            self._tr_data = (
+                ab, sc_lin, c_lin, scale, steps, np.empty((2, nt, n_c)), src, dst, sign
+            )
+        return self._tr_data
 
 
-def _stamp_devices_batch(layout: _Layout, registry: _TableRegistry, tel) -> None:
-    """Evaluate + scatter every member's transistors for this tick."""
-    n = layout.n
-    X = layout.X
-    fresh = [
-        i
-        for i in range(len(layout.plans))
-        if not (layout.T_VALID[i] and (X[i, :n] == layout.T_X[i]).all())
-    ]
-    if fresh:
-        fr = np.array(fresh, dtype=np.intp)
-        base = fr * (n + 1)
-        xgr = layout.XG.reshape(-1)
-        VS = xgr[base[:, None] + layout.S[fr]]
-        VG = xgr[base[:, None] + layout.G[fr]]
-        VD = xgr[base[:, None] + layout.D[fr]]
-        SGN = layout.SIGN[fr]
-        W = layout.WIDTH[fr]
-        VGS = SGN * (VG - VS)
-        VDS = SGN * (VD - VS)
-        TBL = layout.TBL[fr]
-        J = np.empty_like(VGS)
-        GMv = np.empty_like(VGS)
-        GDSv = np.empty_like(VGS)
-        tb = TBL >= 0
-        if tb.any():
-            cur, dg, dd = registry.evaluate(TBL[tb], VGS[tb], VDS[tb])
-            J[tb] = cur
-            GMv[tb] = dg
-            GDSv[tb] = dd
-            if tel is not None:
-                tel.count("batch.table_points", int(cur.size))
-        for local, i in enumerate(fresh):
-            plan = layout.plans[i]
-            if not plan.t_fallback:
-                continue
-            xg = layout.XG[i]
-            for model, sl, sign, width, d, g, s in plan.t_fallback:
-                vs = xg[s]
-                vgs = sign * (xg[g] - vs)
-                vds = sign * (xg[d] - vs)
-                j, gm, gds = model.evaluate_density(vgs, vds)
-                J[local, sl] = np.asarray(j, dtype=float)
-                GMv[local, sl] = np.asarray(gm, dtype=float)
-                GDSv[local, sl] = np.asarray(gds, dtype=float)
-        layout.ID[fr] = SGN * W * J
-        layout.GM[fr] = W * GMv
-        layout.GDS[fr] = W * GDSv
-        layout.T_X[fr] = X[fr, :n]
-        layout.T_VALID[fr] = True
-
-    np.add.at(layout.Fr, layout.tf_idx, layout.tf_sign * layout.ID.reshape(-1)[layout.tf_mem])
-    layout.COEF[0] = layout.GDS
-    layout.COEF[1] = layout.GM
-    np.add(layout.GM, layout.GDS, out=layout.COEF[2])
+def _stamp_clamps(layout: _Layout, clamped: list[int], clamps: tuple) -> None:
+    """The clamped members' Norton clamps: one scatter into f and J."""
+    size = layout.size
+    f_idx, j_idx, conductance, target = [], [], [], []
+    for i in clamped:
+        nodes, g, v = layout.plans[i].system._clamp_arrays(clamps[i])
+        f_idx.append(i * size + nodes)
+        j_idx.append(layout.K * size + i * size * size + nodes * (size + 1))
+        conductance.append(g)
+        target.append(v)
+    f_idx = np.concatenate(f_idx)
+    conductance = np.concatenate(conductance)
+    x = layout.X.reshape(-1)[f_idx]
     np.add.at(
-        layout.JACr,
-        layout.tj_flat,
-        layout.tj_sign * layout.COEF2[layout.tj_kind, layout.tj_mem],
+        layout.FJ,
+        np.concatenate((f_idx, *j_idx)),
+        np.concatenate((conductance * (x - np.concatenate(target)), conductance)),
     )
 
 
-def _stamp_capacitors_batch(layout: _Layout, reqs: list, tr: list[int]) -> None:
-    """Companion-model capacitor stamps for members in transient."""
-    trows = np.array(tr, dtype=np.intp)
-    size = layout.size
-    XGt = layout.XG[trows]
-    V = XGt[:, layout.cap_a] - XGt[:, layout.cap_b]
-    if layout.cap_all_linear:
-        Q = layout.C_SCLIN[trows] * V
-        C = np.broadcast_to(layout.C_SCLIN[trows], V.shape)
-    else:
-        VM = layout.cap_mirror * V
-        Xc = np.minimum(
-            np.maximum((VM - layout.C_VSTEP[trows]) / layout.C_WIDTH[trows], -200.0), 200.0
+def _stamp_sources_batch(layout: _Layout, ts: tuple, scales: tuple) -> None:
+    """Independent sources: every member samples through its own
+    system's cache (:meth:`MnaSystem._source_values`, whose arrays a
+    later sample does not overwrite), then one block stamp per source
+    kind."""
+    VS, IV = zip(*[p.system._source_values(t) for p, t in zip(layout.plans, ts)])
+    scale = np.array(scales)[:, None]
+    np.subtract(layout.Fb, scale * np.array(VS), out=layout.Fb)
+    if layout.is_idx.size:
+        IV = np.array(IV).reshape(-1)
+        np.add.at(
+            layout.Fr,
+            layout.is_idx,
+            layout.is_sign * (scale[layout.is_row, 0] * IV[layout.is_val]),
         )
-        softplus = layout.C_WIDTH[trows] * np.logaddexp(0.0, Xc)
-        sigmoid = 1.0 / (1.0 + np.exp(-Xc))
-        c_low = layout.C_LOW[trows]
-        c_span = layout.C_SPAN[trows]
-        q_step = layout.cap_mirror * (c_low * VM + c_span * softplus)
-        c_step = c_low + c_span * sigmoid
-        Q = np.where(layout.cap_step, q_step, layout.C_LIN[trows] * V)
-        C = np.where(layout.cap_step, c_step, layout.C_LIN[trows])
-        Q = layout.cap_scale * Q
-        C = layout.cap_scale * C
 
-    n_c = layout.n_c
-    QP = np.empty((len(tr), n_c))
-    H = np.empty(len(tr))
-    trapezoidal = False
-    for j, i in enumerate(tr):
-        state = reqs[i][4]
-        QP[j] = state.capacitor_charges
-        H[j] = state.timestep
-        if state.method == "trapezoidal":
-            trapezoidal = True
-    if not trapezoidal:
-        CUR = (Q - QP) / H[:, None]
-        CON = C / H[:, None]
+
+def _stamp_devices_batch(layout: _Layout, registry: _TableRegistry, tel) -> None:
+    """Evaluate the stale members' transistors, then scatter everyone's.
+
+    Terminal voltages are gathered for every row at once; only the stale
+    rows' devices are evaluated, and only their coefficients change.
+    """
+    n = layout.n
+    X = layout.X
+    stale = ~(layout.T_VALID & (X[:, :n] == layout.T_X).all(axis=1))
+    V = layout.XGr.take(layout.SGD)  # source, gate, drain voltages
+    VGDS = layout.SIGN * (V[1:] - V[0])  # V_GS and V_DS
+    R = layout.R  # gds, gm, j per device
+    due = np.flatnonzero(layout.TAB & stale[:, None])  # the stale rows' table devices
+    if due.size:
+        vgs, vds = VGDS.reshape(2, -1)[:, due]
+        j, gm, gds = registry.evaluate(layout.TBL.take(due), vgs, vds)
+        layout.R2[:, due] = (gds, gm, j)
+        if tel is not None:
+            tel.count("batch.table_points", int(due.size))
+    for i, groups in layout.fallback:
+        if stale[i]:
+            for model, sl, *_ in groups:
+                j, gm, gds = model.evaluate_density(VGDS[0, i, sl], VGDS[1, i, sl])
+                R[:, i, sl] = (
+                    np.asarray(gds, dtype=float),
+                    np.asarray(gm, dtype=float),
+                    np.asarray(j, dtype=float),
+                )
+    rows = stale[:, None]
+    COEF = layout.COEF
+    np.multiply(layout.MUL, R, out=COEF[:3], where=rows)
+    np.add(COEF[1], COEF[0], out=COEF[3])
+    np.copyto(layout.T_X, X[:, :n], where=rows)
+    layout.T_VALID |= stale
+    np.add.at(layout.FJ, layout.t_dst, layout.t_sign * layout.COEFr.take(layout.t_coef))
+
+
+def _stamp_capacitors_batch(layout: _Layout, tr: list[int], states: list) -> None:
+    """Companion-model capacitor stamps for the members in transient.
+
+    The charge model is :meth:`_CapacitorBank.charges_and_caps`'s
+    expressions, with the logistic step evaluated on the step
+    capacitors only (the scalar bank evaluates it everywhere and keeps
+    it there with ``np.where``).  Backward Euler is the trapezoidal
+    expression with factor 1.0 and no previous current: ``1.0 * d`` and
+    ``d - 0.0`` are exact, so both methods share one block expression
+    and stay bit-identical to :meth:`MnaSystem._stamp_capacitors`.
+    """
+    ab, sc_lin, c_lin, scale, steps, B, src, dst, sign = layout.transient_rows(tr)
+    V = np.subtract(*layout.XGr.take(ab))
+    if layout.cap_linear:
+        Q = sc_lin * V
+        C = sc_lin
     else:
-        CUR = np.empty_like(Q)
-        CON = np.empty_like(Q)
-        for j, i in enumerate(tr):
-            state = reqs[i][4]
-            if state.method == "trapezoidal":
-                CUR[j] = 2.0 * (Q[j] - QP[j]) / H[j] - state.capacitor_currents
-                CON[j] = 2.0 * C[j] / H[j]
-            else:
-                CUR[j] = (Q[j] - QP[j]) / H[j]
-                CON[j] = C[j] / H[j]
+        step = layout.cap_step
+        s_scale, c_low, c_span, v_step, width = steps
+        mirror = layout.step_mirror
+        VM = mirror * V[:, step]
+        Xc = np.minimum(np.maximum((VM - v_step) / width, -200.0), 200.0)
+        softplus = width * np.logaddexp(0.0, Xc)
+        sigmoid = 1.0 / (1.0 + np.exp(-Xc))
+        Q = scale * (c_lin * V)
+        Q[:, step] = s_scale * (mirror * (c_low * VM + c_span * softplus))
+        C = scale * c_lin
+        C[:, step] = s_scale * (c_low + c_span * sigmoid)
 
-    f_idx = (trows * size)[:, None] + layout.cf_idx
-    np.add.at(layout.Fr, f_idx.reshape(-1), (layout.cf_sign * CUR[:, layout.cf_member]).reshape(-1))
-    j_idx = (trows * size * size)[:, None] + layout.cj_flat
-    np.add.at(layout.JACr, j_idx.reshape(-1), (layout.cj_sign * CON[:, layout.cj_member]).reshape(-1))
+    HF = np.array([(s.timestep, 2.0 if s.method == "trapezoidal" else 1.0) for s in states])
+    zero = layout.no_current
+    QS = np.array([
+        (s.capacitor_charges, s.capacitor_currents if s.method == "trapezoidal" else zero)
+        for s in states
+    ])
+    H, factor = HF[:, :1], HF[:, 1:]
+    np.subtract(factor * (Q - QS[:, 0]) / H, QS[:, 1], out=B[0])  # companion currents
+    np.divide(factor * C, H, out=B[1])  # companion conductances
+    np.add.at(layout.FJ, dst, sign * B.reshape(-1).take(src))
 
 
 def _assemble_tick(layout: _Layout, reqs: list, registry: _TableRegistry, tel) -> None:
@@ -427,57 +502,44 @@ def _assemble_tick(layout: _Layout, reqs: list, registry: _TableRegistry, tel) -
     voltage sources, current sources, transistors, capacitors.
     """
     n = layout.n
-    K = len(reqs)
     X = layout.X
     F = layout.F
-    for i, r in enumerate(reqs):
-        X[i] = r[1]
+    _, xs, ts, gmins, transients, clamps, scales, _ = zip(*reqs)
+    X[...] = xs
     layout.XG[:, :n] = X[:, :n]
 
-    # Linear elements: one per-member mat-vec (a fused (K,n)x(n,n) dgemm
-    # is NOT bit-identical to the scalar matmul — measured, not guessed).
-    for i in range(K):
-        np.matmul(layout.LIN[i], X[i], out=F[i])
+    # Linear elements: the stacked mat-vec is one gemv per member, the
+    # scalar path's kernel (the single dgemm X @ LIN.T is NOT
+    # bit-identical to it — measured, not guessed).
+    np.matmul(layout.LIN, X[:, :, None], out=F[:, :, None])
     np.copyto(layout.JAC, layout.LIN)
 
-    gv = np.array([r[3] for r in reqs])
-    idx = np.flatnonzero(gv > 0.0)
-    if idx.size:
-        F[idx, :n] += gv[idx, None] * X[idx, :n]
-        layout.JAC2[np.ix_(idx, layout.diag_flat)] += gv[idx, None]
+    # gmin == 0 stamps nothing, as on the scalar path (-0.0 + 0.0 is +0.0).
+    gmin = np.array(gmins)[:, None]
+    on = gmin > 0.0
+    np.add(layout.Fn, gmin * X[:, :n], out=layout.Fn, where=on)
+    np.add(layout.DIAG, gmin, out=layout.DIAG, where=on)
 
-    for i, r in enumerate(reqs):
-        clamps = r[5]
-        if clamps:
-            sys = layout.plans[i].system
-            nodes, conductance, target = sys._clamp_arrays(clamps)
-            if nodes.size:
-                np.add.at(F[i], nodes, conductance * (r[1][nodes] - target))
-                np.add.at(
-                    layout.JAC2[i], nodes * (layout.size + 1), conductance
-                )
+    clamped = [i for i, c in enumerate(clamps) if c]
+    if clamped:
+        _stamp_clamps(layout, clamped, clamps)
 
-    # Independent sources: per-member, through each system's own stamp
-    # so its (t, waveform) caches evolve exactly as on the scalar path.
-    for i, r in enumerate(reqs):
-        layout.plans[i].system._stamp_sources(F[i], r[2], r[6])
+    _stamp_sources_batch(layout, ts, scales)
 
     if layout.n_t:
         _stamp_devices_batch(layout, registry, tel)
 
     if layout.n_c:
-        tr = [i for i, r in enumerate(reqs) if r[4] is not None]
+        tr = [i for i, s in enumerate(transients) if s is not None]
         if tr:
             if layout.cap_other:
                 # Exotic charge functions: the vectorized bank falls
                 # back per member, exactly like the scalar assembler.
                 for i in tr:
                     sys = layout.plans[i].system
-                    sys._stamp_capacitors(
-                        X[i], F[i], layout.JAC2[i], reqs[i][4], True
-                    )
+                    sys._stamp_capacitors(X[i], F[i], layout.JAC2[i], transients[i], True)
             else:
-                _stamp_capacitors_batch(layout, reqs, tr)
+                _stamp_capacitors_batch(layout, tr, [transients[i] for i in tr])
 
 
 def _plan_for(
@@ -531,23 +593,23 @@ def run_generators(gens: list) -> list[MemberOutcome]:
     while active:
         for entry in active:
             entry[3] = _plan_for(entry[3], entry[2][0], registry)
-        plans = [entry[3] for entry in active]
-        key = tuple(id(p) for p in plans)
+        key = tuple(id(entry[3]) for entry in active)
         if key != layout_key:
-            layout = _Layout(plans)
+            layout = _Layout([entry[3] for entry in active])
             layout_key = key
-        reqs = [entry[2] for entry in active]
-        _assemble_tick(layout, reqs, registry, tel)
+        _assemble_tick(layout, [entry[2] for entry in active], registry, tel)
         if tel is not None:
             tel.count("batch.ticks")
             tel.count("batch.member_assemblies", len(active))
 
+        # One copy per tick; each member's residual is a row of it that
+        # no later tick overwrites.
+        residuals = list(layout.F.copy())
         still = []
-        for i, entry in enumerate(active):
+        for i, (entry, f) in enumerate(zip(active, residuals)):
             pos, gen, req, _ = entry
-            answer = (layout.F[i].copy(), layout.JAC[i] if req[7] else None)
             try:
-                nxt = gen.send(answer)
+                nxt = gen.send((f, layout.JAC[i] if req[7] else None))
             except StopIteration as stop:
                 results[pos] = MemberOutcome("ok", stop.value)
             except Exception as exc:

@@ -525,38 +525,50 @@ class MnaSystem:
 
         return f.copy(), jac
 
-    def _stamp_sources(self, f, t: float, source_scale: float) -> None:
-        """Independent-source residual terms at time ``t``.
+    def _source_values(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Voltage- and current-source values at time ``t``.
 
         Source values are read from the circuit each call, so waveform
         swaps on existing sources (the dc_sweep idiom) are honoured
         without recompiling; the sampled values are cached on ``(t,
-        waveform identities)``.
+        waveform identities)``.  The returned arrays are that cache:
+        read them, never write them.  A new sample fills new arrays, so
+        arrays returned earlier keep their values (stacked-batch
+        members may share one system and sample it at different times
+        before any of them is stamped).  The scalar stamp and the
+        stacked batch both sample through here.
         """
-        n = self.n_nodes
-        if self.n_branches:
-            vs = self._vs_values
-            sources = self.circuit.voltage_sources
-            waves = self._vs_waves
-            if t != self._vs_t or any(
-                s.waveform is not w for s, w in zip(sources, waves)
-            ):
-                for m, src in enumerate(sources):
-                    vs[m] = src.waveform.value(t)
-                    waves[m] = src.waveform
-                self._vs_t = t
-            f[n:] -= source_scale * vs
-        if self._is_idx.size:
-            iv = self._is_values
+        vs = self._vs_values
+        sources = self.circuit.voltage_sources
+        waves = self._vs_waves
+        if t != self._vs_t or any(
+            s.waveform is not w for s, w in zip(sources, waves)
+        ):
+            vs = self._vs_values = np.empty(self.n_branches)
+            for m, src in enumerate(sources):
+                vs[m] = src.waveform.value(t)
+                waves[m] = src.waveform
+            self._vs_t = t
+        iv = self._is_values
+        if iv.size:
             sources = self.circuit.current_sources
             waves = self._is_waves
             if t != self._is_t or any(
                 s.waveform is not w for s, w in zip(sources, waves)
             ):
+                iv = self._is_values = np.empty(iv.size)
                 for m, src in enumerate(sources):
                     iv[m] = src.waveform.value(t)
                     waves[m] = src.waveform
                 self._is_t = t
+        return vs, iv
+
+    def _stamp_sources(self, f, t: float, source_scale: float) -> None:
+        """Independent-source residual terms at time ``t``."""
+        vs, iv = self._source_values(t)
+        if self.n_branches:
+            f[self.n_nodes:] -= source_scale * vs
+        if self._is_idx.size:
             np.add.at(f, self._is_idx, self._is_sign * (source_scale * iv[self._is_member]))
 
     def _stamp_transistors(self, x, f, jac, want_jac: bool) -> None:

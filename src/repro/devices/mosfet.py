@@ -22,10 +22,10 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.constants import thermal_voltage
 from repro.devices.charges import LinearCharge, SmoothStepCharge
+from repro.rootfind import brentq
 
 __all__ = [
     "MosfetParameters",

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.devices.physics.tfet_model import TfetPhysicalModel
+from repro.rootfind import brentq
 
 __all__ = ["CalibrationTargets", "CalibrationError", "calibrate_tfet"]
 

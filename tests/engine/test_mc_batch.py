@@ -20,6 +20,7 @@ from repro.circuit.dcop import ConvergenceError
 from repro.engine import mc
 from repro.engine.mc import McMetricSpec, MonteCarloBatch
 from repro.engine.scheduler import EngineConfig
+from repro.sram import READ_ASSISTS
 from repro.telemetry import core as telemetry
 from repro.verify.core import VerificationError
 
@@ -219,3 +220,14 @@ class TestEndToEnd:
         )
         assert batched.samples.tobytes() == scalar.samples.tobytes()
         assert [o.status for o in batched.report.outcomes] == ["ok"] * 3
+
+    @pytest.mark.parametrize("assist", sorted(READ_ASSISTS))
+    def test_batched_drnm_bit_identical_under_each_read_assist(self, assist):
+        """The rail assists swap source waveforms; each must batch exactly."""
+        spec = _spec(assist=assist)
+        scalar = MonteCarloBatch(spec).run(2, seed=11, engine=EngineConfig(jobs=1))
+        batched = MonteCarloBatch(spec).run(
+            2, seed=11, engine=EngineConfig(jobs=1), batch_size=2
+        )
+        assert batched.samples.tobytes() == scalar.samples.tobytes()
+        assert [o.status for o in batched.report.outcomes] == ["ok"] * 2
