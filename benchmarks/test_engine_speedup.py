@@ -1,18 +1,21 @@
-"""Guard: the batch engine's 4-worker speedup on a fixed 16-task workload.
+"""Guard: the batch engine's 4-worker speedup on a fixed 16-sample workload.
 
-Measures the same 16-task batch serially (``jobs=1``) and on four
-workers (``jobs=4``) and asserts the parallel run is at least 2x
-faster.  Two workload modes keep the measurement honest across hosts:
+Times the same task batch serially (``jobs=1``) and on four workers
+(``jobs=4``) and asserts the parallel run is at least 2x faster.  Two
+workload modes keep the measurement honest across hosts:
 
-* ``montecarlo`` (>= 4 usable cores, e.g. CI): real DRNM Monte-Carlo
-  samples through the full engine stack, with a warm-up pass so both
-  timed runs see warm device caches — this measures genuine CPU
-  parallelism on the paper's workload;
-* ``calibrated-sleep`` (fewer cores, e.g. a 1-core container): tasks of
-  a fixed known duration — CPU-bound work cannot speed up on one core,
-  so this instead verifies the scheduler overlaps task wall time and
-  adds little overhead.  The mode is recorded in the emitted JSON, so a
-  single-core result is never mistaken for a parallelism measurement.
+* ``montecarlo`` (>= 4 usable cores, e.g. CI): 16 real DRNM Monte-Carlo
+  samples as four stacked chunks of four (``chunk_tasks(..., batch_size=4)``,
+  the layout fig09/fig10 run), so the serial and the 4-worker runs
+  solve exactly the same chunks.  A warm-up pass at ``jobs=1`` builds
+  every device table in this process first; the forked workers inherit
+  them, so both timed runs measure solving, not table builds;
+* ``scheduler-overhead`` (fewer cores, e.g. a 2-vCPU container): tasks
+  that sleep a fixed time and do no solver work.  CPU-bound work cannot
+  speed up on too few cores, so this mode only checks that the
+  scheduler overlaps task wall time and adds little overhead.  The
+  mode is recorded in the emitted JSON, so such a result is never
+  mistaken for a parallelism measurement.
 
 Emits ``BENCH_engine.json`` at the repo root with both wall times, the
 speedup, the mode, and the visible core count.
@@ -33,6 +36,7 @@ import pytest
 from repro.engine import EngineConfig, McMetricSpec, MonteCarloBatch, Task, derive_seed, run_tasks
 
 TASK_COUNT = 16
+CHUNK = 4
 JOBS = 4
 MIN_SPEEDUP = 2.0
 SLEEP_PER_TASK_S = 0.25
@@ -54,7 +58,9 @@ def sleep_task(payload, ctx) -> float:
 
 def montecarlo_tasks() -> list[Task]:
     spec = McMetricSpec(metric="drnm", beta=0.6, vdd=0.8, metric_name="DRNM")
-    return MonteCarloBatch(spec).tasks(TASK_COUNT, seed=42)
+    return MonteCarloBatch(spec).chunk_tasks(
+        TASK_COUNT, seed=42, config=EngineConfig(), batch_size=CHUNK
+    )
 
 
 def sleep_tasks() -> list[Task]:
@@ -64,8 +70,8 @@ def sleep_tasks() -> list[Task]:
     ]
 
 
-def timed_run(tasks: list[Task], jobs: int, cache_dir) -> tuple[float, list]:
-    config = EngineConfig(jobs=jobs, cache_dir=cache_dir)
+def timed_run(tasks: list[Task], jobs: int) -> tuple[float, list]:
+    config = EngineConfig(jobs=jobs)
     start = time.perf_counter()
     report = run_tasks(tasks, config)
     wall = time.perf_counter() - start
@@ -73,21 +79,19 @@ def timed_run(tasks: list[Task], jobs: int, cache_dir) -> tuple[float, list]:
     return wall, report.values()
 
 
-def test_four_worker_speedup(tmp_path):
+def test_four_worker_speedup():
     cores = usable_cores()
-    mode = "montecarlo" if cores >= JOBS else "calibrated-sleep"
+    mode = "montecarlo" if cores >= JOBS else "scheduler-overhead"
     if mode == "montecarlo":
         tasks = montecarlo_tasks()
-        cache_dir = tmp_path / "table_cache"
-        # Warm pass: populate the on-disk table cache and the in-process
-        # device caches so both timed runs measure solving, not setup.
-        run_tasks(tasks, EngineConfig(jobs=1, cache_dir=cache_dir))
+        # Warm pass in this process: the forked workers inherit its
+        # device tables, so both timed runs measure solving, not setup.
+        run_tasks(tasks, EngineConfig(jobs=1))
     else:
         tasks = sleep_tasks()
-        cache_dir = None
 
-    serial_wall, serial_values = timed_run(tasks, 1, cache_dir)
-    parallel_wall, parallel_values = timed_run(tasks, JOBS, cache_dir)
+    serial_wall, serial_values = timed_run(tasks, 1)
+    parallel_wall, parallel_values = timed_run(tasks, JOBS)
 
     assert parallel_values == serial_values, "parallelism changed the results"
     speedup = serial_wall / parallel_wall
@@ -103,7 +107,7 @@ def test_four_worker_speedup(tmp_path):
                 "created_unix": time.time(),
                 "mode": mode,
                 "usable_cores": cores,
-                "task_count": TASK_COUNT,
+                "task_count": len(tasks),
                 "jobs": JOBS,
                 "serial_wall_s": serial_wall,
                 "parallel_wall_s": parallel_wall,

@@ -6,20 +6,16 @@ V_GND-lowering read assist — reporting the DRNM and WL_crit
 distributions and a simple parametric yield (fraction of samples whose
 margins clear configurable limits).
 
-The sampling runs on the batch engine (`repro.engine`): `--jobs N`
-fans samples across N worker processes that share one on-disk
-device-table cache, `--resume` continues an interrupted run from its
-JSONL checkpoint, and any jobs/resume combination is bit-identical to
-a serial run with the same seed.
-
-`--batch-size K` additionally solves K samples per task as one stacked
-Newton batch — same values to the last bit, several times faster.
+The sampling runs on the batch engine (`repro.engine`): samples are
+solved in chunks, each chunk one stacked Newton batch, `--jobs N` fans
+the chunks across N worker processes, `--resume` continues an
+interrupted run from its JSONL checkpoint, and any jobs/resume
+combination is bit-identical to a serial run with the same seed.
 
 Usage::
 
     python examples/monte_carlo_yield.py [--samples 24] [--seed 2011]
-                                         [--jobs 4] [--batch-size 16]
-                                         [--resume]
+                                         [--jobs 4] [--resume]
 """
 
 from __future__ import annotations
@@ -52,14 +48,6 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=2011)
     parser.add_argument("--jobs", type=int, default=1, help="worker processes")
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        metavar="K",
-        help="samples solved per task as one stacked Newton batch "
-        "(bit-identical to 1, several times faster)",
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
         help="resume an interrupted run from its checkpoints",
@@ -67,7 +55,7 @@ def main() -> None:
     parser.add_argument(
         "--run-dir",
         default=None,
-        help="directory for checkpoints and the device-table cache "
+        help="directory for checkpoints "
         "(default: a temp directory; pass a path to make --resume useful)",
     )
     args = parser.parse_args()
@@ -97,10 +85,9 @@ def main() -> None:
             resume=args.resume,
             run_key=f"mc_yield:{key}:beta={BETA}:vdd={VDD}",
             root_seed=args.seed,
-            cache_dir=run_dir / "table_cache",
         )
         results[key] = MonteCarloBatch(spec).run(
-            args.samples, seed=args.seed, engine=engine, batch_size=args.batch_size
+            args.samples, seed=args.seed, engine=engine
         )
 
     drnm_mc, wl_mc = results["drnm"], results["wlcrit"]
@@ -141,14 +128,6 @@ def main() -> None:
               f"at jobs={mc.report.jobs}"
               for mc in results.values()
           ))
-    cache_totals = {"hits": 0, "misses": 0, "stores": 0}
-    for mc in results.values():
-        for name, n in mc.report.cache_stats().items():
-            cache_totals[name] += n
-    print(
-        f"dev cache: {cache_totals['hits']} hits, {cache_totals['misses']} misses, "
-        f"{cache_totals['stores']} stores ({run_dir / 'table_cache'})"
-    )
     print()
     print("Paper, Section 4.3: the write-sized, read-assisted cell 'shows")
     print("strong immunity to process variations.'")

@@ -1,20 +1,24 @@
 """CI smoke test for the batch engine: parallel MC, forced retry, resume.
 
-Exercises the three engine behaviours CI must never regress, end to end
-and in minutes, not hours:
+Exercises the engine behaviours CI must never regress, end to end and
+in minutes, not hours:
 
-1. a small *real* Monte-Carlo batch (DRNM samples) on 2 workers with the
-   shared on-disk device-table cache;
+1. a small *real* Monte-Carlo study (DRNM samples, solved in stacked
+   chunks as fig09/fig10 solve them) on 2 workers, bit-identical to
+   the serial run;
 2. forced ConvergenceError retries with solver-knob escalation (a task
    function that diverges on its first attempt);
-3. a simulated kill-and-resume cycle: a prefix of the batch is
+3. simulated kill-and-resume cycles: a prefix of a task batch is
    checkpointed, the resumed run computes only the remainder, and the
    combined values are bit-identical to an uninterrupted serial run;
+   and a checkpointed 3-sample chunked study resumed as 4 samples
+   equals an uninterrupted 4-sample study;
 4. a traced rerun of both batches: the merged run-level trace must
-   contain every task's span tree, the ConvergenceError forensics of
-   the forced retries, and task spans covering most of the scheduler
-   wall; the trace and the run manifest (with its Prometheus text)
-   land in ``SMOKE_ARTIFACTS`` (when set) for CI upload.
+   contain every task's span tree (one per Monte-Carlo chunk), the
+   ConvergenceError forensics of the forced retries, and task spans
+   covering most of the scheduler wall; the trace and the run manifest
+   (with its Prometheus text) land in ``SMOKE_ARTIFACTS`` (when set)
+   for CI upload.
 
 Run with ``PYTHONPATH=src python scripts/engine_smoke.py``; exits
 non-zero on the first violated expectation.
@@ -22,6 +26,7 @@ non-zero on the first violated expectation.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import tempfile
@@ -36,6 +41,7 @@ from repro.engine import (
     derive_seed,
     run_tasks,
 )
+from repro.engine.mc import chunk_size
 
 SAMPLES = 4
 SEED = 7
@@ -59,19 +65,13 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="engine_smoke_") as tmp:
         tmp_path = Path(tmp)
 
-        print("1. parallel Monte-Carlo (DRNM, 2 workers, shared table cache)")
+        print("1. parallel Monte-Carlo (DRNM, 2 workers, stacked chunks)")
         batch = MonteCarloBatch(
             McMetricSpec(metric="drnm", beta=0.6, vdd=0.8, metric_name="DRNM")
         )
-        mc = batch.run(
-            SAMPLES,
-            seed=SEED,
-            engine=EngineConfig(jobs=2, cache_dir=tmp_path / "table_cache"),
-        )
+        mc = batch.run(SAMPLES, seed=SEED, engine=EngineConfig(jobs=2))
         check(mc.report.ok_count == SAMPLES, f"{SAMPLES}/{SAMPLES} samples computed")
         check(mc.failure_count == 0, "no diverged samples")
-        stats = mc.report.cache_stats()
-        check(stats["stores"] > 0, f"table cache populated ({stats})")
 
         serial = batch.run(SAMPLES, seed=SEED)
         check(
@@ -119,6 +119,22 @@ def main() -> int:
             "resumed run bit-identical to an uninterrupted run",
         )
 
+        study_path = tmp_path / "study.jsonl"
+        study = dict(checkpoint_path=study_path, run_key="smoke-study", root_seed=SEED)
+        batch.run(3, seed=SEED, engine=EngineConfig(**study), batch_size=2)
+        extended = batch.run(
+            4, seed=SEED, engine=EngineConfig(resume=True, **study), batch_size=2
+        )
+        whole = batch.run(4, seed=SEED, batch_size=2)
+        check(
+            extended.report.resumed_count == 1,
+            "chunk [0, 2) replayed; the partial chunk [2, 3) recomputed as [2, 4)",
+        )
+        check(
+            extended.samples.tobytes() == whole.samples.tobytes(),
+            "3-sample chunked study resumed as 4 equals an uninterrupted run",
+        )
+
         print("4. traced batches merge into one run-level trace + manifest")
         import json
         import time
@@ -140,7 +156,6 @@ def main() -> int:
                 seed=SEED,
                 engine=EngineConfig(
                     jobs=2,
-                    cache_dir=tmp_path / "table_cache",
                     trace_dir=trace_dir,
                     trace_id=trace_id,
                     run_key="smoke-mc",
@@ -164,12 +179,14 @@ def main() -> int:
             artifacts / "engine_manifest.json",
         )
         summary = summarize_trace(load_trace(trace_dir))
+        chunks = math.ceil(SAMPLES / chunk_size(SAMPLES, 2))
         check(
-            summary["tasks"] == SAMPLES + 8,
-            f"every task left a span ({summary['tasks']}/{SAMPLES + 8})",
+            summary["tasks"] == chunks + 8,
+            f"every task left a span ({summary['tasks']}/{chunks + 8}, "
+            f"{chunks} Monte-Carlo chunks)",
         )
         check(
-            summary["attempts"] == SAMPLES + 16,
+            summary["attempts"] == chunks + 16,
             "retried tasks left one span per attempt",
         )
         check(
@@ -185,7 +202,7 @@ def main() -> int:
         check(
             manifest["trace_id"] == trace_id
             and manifest["telemetry"]["counters"]["engine.tasks_total"]
-            == SAMPLES + 8,
+            == chunks + 8,
             "manifest joins the trace and counts every task",
         )
         check(

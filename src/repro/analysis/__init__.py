@@ -4,7 +4,7 @@ static noise margins, access energy, leakage attribution, retention."""
 from repro.analysis.area import AreaModel, cell_area_um2
 from repro.analysis.energy import read_energy, write_energy
 from repro.analysis.leakage import LeakageBreakdown, leakage_breakdown
-from repro.analysis.montecarlo import MonteCarloResult, MonteCarloStudy
+from repro.analysis.montecarlo import MonteCarloResult
 from repro.analysis.power import hold_power, static_power
 from repro.analysis.retention import retention_voltage
 from repro.analysis.snm import butterfly_curves, static_noise_margin
@@ -24,7 +24,6 @@ __all__ = [
     "LeakageBreakdown",
     "leakage_breakdown",
     "MonteCarloResult",
-    "MonteCarloStudy",
     "hold_power",
     "static_power",
     "retention_voltage",

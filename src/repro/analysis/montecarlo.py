@@ -1,35 +1,31 @@
 """Monte-Carlo process-variation studies (Section 4.3).
 
 Each sample draws an independent gate-insulator thickness for every
-transistor position, regenerates (or fetches from cache) the
-corresponding device tables, rebuilds the cell, and evaluates a metric.
-Infinite metric values (write failures) are kept, not dropped — the
-failure count is itself a paper result (wordline-lowering WA fails
-under variation).
+transistor position, fetches (or builds) the corresponding device
+tables, rebuilds the cell, and evaluates a metric.  Infinite metric
+values (write failures) are kept, not dropped — the failure count is
+itself a paper result (wordline-lowering WA fails under variation).
 
-Sampling is *per-task*: sample ``k`` of a study with root seed ``s``
+Sampling is *per-sample*: sample ``k`` of a study with root seed ``s``
 draws its scales from a generator seeded by ``(s, k)`` (see
 :func:`repro.engine.mc.sample_scales`), so the sample stream is
-independent of worker count and sample total.  Execution runs on
-:mod:`repro.engine` — pass an :class:`~repro.engine.scheduler.EngineConfig`
-to parallelize, checkpoint/resume, and retry; note that multi-process
-runs need picklable callables, for which the spec-based
-:class:`repro.engine.mc.MonteCarloBatch` is the intended front-end.
+independent of worker count, chunk size and sample total.  Studies run
+through :class:`repro.engine.mc.MonteCarloBatch`; this module holds
+what they produce (:class:`MonteCarloResult`) and the device cards of
+one sample (:func:`varied_device_set`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from repro.devices.library import tfet_device
-from repro.devices.variation import OxideVariation
 from repro.sram.cell import TfetDeviceSet
 
-__all__ = ["MonteCarloResult", "MonteCarloStudy", "varied_device_set"]
+__all__ = ["MonteCarloResult", "varied_device_set"]
 
 
 def varied_device_set(scales) -> TfetDeviceSet:
@@ -135,58 +131,3 @@ class MonteCarloResult:
         fitted = float(norm.cdf(limit, loc=np.mean(finite), scale=max(np.std(finite), 1e-30)))
         return fitted * (1.0 - self.failure_fraction)
 
-
-def _study_sample(payload, ctx) -> float:
-    """Engine task function for :class:`MonteCarloStudy` samples."""
-    cell_factory, metric, scales = payload
-    cell = cell_factory(varied_device_set(scales))
-    return float(metric(cell))
-
-
-@dataclass
-class MonteCarloStudy:
-    """Runs a metric over sampled device sets.
-
-    ``cell_factory(device_set)`` builds the cell under study;
-    ``metric(cell)`` evaluates it (returning a float, possibly inf).
-
-    Execution rides on :mod:`repro.engine`; the default configuration
-    runs inline (single job, no checkpoint), so closures remain valid
-    callables.  Passing ``engine=EngineConfig(jobs=4, ...)`` requires
-    ``cell_factory`` and ``metric`` to be picklable — prefer
-    :class:`repro.engine.mc.MonteCarloBatch` for parallel runs.
-    """
-
-    cell_factory: Callable[[TfetDeviceSet], object]
-    metric: Callable[[object], float]
-    metric_name: str = "metric"
-    variation: OxideVariation = field(default_factory=OxideVariation)
-    transistor_count: int = 6
-
-    def run(
-        self, sample_count: int, seed: int = 2011, engine=None
-    ) -> MonteCarloResult:
-        from repro.engine.jobs import Task, derive_seed
-        from repro.engine.mc import sample_scales
-        from repro.engine.scheduler import EngineConfig, run_tasks
-
-        if sample_count <= 0:
-            raise ValueError("sample_count must be positive")
-        tasks = [
-            Task(
-                index=k,
-                fn=_study_sample,
-                payload=(
-                    self.cell_factory,
-                    self.metric,
-                    sample_scales(self.variation, seed, k, self.transistor_count),
-                ),
-                seed=derive_seed(seed, k),
-            )
-            for k in range(sample_count)
-        ]
-        report = run_tasks(tasks, engine or EngineConfig())
-        values = np.array(
-            [v if v is not None else math.nan for v in report.values()], dtype=float
-        )
-        return MonteCarloResult(self.metric_name, values, report=report)

@@ -17,9 +17,8 @@ contract:
   configuration is discarded and recomputed instead of being replayed
   into the index under the new fingerprints.
 * **Parallel and audited** — the batch fans out over ``jobs`` worker
-  processes sharing the store's device-table cache, and
-  ``verify_fraction`` sample-audits entries under :mod:`repro.verify`
-  exactly as any engine workload.
+  processes, and ``verify_fraction`` sample-audits entries under
+  :mod:`repro.verify` exactly as any engine workload.
 
 Failures are recorded in the index as structured ``failed`` entries
 (visible in ``repro char status``) and re-attempted by the next build.
@@ -188,7 +187,6 @@ def build_grid(
             resume=True,
             run_key=f"char:{spec_digest(spec)}:{_pending_digest(pending, fps)}",
             root_seed=0,
-            cache_dir=store.table_cache_dir,
             verify_fraction=verify_fraction,
             trace_dir=trace_dir,
             trace_id=trace_id,

@@ -5,7 +5,6 @@ Layout under the store directory (default ``results/char/``)::
     index.jsonl            # append-only entry index, content-addressed
     grids/<digest>.npz     # compiled grid payloads, one per spec
     checkpoints/<digest>.jsonl   # engine checkpoints of in-flight builds
-    table_cache/           # shared device-table cache for build workers
 
 The **index** is the source of truth: one header line, then one JSON
 line per completed entry, keyed by the entry fingerprint
@@ -99,10 +98,6 @@ class CharStore:
 
     def checkpoint_path(self, spec: CharSpec) -> Path:
         return self.directory / "checkpoints" / f"{spec_digest(spec)}.jsonl"
-
-    @property
-    def table_cache_dir(self) -> Path:
-        return self.directory / "table_cache"
 
     # -- index reading -----------------------------------------------------
 

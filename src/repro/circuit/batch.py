@@ -81,7 +81,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.circuit.mna import MnaSystem
+from repro.circuit.mna import MnaSystem, logistic_step_charges
 from repro.devices.tables import CurrentTable, evaluate_stacked
 from repro.telemetry import core as telemetry
 
@@ -325,8 +325,8 @@ class _Layout:
                     raise ValueError("batch members must share one topology")
             self.cap_linear = bank._all_linear
             self.cap_other = bool(bank.other)
-            self.cap_step = np.flatnonzero(bank._step)
-            self.step_mirror = bank.mirror[self.cap_step]
+            self.cap_step = bank.step
+            self.step_mirror = bank.step_params[0]
             # Terminal columns in XG (ground, -1, is the last column).
             self.cap_ab = np.array((bank.a, bank.b)) % (n + 1)
             caps = [sys._caps for sys in systems]
@@ -456,10 +456,10 @@ def _stamp_devices_batch(layout: _Layout, registry: _TableRegistry, tel) -> None
 def _stamp_capacitors_batch(layout: _Layout, tr: list[int], states: list) -> None:
     """Companion-model capacitor stamps for the members in transient.
 
-    The charge model is :meth:`_CapacitorBank.charges_and_caps`'s
-    expressions, with the logistic step evaluated on the step
-    capacitors only (the scalar bank evaluates it everywhere and keeps
-    it there with ``np.where``).  Backward Euler is the trapezoidal
+    The charge model is :meth:`_CapacitorBank.charges_and_caps`'s: the
+    linear expression everywhere, then :func:`logistic_step_charges` on
+    the step capacitors' ``(members, steps)`` block, with the members'
+    own parameter rows.  Backward Euler is the trapezoidal
     expression with factor 1.0 and no previous current: ``1.0 * d`` and
     ``d - 0.0`` are exact, so both methods share one block expression
     and stay bit-identical to :meth:`MnaSystem._stamp_capacitors`.
@@ -472,15 +472,13 @@ def _stamp_capacitors_batch(layout: _Layout, tr: list[int], states: list) -> Non
     else:
         step = layout.cap_step
         s_scale, c_low, c_span, v_step, width = steps
-        mirror = layout.step_mirror
-        VM = mirror * V[:, step]
-        Xc = np.minimum(np.maximum((VM - v_step) / width, -200.0), 200.0)
-        softplus = width * np.logaddexp(0.0, Xc)
-        sigmoid = 1.0 / (1.0 + np.exp(-Xc))
+        q_step, c_step = logistic_step_charges(
+            V[:, step], layout.step_mirror, c_low, c_span, v_step, width
+        )
         Q = scale * (c_lin * V)
-        Q[:, step] = s_scale * (mirror * (c_low * VM + c_span * softplus))
+        Q[:, step] = s_scale * q_step
         C = scale * c_lin
-        C[:, step] = s_scale * (c_low + c_span * sigmoid)
+        C[:, step] = s_scale * c_step
 
     HF = np.array([(s.timestep, 2.0 if s.method == "trapezoidal" else 1.0) for s in states])
     zero = layout.no_current

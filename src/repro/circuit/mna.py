@@ -95,6 +95,21 @@ class _TransistorGroup:
         self.members = list(members)
 
 
+def logistic_step_charges(v, mirror, c_low, c_span, v_step, width):
+    """Unscaled charge and capacitance of logistic-step capacitors.
+
+    The one expression of :class:`~repro.devices.charges.SmoothStepCharge`
+    (and its mirror) shared by the scalar bank and the stacked batch,
+    evaluated on the step capacitors only; arguments broadcast, so ``v``
+    may be one member's voltages or a ``(members, steps)`` block.
+    """
+    vm = mirror * v
+    x = np.minimum(np.maximum((vm - v_step) / width, -200.0), 200.0)
+    softplus = width * np.logaddexp(0.0, x)
+    sigmoid = 1.0 / (1.0 + np.exp(-x))
+    return mirror * (c_low * vm + c_span * softplus), c_low + c_span * sigmoid
+
+
 class _CapacitorBank:
     """Vectorized evaluation of all capacitors in a circuit.
 
@@ -139,8 +154,14 @@ class _CapacitorBank:
                 self.other.append((k, cap.charge))
         self._all_linear = bool(np.all(self.kind == 0))
         self._scaled_lin = self.scale * self.c_lin
-        self._step = self.kind == 1
         self._c_span = self.c_high - self.c_low
+        self.step = np.flatnonzero(self.kind == 1)
+        self.step_params = tuple(
+            p[self.step]
+            for p in (self.mirror, self.c_low, self._c_span, self.v_step, self.width)
+        )
+        """``(mirror, c_low, c_high - c_low, v_step, width)`` of the step
+        capacitors, in :func:`logistic_step_charges` argument order."""
 
     def __len__(self) -> int:
         return len(self.a)
@@ -150,15 +171,11 @@ class _CapacitorBank:
         if self._all_linear:
             # Constant capacitances need none of the logistic machinery.
             return self._scaled_lin * v, self._scaled_lin
-        vm = self.mirror * v
-        x = np.minimum(np.maximum((vm - self.v_step) / self.width, -200.0), 200.0)
-        softplus = self.width * np.logaddexp(0.0, x)
-        sigmoid = 1.0 / (1.0 + np.exp(-x))
-        q_step = self.mirror * (self.c_low * vm + self._c_span * softplus)
-        c_step = self.c_low + self._c_span * sigmoid
-
-        q = np.where(self._step, q_step, self.c_lin * v)
-        c = np.where(self._step, c_step, self.c_lin)
+        q = self.c_lin * v
+        c = self.c_lin.copy()
+        q[self.step], c[self.step] = logistic_step_charges(
+            v[self.step], *self.step_params
+        )
         for k, charge in self.other:
             q[k] = float(np.asarray(charge.charge(v[k])))
             c[k] = float(np.asarray(charge.capacitance(v[k])))

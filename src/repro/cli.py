@@ -8,8 +8,7 @@ Commands:
 * ``experiment <id>`` — regenerate a paper figure/table: the rest of
   the command line goes to ``python -m repro.experiments``, so both
   take the same flags from one parser (``--list``, the telemetry
-  flags, the batch-engine flags such as ``--samples``, ``--jobs`` and
-  ``--batch-size``);
+  flags, the batch-engine flags such as ``--samples`` and ``--jobs``);
 * ``char build|status|query|export`` — the incremental characterization
   store (``repro.char``): build a metric grid (resumable, only missing
   points are simulated), inspect coverage, answer interpolated point
@@ -686,7 +685,6 @@ def _array_sweep(args) -> int:
         checkpoint_path=base / "checkpoints" / "array_sweep.jsonl",
         run_key=run_key,
         root_seed=args.seed,
-        cache_dir=base / "table_cache",
     )
     try:
         results, report = run_array_sweep(

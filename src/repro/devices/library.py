@@ -18,7 +18,7 @@ from repro.devices.physics.tablegen import (
     sample_current_grid,
 )
 from repro.devices.physics.tfet_model import TfetPhysicalModel
-from repro.devices.tables import CurrentTable, UniformGrid
+from repro.devices.tables import CurrentTable
 from repro.devices.tfet import TfetTableModel
 from repro.devices.variation import quantize_scale
 
@@ -28,33 +28,7 @@ __all__ = [
     "nmos_device",
     "pmos_device",
     "clear_device_cache",
-    "set_table_cache",
-    "table_cache",
 ]
-
-_table_cache = None
-"""Optional :class:`repro.engine.cache.DeviceTableCache`; see
-:func:`set_table_cache`."""
-
-
-def set_table_cache(cache) -> None:
-    """Install (or with ``None`` remove) an on-disk table cache.
-
-    The batch engine's workers call this from their initializer so that
-    the physics sampling behind :func:`tfet_device` is paid once per
-    unique quantized scale across the whole worker pool rather than
-    once per process.  Per 141x141 table, sampling takes about 2.5 ms
-    and a load about 1.5 ms; the coefficient bake, about 7.5 ms, follows
-    either (2-vCPU x86 VM).  The in-process ``lru_cache`` stays in front
-    of the disk layer, so installing a cache never slows the hot path.
-    """
-    global _table_cache
-    _table_cache = cache
-
-
-def table_cache():
-    """The installed on-disk table cache, or ``None``."""
-    return _table_cache
 
 
 @lru_cache(maxsize=None)
@@ -68,46 +42,12 @@ def _tfet_device_quantized(oxide_scale: float, table_points: int) -> TfetTableMo
     nominal = nominal_tfet_physics()
     design = nominal.design.with_oxide_scale(oxide_scale)
     perturbed = replace(nominal, design=design)
-    table = _current_table_cached(perturbed, oxide_scale, table_points)
+    grid_v, grid_d, current = sample_current_grid(perturbed, points=table_points)
+    table = CurrentTable(
+        grid_v, grid_d, current, shape_voltage=perturbed.drain_saturation_voltage
+    )
     charges = build_charge_model(design)
     return TfetTableModel(table=table, charges=charges)
-
-
-def _current_table_cached(model, oxide_scale: float, table_points: int) -> CurrentTable:
-    """Build the current table, going through the disk cache if installed.
-
-    Cache entries hold the raw sampled grid; interpolant construction is
-    repeated on load (deterministic), so hits are bit-identical to fresh
-    builds.
-    """
-    cache = _table_cache
-    if cache is None:
-        grid_v, grid_d, current = sample_current_grid(model, points=table_points)
-        return CurrentTable(
-            grid_v, grid_d, current, shape_voltage=model.drain_saturation_voltage
-        )
-    payload = cache.load(oxide_scale, table_points)
-    if payload is not None:
-        vgs = payload["vgs"]
-        vds = payload["vds"]
-        return CurrentTable(
-            UniformGrid(float(vgs[0]), float(vgs[1]), int(vgs[2])),
-            UniformGrid(float(vds[0]), float(vds[1]), int(vds[2])),
-            payload["current"],
-            shape_voltage=payload["shape_voltage"],
-        )
-    grid_v, grid_d, current = sample_current_grid(model, points=table_points)
-    cache.store(
-        oxide_scale,
-        table_points,
-        current,
-        (grid_v.start, grid_v.stop, grid_v.count),
-        (grid_d.start, grid_d.stop, grid_d.count),
-        model.drain_saturation_voltage,
-    )
-    return CurrentTable(
-        grid_v, grid_d, current, shape_voltage=model.drain_saturation_voltage
-    )
 
 
 def tfet_device(oxide_scale: float = 1.0, table_points: int = 141) -> TfetTableModel:

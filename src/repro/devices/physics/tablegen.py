@@ -40,12 +40,11 @@ def sample_current_grid(
 ) -> tuple[UniformGrid, UniformGrid, np.ndarray]:
     """Sample the physics model onto a raw (V_GS, V_DS) current grid.
 
-    The returned samples are what the batch engine's on-disk
-    device-table cache persists.  At the default 141 points this takes
-    about 2.5 ms, a quarter of a table build; the coefficient bake in
-    :class:`~repro.devices.tables.CurrentTable` takes about 7.5 ms, and
-    a cache load of the samples about 1.5 ms (medians over the 41
-    quantized scales of the +/-5 % band, 2-vCPU x86 VM).
+    At the default 141 points this takes about 2.5 ms, a quarter of a
+    table build; the coefficient bake in
+    :class:`~repro.devices.tables.CurrentTable` takes about 7.5 ms
+    (medians over the 41 quantized scales of the +/-5 % band, 2-vCPU
+    x86 VM).
     """
     vgs_grid = UniformGrid(-voltage_span, voltage_span, points)
     vds_grid = UniformGrid(-voltage_span, voltage_span, points)

@@ -12,10 +12,9 @@ them at scale:
   telemetry aggregation;
 * :mod:`repro.engine.checkpoint` — append-only JSONL checkpoints so an
   interrupted run resumes (or extends) without recomputing;
-* :mod:`repro.engine.cache` — the shared on-disk device-table cache
-  warmed by every worker;
 * :mod:`repro.engine.mc` — the Monte-Carlo front-end used by
-  ``fig09``/``fig10`` and ``examples/monte_carlo_yield.py``.
+  ``fig09``/``fig10`` and ``examples/monte_carlo_yield.py``: studies
+  run as chunks of samples, each chunk one stacked Newton batch.
 
 Quickstart::
 
@@ -26,13 +25,11 @@ Quickstart::
     result = MonteCarloBatch(spec).run(
         200, seed=2011,
         engine=EngineConfig(jobs=4, checkpoint_path="results/checkpoints/drnm.jsonl",
-                            run_key="drnm@0.6", root_seed=2011, resume=True,
-                            cache_dir="results/table_cache"),
+                            run_key="drnm@0.6", root_seed=2011, resume=True),
     )
-    result.mean(), result.failure_fraction, result.report.cache_stats()
+    result.mean(), result.failure_fraction, result.report.resumed_count
 """
 
-from repro.engine.cache import DeviceTableCache
 from repro.engine.checkpoint import CheckpointLog, CheckpointMismatch
 from repro.engine.jobs import Task, TaskContext, TaskOutcome, derive_seed, task_rng
 from repro.engine.mc import (
@@ -49,7 +46,6 @@ __all__ = [
     "BatchReport",
     "CheckpointLog",
     "CheckpointMismatch",
-    "DeviceTableCache",
     "EngineConfig",
     "McMetricSpec",
     "MonteCarloBatch",

@@ -1,17 +1,19 @@
-"""Engine-backed Monte-Carlo: picklable sample specs and batch runs.
+"""Engine-backed Monte-Carlo: picklable sample specs and chunked runs.
 
-The serial :class:`repro.analysis.montecarlo.MonteCarloStudy` takes
-arbitrary callables, which cannot cross a process boundary when they
-are closures.  This module provides the parallel counterpart: a
-:class:`McMetricSpec` *describes* the cell and metric as plain data
-(beta, access configuration, assist name, metric kind), and a
-module-level task function rebuilds and evaluates it inside any worker
-process.
+A :class:`McMetricSpec` *describes* the cell and metric as plain data
+(beta, access configuration, assist name, metric kind), so a
+module-level task function can rebuild and evaluate it inside any
+worker process.  :class:`MonteCarloBatch` runs a study as chunks of
+samples, each chunk one stacked Newton batch (:mod:`repro.circuit.batch`);
+the scalar :func:`evaluate_mc_sample` is the retry ladder and the audit
+reference for every member.
 
 Per-sample thickness scales derive from ``(root_seed, sample_index)``
-via the engine's seed derivation, so a batch is reproducible at any
-worker count, resumable, and extendable (a 200-sample run shares its
-first 64 samples with a 64-sample run of the same seed).
+via the engine's seed derivation, and each chunk task is keyed by the
+range of samples it holds, so a study is reproducible at any worker
+count and chunk size, resumable, and extendable (a 200-sample run
+reuses the chunks of a 64-sample run of the same seed that hold the
+same samples).
 """
 
 from __future__ import annotations
@@ -29,13 +31,43 @@ from repro.engine.jobs import Task, TaskContext, TaskOutcome, derive_seed, task_
 from repro.engine.scheduler import BatchReport, EngineConfig, run_tasks
 
 __all__ = [
+    "MAX_CHUNK",
     "McMetricSpec",
     "MonteCarloBatch",
+    "chunk_index",
+    "chunk_size",
     "escalated_transient_options",
     "evaluate_mc_chunk",
     "evaluate_mc_sample",
     "sample_scales",
 ]
+
+MAX_CHUNK = 16
+"""Largest derived chunk: on a 2-vCPU host chunks of 16 samples took
+about a sixth of the per-sample wall time, and chunks of 32 gained
+nothing over 16."""
+
+RUN_KEY_SUFFIX = ":chunks=range"
+"""Appended to the study's run key, so a checkpoint written under
+another task layout raises ``CheckpointMismatch`` instead of being
+misread."""
+
+
+def chunk_size(sample_count: int, jobs: int) -> int:
+    """The derived chunk size: ``min(MAX_CHUNK, ceil(samples / jobs))``,
+    so every worker gets a chunk and no chunk outgrows the measured
+    sweet spot."""
+    return min(MAX_CHUNK, math.ceil(sample_count / jobs))
+
+
+def chunk_index(lo: int, hi: int) -> int:
+    """The task index of the chunk holding samples ``[lo, hi)``.
+
+    The Cantor pairing of ``(lo, hi)``: one integer per member range,
+    so a checkpointed outcome is replayed only for a chunk with the
+    same members, whatever the chunk size or sample count.
+    """
+    return (lo + hi) * (lo + hi + 1) // 2 + hi
 
 
 def sample_scales(
@@ -276,41 +308,23 @@ class MonteCarloBatch:
 
     spec: McMetricSpec
 
-    def tasks(self, sample_count: int, seed: int) -> list[Task]:
-        """The batch's task list (sample scales drawn parent-side)."""
-        if sample_count <= 0:
-            raise ValueError("sample_count must be positive")
-        return [
-            Task(
-                index=k,
-                fn=evaluate_mc_sample,
-                payload=(
-                    self.spec,
-                    sample_scales(
-                        self.spec.variation, seed, k, self.spec.transistor_count
-                    ),
-                ),
-                seed=derive_seed(seed, k),
-            )
-            for k in range(sample_count)
-        ]
-
     def chunk_tasks(
         self, sample_count: int, seed: int, config: EngineConfig, batch_size: int
     ) -> list[Task]:
-        """The batched task list: one chunk task per ``batch_size`` samples.
+        """The study's task list: one chunk task per ``batch_size`` samples.
 
-        Member seeds and scales are exactly those of :meth:`tasks`, so
-        every sample's work — and the deterministic audit selection —
-        is identical to the scalar layout at any chunk size.
+        Member ``k`` carries the seed ``derive_seed(seed, k)`` and the
+        scales :func:`sample_scales` draws for ``(seed, k)``, so a
+        sample's work, and the deterministic audit selection, do not
+        depend on the chunk size.  A chunk's task index is
+        :func:`chunk_index` of its member range.
         """
         if sample_count <= 0:
             raise ValueError("sample_count must be positive")
-        if batch_size <= 1:
-            raise ValueError("batch_size must be > 1 for chunked tasks")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         chunks = []
-        for c in range((sample_count + batch_size - 1) // batch_size):
-            lo = c * batch_size
+        for lo in range(0, sample_count, batch_size):
             hi = min(sample_count, lo + batch_size)
             entries = tuple(
                 (
@@ -322,9 +336,10 @@ class MonteCarloBatch:
                 )
                 for k in range(lo, hi)
             )
+            index = chunk_index(lo, hi)
             chunks.append(
                 Task(
-                    index=c,
+                    index=index,
                     fn=evaluate_mc_chunk,
                     payload=(
                         self.spec,
@@ -333,7 +348,7 @@ class MonteCarloBatch:
                         config.verify_fraction,
                         config.verify_options,
                     ),
-                    seed=derive_seed(seed, c),
+                    seed=derive_seed(seed, index),
                 )
             )
         return chunks
@@ -343,63 +358,60 @@ class MonteCarloBatch:
         sample_count: int,
         seed: int = 2011,
         engine: EngineConfig | None = None,
-        batch_size: int = 1,
+        batch_size: int | None = None,
     ):
         """Evaluate ``sample_count`` samples; returns a
         :class:`~repro.analysis.montecarlo.MonteCarloResult` whose
         ``report`` attribute carries the :class:`BatchReport`.
 
+        The samples run in chunks, each solved as one stacked Newton
+        batch (:mod:`repro.circuit.batch`); every value equals the
+        scalar :func:`evaluate_mc_sample` to the last bit.  The chunk
+        size is :func:`chunk_size` of the sample count and the engine's
+        ``jobs``; ``batch_size`` fixes it instead.  Retries, timeouts
+        and verify audits keep their per-*sample* semantics (retried
+        members split to the scalar path inside the chunk;
+        ``timeout_s`` scales by the chunk size), and the report is
+        expanded to per-sample outcomes in index order.
+        ``report.resumed_count`` and the ``engine.tasks_*`` session
+        counters count *chunks*.
+
         Engine-level task failures (retry exhaustion, timeout, a died
         worker) enter the sample array as ``nan`` — distinguishable
         from the metric's own ``inf`` write failures, but equally
         counted by ``MonteCarloResult.failure_count``.
-
-        ``batch_size > 1`` solves that many samples per task as one
-        stacked Newton batch (:mod:`repro.circuit.batch`) — same
-        values to the last bit, a fraction of the wall clock.  Retries,
-        timeouts and verify audits keep their per-*sample* semantics
-        (retried members split to the scalar path inside the chunk;
-        ``timeout_s`` scales by the chunk size); checkpoints are keyed
-        per batch size and the report is re-expanded to per-sample
-        outcomes, so downstream consumers see the scalar shape.
-        ``report.resumed_count`` and the ``engine.tasks_*`` session
-        counters count *chunks* in batched mode.
         """
         from repro.analysis.montecarlo import MonteCarloResult
 
         config = engine or EngineConfig()
-        if batch_size > 1:
-            report = self._run_batched(sample_count, seed, config, batch_size)
-        else:
-            report = run_tasks(self.tasks(sample_count, seed), config)
+        if batch_size is None:
+            batch_size = chunk_size(sample_count, config.jobs)
+        report = self._run_chunks(sample_count, seed, config, batch_size)
         values = np.array(
             [v if v is not None else math.nan for v in report.values()], dtype=float
         )
         return MonteCarloResult(self.spec.metric_name, values, report=report)
 
-    def _run_batched(
+    def _run_chunks(
         self, sample_count: int, seed: int, config: EngineConfig, batch_size: int
     ) -> BatchReport:
-        """Run chunked tasks and expand them into a per-sample report."""
+        """Run the chunk tasks and expand them into a per-sample report."""
+        tasks = self.chunk_tasks(sample_count, seed, config, batch_size)
         chunk_config = replace(
             config,
             retries=0,
             verify_fraction=0.0,
             verify_options=None,
-            run_key=f"{config.run_key}:bs={batch_size}",
+            run_key=config.run_key + RUN_KEY_SUFFIX,
             timeout_s=(
                 config.timeout_s * batch_size
                 if config.timeout_s is not None
                 else None
             ),
         )
-        chunk_report = run_tasks(
-            self.chunk_tasks(sample_count, seed, config, batch_size), chunk_config
-        )
+        chunk_report = run_tasks(tasks, chunk_config)
         outcomes: list[TaskOutcome] = []
-        for chunk in chunk_report.outcomes:
-            lo = chunk.index * batch_size
-            hi = min(sample_count, lo + batch_size)
+        for task, chunk in zip(tasks, chunk_report.outcomes):
             if chunk.ok:
                 share = chunk.wall_s / max(1, len(chunk.value))
                 for rec in chunk.value:
@@ -417,8 +429,9 @@ class MonteCarloBatch:
             else:
                 # The whole chunk died (timeout, worker loss, a bug):
                 # every member it covered is recorded as failed.
-                share = chunk.wall_s / max(1, hi - lo)
-                for k in range(lo, hi):
+                members = [entry[0] for entry in task.payload[1]]
+                share = chunk.wall_s / len(members)
+                for k in members:
                     outcomes.append(
                         TaskOutcome(
                             index=k,
@@ -430,6 +443,11 @@ class MonteCarloBatch:
                         )
                     )
         outcomes.sort(key=lambda o: o.index)
+        if [o.index for o in outcomes] != list(range(sample_count)):
+            raise RuntimeError(
+                f"chunk outcomes of run {config.run_key!r} do not cover samples "
+                f"0..{sample_count - 1} exactly once"
+            )
         return BatchReport(
             outcomes=outcomes,
             jobs=chunk_report.jobs,

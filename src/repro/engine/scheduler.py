@@ -13,11 +13,8 @@ returns a :class:`BatchReport`.  The contract:
 * **Checkpointing** — with a checkpoint configured, every outcome is
   flushed to the JSONL log the moment it lands, and ``resume=True``
   replays completed indices instead of recomputing them.
-* **Shared caching** — workers are initialized with the on-disk
-  device-table cache so the physics sampling is paid once per unique
-  quantized scale across the whole pool.
-* **Telemetry** — per-task counters (solver statistics, cache hits,
-  retry counts) are aggregated across workers into the caller's active
+* **Telemetry** — per-task counters (solver statistics, retry
+  counts) are aggregated across workers into the caller's active
   telemetry session, so run manifests of parallel runs stay as
   diagnosable as serial ones.
 * **Tracing** — with ``trace_dir`` configured, the scheduler mints a
@@ -39,7 +36,7 @@ from pathlib import Path
 
 from repro.engine.checkpoint import CheckpointLog
 from repro.engine.jobs import Task, TaskOutcome
-from repro.engine.worker import execute_task, worker_init
+from repro.engine.worker import execute_task
 from repro.telemetry import core as telemetry
 from repro.verify.core import VerifyOptions
 
@@ -57,8 +54,7 @@ class EngineConfig:
     ``retries`` counts additional attempts after the first (on
     :class:`~repro.circuit.dcop.ConvergenceError` only); ``timeout_s``
     is the per-attempt wall-clock budget.  ``checkpoint_path`` enables
-    JSONL checkpointing; ``resume`` replays it.  ``cache_dir`` locates
-    the shared on-disk device-table cache.
+    JSONL checkpointing; ``resume`` replays it.
 
     ``verify_fraction`` sample-audits that fraction of tasks under a
     :mod:`repro.verify` session (deterministically selected per task
@@ -82,7 +78,6 @@ class EngineConfig:
     resume: bool = False
     run_key: str = "batch"
     root_seed: int = 0
-    cache_dir: str | Path | None = None
     collect_telemetry: bool = True
     verify_fraction: float = 0.0
     verify_options: VerifyOptions | None = None
@@ -130,14 +125,6 @@ class BatchReport:
 
     def failures(self) -> list[TaskOutcome]:
         return [o for o in self.outcomes if not o.ok]
-
-    def cache_stats(self) -> dict[str, int]:
-        """Device-table disk-cache activity aggregated across workers."""
-        return {
-            "hits": self.counters.get("devcache.hits", 0),
-            "misses": self.counters.get("devcache.misses", 0),
-            "stores": self.counters.get("devcache.stores", 0),
-        }
 
 
 def run_tasks(tasks: list[Task], config: EngineConfig = EngineConfig()) -> BatchReport:
@@ -253,34 +240,21 @@ def _finalize_trace(trace, config, report, log, batch_t0_unix) -> None:
 
 def _run_inline(pending, config, log, trace=None) -> dict[int, TaskOutcome]:
     """Single-job path: runs in-process, accepts unpicklable task fns."""
-    installed_cache = None
-    if config.cache_dir is not None:
-        from repro.devices.library import set_table_cache, table_cache
-        from repro.engine.cache import DeviceTableCache
-
-        installed_cache = table_cache()
-        set_table_cache(DeviceTableCache(config.cache_dir))
-    try:
-        outcomes: dict[int, TaskOutcome] = {}
-        for task in pending:
-            outcome = execute_task(
-                task,
-                retries=config.retries,
-                timeout_s=config.timeout_s,
-                collect_telemetry=config.collect_telemetry,
-                verify_fraction=config.verify_fraction,
-                verify_options=config.verify_options,
-                trace=trace,
-            )
-            outcomes[task.index] = outcome
-            if log is not None:
-                log.append(outcome)
-        return outcomes
-    finally:
-        if config.cache_dir is not None:
-            from repro.devices.library import set_table_cache
-
-            set_table_cache(installed_cache)
+    outcomes: dict[int, TaskOutcome] = {}
+    for task in pending:
+        outcome = execute_task(
+            task,
+            retries=config.retries,
+            timeout_s=config.timeout_s,
+            collect_telemetry=config.collect_telemetry,
+            verify_fraction=config.verify_fraction,
+            verify_options=config.verify_options,
+            trace=trace,
+        )
+        outcomes[task.index] = outcome
+        if log is not None:
+            log.append(outcome)
+    return outcomes
 
 
 def _run_pool(pending, config, log, trace=None) -> dict[int, TaskOutcome]:
@@ -299,12 +273,7 @@ def _run_pool(pending, config, log, trace=None) -> dict[int, TaskOutcome]:
     outcomes: dict[int, TaskOutcome] = {}
     window = config.jobs * MAX_IN_FLIGHT_PER_WORKER
     queue = list(reversed(pending))  # pop() preserves index order
-    with ProcessPoolExecutor(
-        max_workers=config.jobs,
-        mp_context=mp_context,
-        initializer=worker_init,
-        initargs=(config.cache_dir,),
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=config.jobs, mp_context=mp_context) as pool:
         in_flight = {}
         while queue or in_flight:
             while queue and len(in_flight) < window:

@@ -31,7 +31,7 @@ from repro.engine.jobs import Task, TaskContext, TaskOutcome
 from repro.telemetry import core as telemetry
 from repro.verify import core as verify
 
-__all__ = ["TaskTimeout", "execute_task", "verify_selected", "worker_init"]
+__all__ = ["TaskTimeout", "execute_task", "verify_selected"]
 
 RETRYABLE_ERRORS = (ConvergenceError,)
 
@@ -59,15 +59,6 @@ def verify_selected(seed: int, fraction: float) -> bool:
 
 class TaskTimeout(RuntimeError):
     """A task attempt exceeded the configured wall-clock budget."""
-
-
-def worker_init(cache_dir) -> None:
-    """Process-pool initializer: installs the shared device-table cache."""
-    if cache_dir is not None:
-        from repro.devices.library import set_table_cache
-        from repro.engine.cache import DeviceTableCache
-
-        set_table_cache(DeviceTableCache(cache_dir))
 
 
 class _attempt_deadline:

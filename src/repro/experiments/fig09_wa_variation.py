@@ -6,11 +6,12 @@ Paper shape: WL_crit varies strongly for every WA technique, with
 wordline lowering suffering outright write failures under variation,
 while the DRNM of the same cells is barely affected.
 
-Runs on :mod:`repro.engine`: ``jobs`` parallelizes the samples across
-worker processes (sharing one on-disk device-table cache),
-``checkpoint_dir`` + ``resume`` make interrupted campaigns restartable,
-and the per-sample seed derivation keeps any ``jobs``/``resume``
-combination bit-identical to a serial run.
+Runs on :mod:`repro.engine`: each study's samples are solved in
+stacked chunks (:class:`~repro.engine.mc.MonteCarloBatch`), ``jobs``
+spreads the chunks across worker processes, ``checkpoint_dir`` +
+``resume`` make interrupted campaigns restartable, and the per-sample
+seed derivation keeps any ``jobs``/``resume`` combination bit-identical
+to a serial run.
 """
 
 from __future__ import annotations
@@ -37,12 +38,10 @@ def run(
     jobs: int = 1,
     resume: bool = False,
     checkpoint_dir: str | None = None,
-    cache_dir: str | None = None,
     retries: int = 2,
     timeout_s: float | None = None,
     trace_dir: str | None = None,
     trace_id: str | None = None,
-    batch_size: int = 1,
 ) -> ExperimentResult:
     result = ExperimentResult(
         "fig09",
@@ -78,11 +77,9 @@ def run(
             spec,
             samples,
             seed,
-            batch_size=batch_size,
             jobs=jobs,
             resume=resume,
             checkpoint_dir=checkpoint_dir,
-            cache_dir=cache_dir,
             retries=retries,
             timeout_s=timeout_s,
             trace_dir=trace_dir,

@@ -31,12 +31,10 @@ def run(
     jobs: int = 1,
     resume: bool = False,
     checkpoint_dir: str | None = None,
-    cache_dir: str | None = None,
     retries: int = 2,
     timeout_s: float | None = None,
     trace_dir: str | None = None,
     trace_id: str | None = None,
-    batch_size: int = 1,
 ) -> ExperimentResult:
     result = ExperimentResult(
         "fig10",
@@ -70,11 +68,9 @@ def run(
             spec,
             samples,
             seed,
-            batch_size=batch_size,
             jobs=jobs,
             resume=resume,
             checkpoint_dir=checkpoint_dir,
-            cache_dir=cache_dir,
             retries=retries,
             timeout_s=timeout_s,
             trace_dir=trace_dir,

@@ -1,11 +1,10 @@
 """Shared engine plumbing for the Monte-Carlo experiments.
 
-Centralizes how ``fig09``/``fig10`` (and the examples) map a metric
-spec onto an :class:`~repro.engine.scheduler.EngineConfig`: one
-checkpoint file per study (named from the experiment id and metric),
-one shared device-table cache per run directory, and a ``run_key``
-that pins checkpoints to their study parameters so ``--resume`` can
-never silently mix runs.
+Centralizes how ``fig09``/``fig10`` map a metric spec onto an
+:class:`~repro.engine.scheduler.EngineConfig`: one checkpoint file per
+study (named from the experiment id and metric) and a ``run_key`` that
+pins checkpoints to their study parameters so ``--resume`` can never
+silently mix runs.
 """
 
 from __future__ import annotations
@@ -20,11 +19,9 @@ __all__ = [
     "engine_config_for",
     "run_study",
     "DEFAULT_CHECKPOINT_DIR",
-    "DEFAULT_CACHE_DIR",
 ]
 
 DEFAULT_CHECKPOINT_DIR = "results/checkpoints"
-DEFAULT_CACHE_DIR = "results/table_cache"
 
 
 def _slug(text: str) -> str:
@@ -48,7 +45,6 @@ def engine_config_for(
     jobs: int = 1,
     resume: bool = False,
     checkpoint_dir: str | Path | None = None,
-    cache_dir: str | Path | None = None,
     retries: int = 2,
     timeout_s: float | None = None,
     trace_dir: str | Path | None = None,
@@ -73,8 +69,6 @@ def engine_config_for(
         checkpoint_path = (
             Path(checkpoint_dir) / f"{experiment_id}_{_slug(spec.metric_name)}.jsonl"
         )
-    if cache_dir is None and jobs > 1:
-        cache_dir = DEFAULT_CACHE_DIR
     return EngineConfig(
         jobs=jobs,
         retries=retries,
@@ -83,7 +77,6 @@ def engine_config_for(
         resume=resume,
         run_key=run_key_for(experiment_id, spec),
         root_seed=seed,
-        cache_dir=cache_dir,
         trace_dir=trace_dir,
         trace_id=trace_id,
     )
@@ -94,19 +87,15 @@ def run_study(
     spec: McMetricSpec,
     samples: int,
     seed: int,
-    *,
-    batch_size: int = 1,
     **engine_kwargs,
 ):
     """One Monte-Carlo study end to end: config, run, per-sample result.
 
-    The shared loop body of ``fig09``/``fig10`` (and the yield
-    example).  ``batch_size > 1`` solves that many samples per task as
-    one stacked Newton batch — bit-identical values at any
-    ``jobs``/``batch_size`` combination, so the figures' golden
-    statistics are independent of how the work was scheduled.
+    The shared loop body of ``fig09``/``fig10``.  The samples run in
+    stacked chunks sized from ``samples`` and ``jobs``
+    (:func:`repro.engine.mc.chunk_size`); values are bit-identical at
+    any ``jobs``, so the figures' statistics are independent of how
+    the work was scheduled.
     """
     engine = engine_config_for(experiment_id, spec, seed, **engine_kwargs)
-    return MonteCarloBatch(spec).run(
-        samples, seed=seed, engine=engine, batch_size=batch_size
-    )
+    return MonteCarloBatch(spec).run(samples, seed=seed, engine=engine)

@@ -23,11 +23,11 @@ retained reference implementations while the experiment runs (see
 Batch-engine flags (sampling experiments such as ``fig09``/``fig10``):
 ``--samples N`` sets the Monte-Carlo size, ``--jobs J`` fans the
 samples across J worker processes (bit-identical to ``--jobs 1``),
-``--seed S`` sets the root seed, ``--batch-size K`` solves K samples
-per task as one stacked Newton batch, and ``--resume`` continues an
+``--seed S`` sets the root seed, and ``--resume`` continues an
 interrupted run from its JSONL checkpoints under
-``<output-dir>/checkpoints/``.  Experiments that do not sample ignore
-these flags with a note.
+``<output-dir>/checkpoints/``.  The samples always run as stacked
+Newton batches, in chunks sized from ``--samples`` and ``--jobs``.
+Experiments that do not sample ignore these flags with a note.
 
 ``--char-store DIR`` serves grid points from a pre-built
 characterization store (:mod:`repro.char`) where the experiment's
@@ -331,14 +331,6 @@ def main(argv: list[str] | None = None, prog: str = "repro.experiments") -> int:
         action="store_true",
         help="resume from the run's JSONL checkpoints instead of recomputing",
     )
-    engine_group.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="K",
-        help="solve K Monte-Carlo samples per task as one stacked Newton "
-        "batch (bit-identical to K=1, several times faster)",
-    )
     parser.add_argument(
         "--char-store",
         metavar="DIR",
@@ -404,14 +396,11 @@ def _engine_kwargs(args) -> dict:
         kwargs["seed"] = args.seed
     if args.jobs is not None:
         kwargs["jobs"] = args.jobs
-    if args.batch_size is not None:
-        kwargs["batch_size"] = args.batch_size
     if args.resume:
         kwargs["resume"] = True
     if kwargs or args.resume:
         base = Path(args.output_dir or DEFAULT_MANIFEST_DIR)
         kwargs["checkpoint_dir"] = str(base / "checkpoints")
-        kwargs["cache_dir"] = str(base / "table_cache")
     if args.char_store is not None:
         kwargs["char_store"] = args.char_store
     return kwargs
@@ -431,7 +420,7 @@ def _supported_kwargs(experiment_id: str, kwargs: dict) -> dict:
     supported = {k: v for k, v in kwargs.items() if k in accepted}
     dropped = [
         k.replace("_", "-")
-        for k in ("samples", "seed", "jobs", "resume", "batch_size", "char_store")
+        for k in ("samples", "seed", "jobs", "resume", "char_store")
         if k in kwargs and k not in accepted
     ]
     if dropped:

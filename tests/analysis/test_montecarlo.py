@@ -7,14 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.montecarlo import (
-    MonteCarloResult,
-    MonteCarloStudy,
-    varied_device_set,
-)
+from repro.analysis.montecarlo import MonteCarloResult, varied_device_set
 from repro.devices.library import tfet_device
-from repro.sram import AccessConfig, CellSizing, Tfet6TCell
-from repro.sram.cell import TfetDeviceSet
 
 
 class TestVariedDeviceSet:
@@ -63,63 +57,6 @@ class TestMonteCarloResult:
         r = MonteCarloResult("m", np.array([math.inf]))
         counts, _ = r.histogram()
         assert counts.sum() == 0
-
-
-class TestMonteCarloStudy:
-    def make_study(self, metric):
-        sizing = CellSizing().with_beta(0.6)
-        return MonteCarloStudy(
-            cell_factory=lambda d: Tfet6TCell(sizing, AccessConfig.INWARD_P, devices=d),
-            metric=metric,
-            metric_name="probe",
-        )
-
-    def test_reproducible_with_seed(self):
-        seen = []
-
-        def metric(cell):
-            seen.append(cell.devices.pulldown_left.on_current(1.0))
-            return seen[-1]
-
-        a = self.make_study(metric).run(4, seed=7)
-        b = self.make_study(metric).run(4, seed=7)
-        assert np.array_equal(a.samples, b.samples)
-
-    def test_samples_vary_between_draws(self):
-        def metric(cell):
-            return cell.devices.pulldown_left.on_current(1.0)
-
-        result = self.make_study(metric).run(8, seed=11)
-        assert np.std(result.samples) > 0.0
-
-    def test_each_sample_gets_independent_devices(self):
-        def metric(cell):
-            cards = {
-                id(getattr(cell.devices, p))
-                for p in TfetDeviceSet.POSITIONS
-                if getattr(cell.devices, p) is not None
-            }
-            return float(len(cards))
-
-        result = self.make_study(metric).run(5, seed=3)
-        # With 7 independent draws per sample, most samples should see
-        # several distinct cards.
-        assert result.mean() > 2.0
-
-    def test_invalid_sample_count(self):
-        with pytest.raises(ValueError):
-            self.make_study(lambda c: 0.0).run(0)
-
-    def test_real_metric_smoke(self):
-        from repro.analysis.stability import dynamic_read_noise_margin
-
-        study = self.make_study(
-            lambda c: dynamic_read_noise_margin(c.read_testbench(0.8))
-        )
-        result = study.run(3, seed=5)
-        assert result.failure_count == 0
-        assert 0.3 < result.mean() < 0.8
-        assert result.spread() < 0.2
 
 
 class TestYieldEstimates:

@@ -40,7 +40,15 @@ def busy_sleep(payload, ctx) -> float:
     return 0.0
 
 
-def record_scales(payload, ctx):
-    """Echo task function: returns the (spec, scales) payload's scales."""
-    _spec, scales = payload
-    return list(scales)
+def record_chunk_scales(payload, ctx):
+    """Echo chunk task function: every member's scales, in member order."""
+    return [list(scales) for _index, _seed, scales in payload[1]]
+
+
+def sum_scales_chunk(payload, ctx):
+    """Fake chunk task function: one ok record per member, valued at the
+    sum of its scales (no circuit solving)."""
+    return [
+        {"index": index, "status": "ok", "value": float(sum(scales)), "attempts": 1}
+        for index, _seed, scales in payload[1]
+    ]

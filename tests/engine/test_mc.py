@@ -12,12 +12,13 @@ from repro.engine.jobs import derive_seed
 from repro.engine.mc import (
     McMetricSpec,
     MonteCarloBatch,
+    chunk_index,
     escalated_transient_options,
     sample_scales,
 )
 from repro.engine.scheduler import EngineConfig, run_tasks
 
-from engine_helpers import record_scales
+from engine_helpers import record_chunk_scales
 
 
 class TestSampleScales:
@@ -70,48 +71,60 @@ class TestMcMetricSpec:
 
 
 class TestMonteCarloBatchTasks:
+    """Chunk tasks carry every sample's derived seed and scales."""
+
     def spec(self):
         return McMetricSpec(metric="drnm", beta=0.6, metric_name="probe")
 
     def test_tasks_carry_derived_seeds_and_scales(self):
-        tasks = MonteCarloBatch(self.spec()).tasks(5, seed=9)
-        assert [t.index for t in tasks] == list(range(5))
-        for task in tasks:
-            assert task.seed == derive_seed(9, task.index)
-            spec, scales = task.payload
+        tasks = MonteCarloBatch(self.spec()).chunk_tasks(
+            5, seed=9, config=EngineConfig(), batch_size=1
+        )
+        assert [t.index for t in tasks] == [chunk_index(k, k + 1) for k in range(5)]
+        for k, task in enumerate(tasks):
+            spec, entries = task.payload[:2]
             assert spec == self.spec()
-            assert scales == sample_scales(spec.variation, 9, task.index, 6)
+            assert entries == (
+                (k, derive_seed(9, k), sample_scales(spec.variation, 9, k, 6)),
+            )
 
     def test_rejects_non_positive_count(self):
         with pytest.raises(ValueError):
-            MonteCarloBatch(self.spec()).tasks(0, seed=9)
+            MonteCarloBatch(self.spec()).chunk_tasks(
+                0, seed=9, config=EngineConfig(), batch_size=4
+            )
 
     def test_scales_identical_across_jobs(self):
         """The full parallel plumbing hands every worker the same scales
         a serial run would draw (cheap echo task, no circuit solving)."""
         tasks = [
-            dataclasses.replace(t, fn=record_scales)
-            for t in MonteCarloBatch(self.spec()).tasks(8, seed=9)
+            dataclasses.replace(t, fn=record_chunk_scales)
+            for t in MonteCarloBatch(self.spec()).chunk_tasks(
+                8, seed=9, config=EngineConfig(), batch_size=3
+            )
         ]
         serial = run_tasks(tasks, EngineConfig(jobs=1))
         parallel = run_tasks(tasks, EngineConfig(jobs=4))
         assert serial.values() == parallel.values()
-        assert all(len(v) == 6 for v in serial.values())
+        scales = [s for chunk in serial.values() for s in chunk]
+        assert scales == [
+            list(sample_scales(self.spec().variation, 9, k, 6)) for k in range(8)
+        ]
 
 
 class TestMonteCarloBatchRun:
-    def test_failed_tasks_become_nan_samples(self, tmp_path):
+    def test_failed_tasks_become_nan_samples(self, monkeypatch):
+        from repro.engine import mc
+
         from engine_helpers import always_diverges
 
-        batch = MonteCarloBatch(
+        def diverging_gen(payload, ctx):
+            return always_diverges(payload, ctx)
+            yield  # pragma: no cover - makes this a generator
+
+        monkeypatch.setattr(mc, "_mc_sample_gen", diverging_gen)
+        result = MonteCarloBatch(
             McMetricSpec(metric="drnm", beta=0.6, metric_name="probe")
-        )
-        tasks = [
-            dataclasses.replace(t, fn=always_diverges) for t in batch.tasks(3, seed=9)
-        ]
-        report = run_tasks(tasks, EngineConfig(retries=0))
-        values = np.array(
-            [v if v is not None else np.nan for v in report.values()], dtype=float
-        )
-        assert np.all(np.isnan(values))
-        assert report.failed_count == 3
+        ).run(3, seed=9, engine=EngineConfig(retries=0))
+        assert np.all(np.isnan(result.samples))
+        assert result.report.failed_count == 3

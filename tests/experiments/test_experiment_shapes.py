@@ -134,6 +134,15 @@ class TestVariationFigures:
         wl_row = [r for r in result.rows if r[0] == "(no assist)"][0]
         assert wl_row[5] == 0  # no write failures at beta = 0.6
 
+    def test_fig10_parallel_run_writes_no_table_cache(self, tmp_path, monkeypatch):
+        """Worker pools leave nothing on disk: no device-table cache."""
+        monkeypatch.chdir(tmp_path)
+        result = fig10_ra_variation.run(samples=3, jobs=2)
+        assert len(result.rows) == 5
+        assert not any(math.isnan(row[2]) for row in result.rows)
+        assert not list(tmp_path.rglob("table_cache"))
+        assert not list(tmp_path.iterdir())
+
 
 class TestFig11And12:
     @pytest.fixture(scope="class")

@@ -106,15 +106,12 @@ def fake_sampling_run(
     seed: int = 0,
     jobs: int = 1,
     resume: bool = False,
-    batch_size: int = 1,
     checkpoint_dir=None,
-    cache_dir=None,
 ) -> ExperimentResult:
     """Registry-shaped stand-in for an engine-backed sampling experiment."""
     result = ExperimentResult("fakemc", "fake sampling", ["samples", "seed", "jobs"])
     result.add_row(samples, seed, jobs)
-    result.notes.append(f"checkpoint_dir={checkpoint_dir} cache_dir={cache_dir} resume={resume}")
-    result.notes.append(f"samples={samples} batch_size={batch_size}")
+    result.notes.append(f"checkpoint_dir={checkpoint_dir} resume={resume}")
     return result
 
 
@@ -176,7 +173,6 @@ class TestEngineFlagPlumbing:
         # The runner always points engine-backed runs at checkpoints
         # under the output directory so ^C runs are resumable.
         assert f"checkpoint_dir={tmp_path}/checkpoints" in out
-        assert f"cache_dir={tmp_path}/table_cache" in out
 
     def test_non_sampling_experiment_ignores_flags_with_note(
         self, fake_registry, tmp_path, capsys
@@ -195,14 +191,21 @@ class TestEngineFlagPlumbing:
 class TestOneFlagSurface:
     """`repro experiment` is the runner's own parser, not a copy of it."""
 
-    def test_cli_forwards_batch_size(self, sampling_registry, tmp_path, capsys):
+    @pytest.mark.parametrize("entry", ["runner", "cli"])
+    def test_batch_size_flag_is_gone(self, sampling_registry, capsys, entry):
+        """``--batch-size`` exits 2 from ``python -m repro.experiments``
+        and from ``repro experiment``: chunking is derived, not a flag."""
         from repro.cli import main
 
-        assert main(["experiment", "fakemc", "--batch-size", "4",
-                     "--samples", "8", "--output-dir", str(tmp_path)]) == 0
-        captured = capsys.readouterr()
-        assert "samples=8 batch_size=4" in captured.out
-        assert "does not take" not in captured.err
+        def run(argv):
+            if entry == "cli":
+                return main(["experiment", *argv])
+            return runner.main(argv)
+
+        with pytest.raises(SystemExit) as excinfo:
+            run(["fakemc", "--batch-size", "4", "--samples", "8"])
+        assert excinfo.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
 
     def test_cli_list_prints_registry(self, sampling_registry, capsys):
         from repro.cli import main
@@ -227,7 +230,8 @@ class TestOneFlagSurface:
         direct = options(runner.main)
         via_cli = options(lambda argv: main(["experiment", *argv]))
         assert via_cli == direct
-        assert {"--batch-size", "--list", "--samples", "--char-store"} <= direct
+        assert {"--list", "--samples", "--jobs", "--char-store"} <= direct
+        assert "--batch-size" not in direct
 
     def test_cli_errors_name_the_cli_verb(self, capsys):
         from repro.cli import main
