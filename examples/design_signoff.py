@@ -3,7 +3,10 @@
 Compares the proposed 6T inpTFET cell (beta = 0.6 + V_GND-lowering RA)
 against the 6T CMOS baseline, the asymmetric 6T TFET cell, and the 7T
 TFET cell on every axis the paper uses: performance (write/read
-delay), reliability (WL_crit, DRNM), static power, and area.
+delay), reliability (WL_crit, DRNM), static power, and area.  Every
+number is the characterization registry's measurement
+(``repro.char.metrics.evaluate_metric``), the same one ``repro cell``
+prints and ``repro char query`` serves.
 
 Usage::
 
@@ -16,20 +19,15 @@ import argparse
 import math
 
 from repro.analysis.area import cell_area_um2
-from repro.analysis.power import hold_power
-from repro.analysis.stability import (
-    WlCritSearch,
-    critical_wordline_pulse,
-    dynamic_read_noise_margin,
-)
-from repro.analysis.timing import read_delay, write_delay
-from repro.experiments.designs import (
-    asym_cell,
-    cmos_cell,
-    proposed_cell,
-    proposed_read_assist,
-    seven_t_cell,
-)
+from repro.char.designs import DESIGNS, build_cell
+from repro.char.metrics import evaluate_metric
+
+SIGNOFF_DESIGNS = {
+    "6T CMOS": "cmos",
+    "proposed 6T inpTFET": "proposed",
+    "asym 6T TFET": "asym",
+    "7T TFET": "7t",
+}
 
 
 def fmt_ps(value: float) -> str:
@@ -42,13 +40,6 @@ def main() -> None:
     args = parser.parse_args()
     vdd = args.vdd
 
-    designs = {
-        "6T CMOS": (cmos_cell(), None, True),
-        "proposed 6T inpTFET": (proposed_cell(), proposed_read_assist(), True),
-        "asym 6T TFET": (asym_cell(), None, False),  # no separatrix -> no WL_crit
-        "7T TFET": (seven_t_cell(), None, True),
-    }
-
     print(f"Design sign-off at V_DD = {vdd} V")
     header = (
         f"{'design':21s} {'write':>9s} {'read':>9s} {'WL_crit':>9s} "
@@ -56,18 +47,20 @@ def main() -> None:
     )
     print(header)
     print("-" * len(header))
-    search = WlCritSearch(upper_bound=8e-9)
-    for name, (cell, assist, has_wlcrit) in designs.items():
-        wd = write_delay(cell, vdd, pulse_width=6e-9)
-        rd = read_delay(cell, vdd, assist=assist, duration=8e-9)
-        wl = critical_wordline_pulse(cell, vdd, search=search) if has_wlcrit else None
-        drnm = dynamic_read_noise_margin(cell.read_testbench(vdd, assist=assist))
-        power = hold_power(cell, vdd)
-        area = cell_area_um2(cell)
+    for name, design in SIGNOFF_DESIGNS.items():
+        # asym has no separatrix, so the registry defines no WL_crit for it.
+        value = {
+            metric: evaluate_metric(metric, design, vdd)
+            for metric in ("write_delay", "read_delay", "wl_crit", "drnm", "hold_power")
+            if metric in DESIGNS[design].metrics
+        }
+        wl = fmt_ps(value["wl_crit"]) if "wl_crit" in value else "n/a"
+        cell, _ = build_cell(design)
         print(
-            f"{name:21s} {fmt_ps(wd):>9s} {fmt_ps(rd):>9s} "
-            f"{fmt_ps(wl) if wl is not None else 'n/a':>9s} "
-            f"{drnm * 1e3:6.0f}mV {power:>11.2e} {area:7.3f}u2"
+            f"{name:21s} {fmt_ps(value['write_delay']):>9s} "
+            f"{fmt_ps(value['read_delay']):>9s} {wl:>9s} "
+            f"{value['drnm'] * 1e3:6.0f}mV {value['hold_power']:>11.2e} "
+            f"{cell_area_um2(cell):7.3f}u2"
         )
 
     print()

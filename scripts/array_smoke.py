@@ -14,7 +14,10 @@ end and in minutes, not hours:
 4. a real kill-and-resume cycle through the CLI: ``repro array sweep``
    is SIGKILLed once its engine checkpoint shows partial progress, and
    the ``--resume`` rerun replays the finished points and completes the
-   remainder, exiting 0.
+   remainder, exiting 0;
+5. a ``--resume`` with an extended rows list replays every finished
+   row count (tasks are keyed by row count, not list position), prints
+   the same numbers for them, and measures only the new geometry.
 
 Manifests and checkpoint files land in ``SMOKE_ARTIFACTS`` (when set)
 for CI upload.
@@ -61,8 +64,16 @@ def checkpoint_lines(path: Path) -> int:
     return len(path.read_text().splitlines())
 
 
+def replayed_count(stdout: str) -> int:
+    """The ``N resumed`` figure of a sweep's summary line."""
+    for token in stdout.split("("):
+        if "resumed" in token:
+            return int(token.split("resumed")[0].split(",")[-1].strip())
+    return 0
+
+
 def main() -> int:
-    from repro.circuit.sparse import DEFAULT_SPARSE_THRESHOLD, HAVE_SPARSE, make_system
+    from repro.circuit.sparse import DEFAULT_SPARSE_THRESHOLD, make_system
     from repro.experiments.designs import proposed_cell, proposed_read_assist
     from repro.experiments.ext_array_read import DELAY_TOLERANCE
     from repro.sram.array import ArrayGeometry
@@ -86,14 +97,11 @@ def main() -> int:
             f"{compiled.unknown_count} unknowns cross the "
             f"{DEFAULT_SPARSE_THRESHOLD}-unknown threshold",
         )
-        if HAVE_SPARSE:
-            system = make_system(compiled.circuit)
-            check(
-                type(system).__name__ == "SparseMnaSystem",
-                f"make_system picked {type(system).__name__}",
-            )
-        else:
-            print("  [skip] scipy absent; dense fallback covered by unit tests")
+        system = make_system(compiled.circuit)
+        check(
+            type(system).__name__ == "SparseMnaSystem",
+            f"make_system picked {type(system).__name__}",
+        )
 
         print("2. simulated read delay vs analytic fig11 model")
         comp = compare_array(
@@ -156,10 +164,7 @@ def main() -> int:
         resumed = cli(*sweep_args, "--resume", env=env)
         check(resumed.returncode == 0, "resumed sweep exits 0")
         check("resumed" in resumed.stdout, "resume summary printed")
-        replayed = 0
-        for token in resumed.stdout.split("("):
-            if "resumed" in token:
-                replayed = int(token.split("resumed")[0].split(",")[-1].strip())
+        replayed = replayed_count(resumed.stdout)
         check(
             replayed >= 1,
             f"{replayed} outcome(s) replayed from the checkpoint",
@@ -167,6 +172,19 @@ def main() -> int:
         check(
             resumed.stdout.count("FAILED") == 0,
             "every sweep point completed after resume",
+        )
+
+        print("6. --resume with an extended rows list replays by row count")
+        extended = cli(
+            "array", "sweep", "--rows-list", "4,6,8,12,16", "--columns", "2",
+            "--output-dir", str(sweep_dir), "--resume", env=env,
+        )
+        check(extended.returncode == 0, "extended sweep exits 0")
+        replayed = replayed_count(extended.stdout)
+        check(replayed == 4, f"{replayed} of 4 finished row counts replayed")
+        check(
+            extended.stdout.splitlines()[2:6] == resumed.stdout.splitlines()[2:],
+            "replayed rows print the numbers of the resumed run",
         )
 
     print("array smoke: all checks passed")

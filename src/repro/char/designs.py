@@ -116,8 +116,10 @@ def build_cell(design_name: str, beta: float | None = None, corner: str = "tt"):
     """Build ``(cell, read_assist)`` for one grid point.
 
     ``beta=None`` means the design's canonical sizing.  A non-``tt``
-    corner on a corner-insensitive design is a caller bug (the spec
-    compiler never emits such points).
+    corner on a corner-insensitive design, or a ``beta`` on a design
+    whose sizing is fixed by its topology, raises ``ValueError`` (the
+    spec compiler never emits such points, and
+    :func:`repro.serve.registry.validate_point` rejects them).
     """
     from repro.devices.corners import corner_device_set
     from repro.experiments.designs import (
@@ -134,7 +136,15 @@ def build_cell(design_name: str, beta: float | None = None, corner: str = "tt"):
         known = ", ".join(sorted(DESIGNS))
         raise ValueError(f"unknown design {design_name!r}; known: {known}") from None
     if corner != "tt" and not design.corner_sensitive:
-        raise ValueError(f"design {design_name!r} has no {corner!r} corner card")
+        raise ValueError(
+            f"design {design_name!r} has no {corner!r} corner card: corner cards "
+            "are TFET oxide-thickness scales, so the CMOS baseline only supports tt"
+        )
+    if beta is not None and not design.beta_sweepable:
+        raise ValueError(
+            f"design {design_name!r} has a fixed topology-defined sizing; "
+            "beta is not a free axis"
+        )
     devices = corner_device_set(corner) if corner != "tt" else None
 
     if design_name == "proposed":

@@ -9,8 +9,10 @@ thresholds), and every stored value produced by the old procedure is
 transparently invalidated on the next build — the solver and device
 fingerprints cover everything below this layer.
 
-``evaluate_metric`` is the single evaluation entry point used by the
-build workers; it is a pure function of the grid-point coordinates.
+``evaluate_metric`` is the single cell-level measurement: the build
+workers, the experiments' serve-or-simulate reads
+(:func:`repro.char.query.metric_reader`) and ``repro cell`` all call
+it.  It is a pure function of the grid-point coordinates.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 Two consumption styles:
 
-* **Exact serving** (:func:`stored_value`) — experiments ask the store
-  for the exact grid point they would otherwise simulate; a hit is a
-  free result, a miss falls back to simulation.  No spec needed: the
-  point's content address is the lookup key.
+* **Exact serving** (:func:`stored_value`, :func:`metric_reader`) —
+  experiments ask the store for the exact grid point they would
+  otherwise simulate; a hit is a free result, a miss runs
+  :func:`~repro.char.metrics.evaluate_metric`, the procedure that
+  produced the stored value.  No spec needed: the point's content
+  address is the lookup key.
 * **Interpolated queries** (:class:`CharGrid`) — a designer asks for a
   metric at an *uncharacterized* operating point
   (``DRNM(vdd=0.45)``); the grid answers by interpolating along the
@@ -100,21 +102,24 @@ def stored_value(
 
 
 def metric_reader(char_store):
-    """A serve-or-simulate closure for the experiments.
+    """A serve-or-simulate reader for the experiments.
 
-    ``read(metric, design, vdd, compute, ...)`` returns the stored
-    exact value when the store has it, else calls ``compute()`` (the
-    experiment's own simulation).  With ``char_store=None`` every call
-    simulates — the experiments' default behavior is untouched.
+    ``read(metric, design, vdd, beta=None, corner="tt")`` returns the
+    stored exact value when the store has it, else simulates the point
+    with :func:`~repro.char.metrics.evaluate_metric`.  A served value and
+    a simulated one therefore come from one measurement procedure.  With
+    ``char_store=None`` every call simulates.
     """
+    from repro.char import metrics
+
     store = as_store(char_store)
 
-    def read(metric, design, vdd, compute, beta=None, corner="tt"):
+    def read(metric, design, vdd, beta=None, corner="tt"):
         if store is not None:
             value = stored_value(store, metric, design, vdd, beta=beta, corner=corner)
             if value is not None:
                 return value
-        return compute()
+        return metrics.evaluate_metric(metric, design, vdd, beta=beta, corner=corner)
 
     return read
 

@@ -46,6 +46,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from repro.circuit.mna import MnaSystem, TransientState, VoltageClamp
 from repro.circuit.netlist import Circuit
@@ -55,17 +56,10 @@ from repro.telemetry import core as telemetry
 from repro.verify import audits as verify_audits
 from repro.verify import core as verify
 
-try:  # pragma: no cover - exercised via either branch in CI images
-    from scipy.linalg import get_lapack_funcs
-
-    # Raw LAPACK getrf/getrs: the scipy lu_factor/lu_solve wrappers add
-    # ~100 us of validation per call, which is comparable to the
-    # factorization itself at SRAM-cell matrix sizes (~20x20).
-    _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _HAVE_SCIPY = False
+# Raw LAPACK getrf/getrs: the scipy lu_factor/lu_solve wrappers add
+# ~100 us of validation per call, which is comparable to the
+# factorization itself at SRAM-cell matrix sizes (~20x20).
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
 
 __all__ = [
     "SolverOptions",
@@ -155,36 +149,24 @@ class SolverOptions:
 
 
 class _Factorization:
-    """LU of one stamped Jacobian (scipy when present, numpy fallback).
+    """LU of one stamped dense Jacobian: factorize once (LAPACK getrf),
+    back-substitute per solve (getrs)."""
 
-    The scipy path factorizes once and back-substitutes per solve; the
-    numpy fallback stores a copy of the matrix and runs
-    ``np.linalg.solve`` per request — identical semantics, no
-    factorization caching (numpy exposes none), so reuse still saves
-    the re-stamp even without scipy.
-    """
-
-    __slots__ = ("_lu", "_piv", "_matrix")
+    __slots__ = ("_lu", "_piv")
 
     def __init__(self, jac: np.ndarray):
-        if _HAVE_SCIPY:
-            lu, piv, info = _getrf(jac)
-            # getrf signals exact singularity via info > 0 (zero U
-            # diagonal) instead of raising; a NaN/Inf Jacobian passes
-            # through LAPACK silently.  Normalize both to the
-            # LinAlgError contract np.linalg.solve provides.
-            if info != 0 or not np.isfinite(lu).all():
-                raise np.linalg.LinAlgError("singular matrix in LU factorization")
-            self._lu, self._piv, self._matrix = lu, piv, None
-        else:
-            self._lu = self._piv = None
-            self._matrix = jac.copy()
+        lu, piv, info = _getrf(jac)
+        # getrf signals exact singularity via info > 0 (zero U
+        # diagonal) instead of raising; a NaN/Inf Jacobian passes
+        # through LAPACK silently.  Normalize both to the
+        # LinAlgError contract np.linalg.solve provides.
+        if info != 0 or not np.isfinite(lu).all():
+            raise np.linalg.LinAlgError("singular matrix in LU factorization")
+        self._lu, self._piv = lu, piv
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._matrix is None:
-            x, _ = _getrs(self._lu, self._piv, rhs)
-            return x
-        return np.linalg.solve(self._matrix, rhs)
+        x, _ = _getrs(self._lu, self._piv, rhs)
+        return x
 
 
 def _factorize(jac):

@@ -31,38 +31,30 @@ in the solver; each re-stamp pays one full ``splu``.  ``permc_spec``
 is pinned to ``"COLAMD"`` so the fill-reducing ordering — a pure
 function of the fixed pattern — is deterministic across calls.
 
-:func:`make_system` is the selection point: ``"auto"`` picks sparse
-when the system size reaches ``sparse_threshold`` (and scipy is
-available), so small decks keep the dense fast path that beats sparse
-overhead below ~tens of unknowns.  Selection is recorded on the
-telemetry counters ``mna.sparse_selected`` / ``mna.dense_selected``
-(surfaced by ``repro diag``).
+:func:`selects_sparse` states the selection rule and :func:`make_system`
+applies it: ``"auto"`` picks sparse when the system size reaches
+``sparse_threshold``, so small decks keep the dense fast path that
+beats sparse overhead below ~tens of unknowns.  Selection is recorded
+on the telemetry counters ``mna.sparse_selected`` /
+``mna.dense_selected`` (surfaced by ``repro diag``).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse as _sparse
+from scipy.sparse.linalg import splu as _splu
 
 from repro.circuit.mna import MnaSystem, TransientState, VoltageClamp
 from repro.circuit.netlist import Circuit
 from repro.telemetry import core as telemetry
 
-try:  # pragma: no cover - exercised via either branch in CI images
-    from scipy import sparse as _sparse
-    from scipy.sparse.linalg import splu as _splu
-
-    HAVE_SPARSE = True
-except ImportError:  # pragma: no cover
-    _sparse = None
-    _splu = None
-    HAVE_SPARSE = False
-
 __all__ = [
-    "HAVE_SPARSE",
     "DEFAULT_SPARSE_THRESHOLD",
     "SparseMnaSystem",
     "SparseFactorization",
     "make_system",
+    "selects_sparse",
 ]
 
 DEFAULT_SPARSE_THRESHOLD = 64
@@ -95,18 +87,12 @@ class SparseFactorization:
 class SparseMnaSystem(MnaSystem):
     """MNA assembler producing fixed-pattern CSC Jacobians.
 
-    Construction requires scipy; :func:`make_system` guards the
-    selection.  The public surface is identical to
-    :class:`MnaSystem` except that the Jacobian returned by
-    ``assemble`` is a ``scipy.sparse.csc_matrix`` (``copy`` requests a
-    matrix with private data; the no-copy fast path shares the
-    assembler's data buffer, overwritten by the next assembly).
+    The public surface is identical to :class:`MnaSystem` except that
+    the Jacobian returned by ``assemble`` is a
+    ``scipy.sparse.csc_matrix`` (``copy`` requests a matrix with private
+    data; the no-copy fast path shares the assembler's data buffer,
+    overwritten by the next assembly).
     """
-
-    def __init__(self, circuit: Circuit):
-        if not HAVE_SPARSE:  # pragma: no cover - guarded by make_system
-            raise RuntimeError("SparseMnaSystem requires scipy.sparse")
-        super().__init__(circuit)
 
     def _compile(self) -> None:
         super()._compile()
@@ -228,38 +214,45 @@ class SparseMnaSystem(MnaSystem):
         return (f, jac.copy()) if copy else (f, jac)
 
 
+def selects_sparse(
+    size: int,
+    matrix_format: str = "auto",
+    sparse_threshold: int = DEFAULT_SPARSE_THRESHOLD,
+) -> bool:
+    """Whether a system of ``size`` unknowns is assembled sparse.
+
+    ``matrix_format``: ``"sparse"`` always, ``"dense"`` never,
+    ``"auto"`` once ``size >= sparse_threshold``.
+    """
+    if matrix_format not in MATRIX_FORMATS:
+        raise ValueError(
+            f"matrix_format must be one of {MATRIX_FORMATS}, got {matrix_format!r}"
+        )
+    return matrix_format == "sparse" or (
+        matrix_format == "auto" and size >= sparse_threshold
+    )
+
+
 def make_system(
     circuit: Circuit,
     matrix_format: str = "auto",
     sparse_threshold: int = DEFAULT_SPARSE_THRESHOLD,
     dense_cls: type | None = None,
 ) -> MnaSystem:
-    """Build the MNA assembler selected by format and system size.
+    """Build the MNA assembler :func:`selects_sparse` picks for ``circuit``.
 
-    ``matrix_format``: ``"dense"`` forces :class:`MnaSystem`,
-    ``"sparse"`` forces :class:`SparseMnaSystem` (falling back to dense
-    with a warning counter when scipy is absent), ``"auto"`` picks
-    sparse once ``node_count + branch_count >= sparse_threshold``.
     ``dense_cls`` overrides the dense assembler class — callers pass
     their module-level ``MnaSystem`` binding so monkeypatched reference
-    assemblers (benchmarks) keep flowing through this factory.
+    assemblers (benchmarks) keep flowing through this factory; an
+    overridden class wins over sparse selection.
     """
-    if matrix_format not in MATRIX_FORMATS:
-        raise ValueError(
-            f"matrix_format must be one of {MATRIX_FORMATS}, got {matrix_format!r}"
-        )
     dense_cls = dense_cls or MnaSystem
-    size = circuit.node_count + len(circuit.voltage_sources)
-    want_sparse = matrix_format == "sparse" or (
-        matrix_format == "auto" and size >= sparse_threshold
-    )
+    sparse = selects_sparse(circuit.unknown_count, matrix_format, sparse_threshold)
     tel = telemetry.active()
-    if want_sparse and HAVE_SPARSE and dense_cls is MnaSystem:
+    if sparse and dense_cls is MnaSystem:
         if tel is not None:
             tel.count("mna.sparse_selected")
         return SparseMnaSystem(circuit)
     if tel is not None:
-        if want_sparse:
-            tel.count("mna.sparse_unavailable")
         tel.count("mna.dense_selected")
     return dense_cls(circuit)

@@ -4,7 +4,8 @@ Commands:
 
 * ``device-info`` — headline figures of merit of the calibrated devices;
 * ``cell <design> [--vdd V]`` — hold power, margins, and delays of one
-  of the studied cells;
+  design of the registry (:mod:`repro.char.designs`), measured by
+  :func:`repro.char.metrics.evaluate_metric` as the store serves them;
 * ``experiment <id>`` — regenerate a paper figure/table: the rest of
   the command line goes to ``python -m repro.experiments``, so both
   take the same flags from one parser (``--list``, the telemetry
@@ -43,8 +44,6 @@ import sys
 
 __all__ = ["main"]
 
-CELL_CHOICES = ("proposed", "cmos", "asym", "7t", "inward_n", "outward_n")
-
 
 def _cmd_device_info(_args) -> int:
     import numpy as np
@@ -66,77 +65,33 @@ def _cmd_device_info(_args) -> int:
     return 0
 
 
-def _build_cell(name: str, corner: str = "tt"):
-    from repro.devices.corners import corner_device_set
-    from repro.experiments.designs import (
-        asym_cell,
-        cmos_cell,
-        proposed_cell,
-        proposed_read_assist,
-        seven_t_cell,
-    )
-    from repro.sram import AccessConfig, CellSizing, Tfet6TCell
-
-    # corner_device_set raises a KeyError listing the known corners on a
-    # bad name; devices stays None at "tt" so the nominal path is untouched.
-    devices = corner_device_set(corner) if corner != "tt" else None
-    if name == "cmos":
-        if corner != "tt":
-            raise ValueError(
-                "corner cards are TFET oxide-thickness scales; "
-                "the CMOS baseline only supports --corner tt"
-            )
-        return cmos_cell(), None
-    if name == "proposed":
-        return proposed_cell(devices), proposed_read_assist()
-    if name == "asym":
-        return asym_cell(devices), None
-    if name == "7t":
-        return seven_t_cell(devices), None
-    if name == "inward_n":
-        return (
-            Tfet6TCell(CellSizing().with_beta(0.6), AccessConfig.INWARD_N, devices=devices),
-            None,
-        )
-    if name == "outward_n":
-        return (
-            Tfet6TCell(CellSizing().with_beta(0.6), AccessConfig.OUTWARD_N, devices=devices),
-            None,
-        )
-    raise ValueError(f"unknown cell {name!r}")
-
-
 def _cmd_cell(args) -> int:
-    from repro.analysis import (
-        critical_wordline_pulse,
-        dynamic_read_noise_margin,
-        hold_power,
-        read_delay,
-        write_delay,
-    )
     from repro.analysis.area import cell_area_um2
+    from repro.char.designs import DESIGNS, build_cell
+    from repro.char.metrics import evaluate_metric
 
     try:
-        cell, assist = _build_cell(args.design, corner=args.corner)
+        cell, assist = build_cell(args.design, corner=args.corner)
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
     vdd = args.vdd
+
+    def measure(metric):
+        return evaluate_metric(metric, args.design, vdd, corner=args.corner)
+
     corner_note = "" if args.corner == "tt" else f" [{args.corner} corner]"
     print(f"{cell.name} at V_DD = {vdd} V{corner_note}")
-    print(f"  hold power : {hold_power(cell, vdd):.3e} W")
-    drnm = dynamic_read_noise_margin(cell.read_testbench(vdd, assist=assist))
-    print(f"  DRNM       : {drnm * 1e3:.1f} mV" + ("  (with read assist)" if assist else ""))
-    if args.design != "asym":
-        wl = critical_wordline_pulse(cell, vdd)
-        print(f"  WL_crit    : {'inf' if math.isinf(wl) else f'{wl * 1e12:.1f} ps'}")
+    print(f"  hold power : {measure('hold_power'):.3e} W")
+    print(f"  DRNM       : {measure('drnm') * 1e3:.1f} mV"
+          + ("  (with read assist)" if assist else ""))
+    if "wl_crit" in DESIGNS[args.design].metrics:
+        print(f"  WL_crit    : {_fmt_ps(measure('wl_crit'))}")
     else:
         print("  WL_crit    : undefined (no separatrix)")
-    wd = write_delay(cell, vdd, pulse_width=6e-9)
-    rd = read_delay(cell, vdd, assist=assist, duration=8e-9)
-    print(f"  write delay: {'inf' if math.isinf(wd) else f'{wd * 1e12:.1f} ps'}")
-    print(f"  read delay : {'inf' if math.isinf(rd) else f'{rd * 1e12:.1f} ps'}")
+    print(f"  write delay: {_fmt_ps(measure('write_delay'))}")
+    print(f"  read delay : {_fmt_ps(measure('read_delay'))}")
     print(f"  area       : {cell_area_um2(cell):.3f} um^2")
     return 0
 
@@ -488,10 +443,11 @@ def _cmd_array(args) -> int:
     if args.array_command == "sweep":
         return _array_sweep(args)
 
+    from repro.char.designs import build_cell
     from repro.sram.compiler import CompileOptions, compile_array
 
     try:
-        cell, assist = _build_cell(args.design, corner=args.corner)
+        cell, assist = build_cell(args.design, corner=args.corner)
         if args.scenario != "read" or args.no_assist:
             assist = None
         geometry = ArrayGeometry(rows=args.rows, columns=args.columns)
@@ -516,13 +472,13 @@ def _cmd_array(args) -> int:
 
 def _array_build(compiled) -> int:
     """Print the compiled path's structure without simulating it."""
-    from repro.circuit.sparse import DEFAULT_SPARSE_THRESHOLD
+    from repro.circuit.sparse import DEFAULT_SPARSE_THRESHOLD, selects_sparse
     from repro.sram.compiler.census import census_macro_area
 
     geometry = compiled.geometry
     ladder = compiled.ladder
     size = compiled.unknown_count
-    sparse = "sparse" if size >= DEFAULT_SPARSE_THRESHOLD else "dense"
+    sparse = "sparse" if selects_sparse(size) else "dense"
     print(f"{compiled.circuit.title}")
     print(f"  unknowns : {size} -> {sparse} MNA "
           f"(auto threshold {DEFAULT_SPARSE_THRESHOLD})")
@@ -667,7 +623,7 @@ def _array_compare(cell, geometry, assist, compiled, args) -> int:
 def _array_sweep(args) -> int:
     from pathlib import Path
 
-    from repro.engine import EngineConfig
+    from repro.engine import CheckpointMismatch, EngineConfig
     from repro.sram.compiler import run_array_sweep
 
     try:
@@ -691,7 +647,7 @@ def _array_sweep(args) -> int:
             rows_list, columns=args.columns, vdd=args.vdd,
             design=args.design, scenario=args.scenario, engine=engine,
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, CheckpointMismatch) as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
     print(f"{args.design} {args.scenario} sweep, {args.columns} columns, "
@@ -751,8 +707,11 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser("device-info", help="calibrated device figures of merit")
 
-    cell = sub.add_parser("cell", help="metrics of one studied SRAM cell")
-    cell.add_argument("design", choices=CELL_CHOICES)
+    from repro.char.designs import DESIGNS
+
+    cell = sub.add_parser("cell", help="metrics of one studied SRAM cell "
+                          "(the registry's measurements, as `char query` serves)")
+    cell.add_argument("design", choices=sorted(DESIGNS))
     cell.add_argument("--vdd", type=float, default=0.8)
     cell.add_argument("--corner", default="tt", metavar="NAME",
                       help="process-corner device cards (tt, ff, ss, fs, sf); "

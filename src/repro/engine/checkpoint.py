@@ -18,6 +18,7 @@ data, not an error.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from repro.engine.jobs import TaskOutcome
@@ -118,8 +119,10 @@ class CheckpointLog:
             return {}
         # Rewrite compacted: header + the outcomes that survived parsing.
         # This drops any torn tail so the appended lines stay parseable.
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("w")
+        # The rewrite goes to a sibling file that replaces the log only
+        # once complete, so a kill mid-rewrite loses no finished outcome.
+        compacted = self.path.with_name(self.path.name + ".tmp")
+        self._handle = compacted.open("w")
         self._write_line(
             {
                 "schema": CHECKPOINT_SCHEMA,
@@ -129,6 +132,7 @@ class CheckpointLog:
         )
         for index in sorted(done):
             self._write_line(done[index].to_record())
+        os.replace(compacted, self.path)
         return done
 
     def append(self, outcome: TaskOutcome) -> None:

@@ -27,7 +27,6 @@ __all__ = [
     "cmos_cell",
     "seven_t_cell",
     "asym_cell",
-    "comparison_designs",
 ]
 
 PROPOSED_BETA = 0.6
@@ -62,12 +61,3 @@ def seven_t_cell(devices: TfetDeviceSet | None = None) -> Tfet7TCell:
 def asym_cell(devices: TfetDeviceSet | None = None) -> AsymTfet6TCell:
     return AsymTfet6TCell(devices=devices)
 
-
-def comparison_designs() -> dict[str, object]:
-    """All four designs keyed by their display name."""
-    return {
-        "6T CMOS": cmos_cell(),
-        "6T inpTFET + VGND-lowering RA": proposed_cell(),
-        "asym 6T TFET": asym_cell(),
-        "7T TFET": seven_t_cell(),
-    }

@@ -4,26 +4,32 @@ Paper shape: the CMOS cell writes fastest everywhere (bidirectional
 access); the proposed cell's read-assist gives it the best TFET read
 at low V_DD, with CMOS taking over at high V_DD.
 
-With ``char_store`` pointing at a built characterization store (see
-``repro char build``), every delay this figure needs becomes an index
-lookup — the measurement windows below are exactly the ``nominal``
-spec's policies, so the stored values are the same numbers this module
-would simulate.
+Every delay is the registry's measurement
+(:func:`repro.char.metrics.evaluate_metric`): the TFET cells get the
+widened low-V_DD wordline windows of :func:`repro.char.designs.delay_windows`
+so the slow corner can complete (the paper's Fig. 11 write delays grow
+past a nanosecond at 0.5 V).  With ``char_store`` pointing at a built
+characterization store (see ``repro char build``), each delay is an
+index lookup of the same number.
 """
 
 from __future__ import annotations
 
-from repro.analysis.timing import read_delay, write_delay
 from repro.experiments.common import ExperimentResult
-from repro.experiments.designs import (
-    asym_cell,
-    cmos_cell,
-    proposed_cell,
-    proposed_read_assist,
-    seven_t_cell,
-)
 
 DEFAULT_VDDS = (0.5, 0.6, 0.7, 0.8, 0.9)
+
+COLUMNS = (
+    ("write CMOS", "write_delay", "cmos"),
+    ("write proposed", "write_delay", "proposed"),
+    ("write asym", "write_delay", "asym"),
+    ("write 7T", "write_delay", "7t"),
+    ("read CMOS", "read_delay", "cmos"),
+    ("read proposed", "read_delay", "proposed"),
+    ("read asym", "read_delay", "asym"),
+    ("read 7T", "read_delay", "7t"),
+)
+"""``(column label, metric, design)`` for every delay column."""
 
 
 def run(vdds=DEFAULT_VDDS, char_store=None) -> ExperimentResult:
@@ -33,44 +39,12 @@ def run(vdds=DEFAULT_VDDS, char_store=None) -> ExperimentResult:
     result = ExperimentResult(
         "fig11",
         "Write / read delay (ps) vs V_DD",
-        [
-            "vdd (V)",
-            "write CMOS",
-            "write proposed",
-            "write asym",
-            "write 7T",
-            "read CMOS",
-            "read proposed",
-            "read asym",
-            "read 7T",
-        ],
+        ["vdd (V)", *(label for label, _, _ in COLUMNS)],
     )
-    ra = proposed_read_assist()
     for vdd in vdds:
-        # TFET drive collapses steeply with V_DD; give the slow corner
-        # enough wordline to complete (the paper's Fig. 11 write delays
-        # grow past a nanosecond at 0.5 V).
-        pulse = 6e-9 if vdd >= 0.6 else 4e-8
-        duration = 8e-9 if vdd >= 0.6 else 4e-8
         result.add_row(
             vdd,
-            1e12 * read("write_delay", "cmos", vdd,
-                        lambda: write_delay(cmos_cell(), vdd)),
-            1e12 * read("write_delay", "proposed", vdd,
-                        lambda: write_delay(proposed_cell(), vdd, pulse_width=pulse)),
-            1e12 * read("write_delay", "asym", vdd,
-                        lambda: write_delay(asym_cell(), vdd, pulse_width=pulse)),
-            1e12 * read("write_delay", "7t", vdd,
-                        lambda: write_delay(seven_t_cell(), vdd, pulse_width=pulse)),
-            1e12 * read("read_delay", "cmos", vdd,
-                        lambda: read_delay(cmos_cell(), vdd)),
-            1e12 * read("read_delay", "proposed", vdd,
-                        lambda: read_delay(proposed_cell(), vdd, assist=ra,
-                                           duration=duration)),
-            1e12 * read("read_delay", "asym", vdd,
-                        lambda: read_delay(asym_cell(), vdd, duration=duration)),
-            1e12 * read("read_delay", "7t", vdd,
-                        lambda: read_delay(seven_t_cell(), vdd, duration=duration)),
+            *(1e12 * read(metric, design, vdd) for _, metric, design in COLUMNS),
         )
     result.notes.append("paper shape: CMOS fastest write at every V_DD")
     return result

@@ -4,26 +4,34 @@ The asymmetric cell has no WL_crit column — the paper: "WL_crit for the
 asymmetric 6T TFET SRAM cannot be defined since it does not have the
 separatrix", which our cell model enforces by refusing external-assist
 bisection semantics (its write collapses the cell instead of racing a
-separatrix).
+separatrix), and which the registry records by leaving ``wl_crit`` out
+of the ``asym`` design's metrics.
+
+Every value is the registry's measurement
+(:func:`repro.char.metrics.evaluate_metric`): WL_crit bisects within
+``WL_CRIT_UPPER_BOUND`` and the proposed cell reads with its V_GND
+lowering assist, so a built ``nominal`` store serves this figure.
 """
 
 from __future__ import annotations
 
-from repro.analysis.stability import (
-    WlCritSearch,
-    critical_wordline_pulse,
-    dynamic_read_noise_margin,
-)
 from repro.experiments.common import ExperimentResult
-from repro.experiments.designs import (
-    asym_cell,
-    cmos_cell,
-    proposed_cell,
-    proposed_read_assist,
-    seven_t_cell,
-)
 
 DEFAULT_VDDS = (0.5, 0.6, 0.7, 0.8, 0.9)
+
+COLUMNS = (
+    ("WLcrit CMOS", "wl_crit", "cmos"),
+    ("WLcrit proposed", "wl_crit", "proposed"),
+    ("WLcrit 7T", "wl_crit", "7t"),
+    ("DRNM CMOS", "drnm", "cmos"),
+    ("DRNM proposed+RA", "drnm", "proposed"),
+    ("DRNM asym", "drnm", "asym"),
+    ("DRNM 7T", "drnm", "7t"),
+)
+"""``(column label, metric, design)`` for every column."""
+
+SCALE = {"wl_crit": 1e12, "drnm": 1e3}
+"""WL_crit in ps, DRNM in mV."""
 
 
 def run(vdds=DEFAULT_VDDS, char_store=None) -> ExperimentResult:
@@ -33,39 +41,13 @@ def run(vdds=DEFAULT_VDDS, char_store=None) -> ExperimentResult:
     result = ExperimentResult(
         "fig12",
         "WL_crit (ps) and DRNM (mV) vs V_DD",
-        [
-            "vdd (V)",
-            "WLcrit CMOS",
-            "WLcrit proposed",
-            "WLcrit 7T",
-            "DRNM CMOS",
-            "DRNM proposed+RA",
-            "DRNM asym",
-            "DRNM 7T",
-        ],
+        ["vdd (V)", *(label for label, _, _ in COLUMNS)],
     )
-    ra = proposed_read_assist()
-    # The same 8 ns bisection window the `nominal` characterization
-    # spec records wl_crit with, so stored entries serve this figure.
-    search = WlCritSearch(upper_bound=8e-9)
     for vdd in vdds:
         result.add_row(
             vdd,
-            1e12 * read("wl_crit", "cmos", vdd,
-                        lambda: critical_wordline_pulse(cmos_cell(), vdd, search=search)),
-            1e12 * read("wl_crit", "proposed", vdd,
-                        lambda: critical_wordline_pulse(proposed_cell(), vdd, search=search)),
-            1e12 * read("wl_crit", "7t", vdd,
-                        lambda: critical_wordline_pulse(seven_t_cell(), vdd, search=search)),
-            1e3 * read("drnm", "cmos", vdd,
-                       lambda: dynamic_read_noise_margin(cmos_cell().read_testbench(vdd))),
-            1e3 * read("drnm", "proposed", vdd,
-                       lambda: dynamic_read_noise_margin(
-                           proposed_cell().read_testbench(vdd, assist=ra))),
-            1e3 * read("drnm", "asym", vdd,
-                       lambda: dynamic_read_noise_margin(asym_cell().read_testbench(vdd))),
-            1e3 * read("drnm", "7t", vdd,
-                       lambda: dynamic_read_noise_margin(seven_t_cell().read_testbench(vdd))),
+            *(SCALE[metric] * read(metric, design, vdd)
+              for _, metric, design in COLUMNS),
         )
     result.notes.append(
         "asym WL_crit undefined (no separatrix); paper shape: every TFET "

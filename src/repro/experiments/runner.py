@@ -30,10 +30,10 @@ Newton batches, in chunks sized from ``--samples`` and ``--jobs``.
 Experiments that do not sample ignore these flags with a note.
 
 ``--char-store DIR`` serves grid points from a pre-built
-characterization store (:mod:`repro.char`) where the experiment's
-measurement matches a stored entry exactly; missing points fall back
-to direct simulation.  Experiments without a servable grid ignore the
-flag with a note.
+characterization store (:mod:`repro.char`); missing points are
+simulated with :func:`repro.char.metrics.evaluate_metric`, the
+procedure the store's values came from.  Experiments without a
+servable grid ignore the flag with a note.
 """
 
 from __future__ import annotations

@@ -14,10 +14,7 @@ from __future__ import annotations
 
 import math
 
-from repro.analysis.power import hold_power
 from repro.experiments.common import ExperimentResult
-from repro.experiments.designs import asym_cell, cmos_cell, proposed_cell, seven_t_cell
-from repro.sram import AccessConfig, CellSizing, Tfet6TCell
 
 DEFAULT_VDDS = (0.5, 0.6, 0.7, 0.8)
 
@@ -42,20 +39,12 @@ def run(vdds=DEFAULT_VDDS, char_store=None) -> ExperimentResult:
         ],
     )
     for vdd in vdds:
-        # The outward cell is measured in its leaky state
-        # (average_states=False), the same policy the `outward_n`
-        # characterization design records.
-        outward = Tfet6TCell(CellSizing(), access=AccessConfig.OUTWARD_N)
-        p_in = read("hold_power", "proposed", vdd,
-                    lambda: hold_power(proposed_cell(), vdd))
-        p_out = read("hold_power", "outward_n", vdd,
-                     lambda: hold_power(outward, vdd, average_states=False))
-        p_asym = read("hold_power", "asym", vdd,
-                      lambda: hold_power(asym_cell(), vdd))
-        p_7t = read("hold_power", "7t", vdd,
-                    lambda: hold_power(seven_t_cell(), vdd))
-        p_cmos = read("hold_power", "cmos", vdd,
-                      lambda: hold_power(cmos_cell(), vdd))
+        p_in = read("hold_power", "proposed", vdd)
+        # The registry measures the outward cell in its leaky state.
+        p_out = read("hold_power", "outward_n", vdd)
+        p_asym = read("hold_power", "asym", vdd)
+        p_7t = read("hold_power", "7t", vdd)
+        p_cmos = read("hold_power", "cmos", vdd)
         result.add_row(
             vdd,
             p_in,

@@ -11,7 +11,7 @@ uninterrupted one.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from repro.engine import EngineConfig, Task, derive_seed, run_tasks
 from repro.sram.array import ArrayGeometry
@@ -22,23 +22,10 @@ SWEEP_DESIGNS = ("proposed", "cmos", "asym")
 """Designs the sweep can build (two-bitline 6T cells; the 7T cell's
 decoupled read port is outside the column compiler's topology)."""
 
-
-def _sweep_cell(design: str):
-    """Cell + default read assist for one sweepable design."""
-    from repro.experiments.designs import (
-        asym_cell,
-        cmos_cell,
-        proposed_cell,
-        proposed_read_assist,
-    )
-
-    if design == "proposed":
-        return proposed_cell(), proposed_read_assist()
-    if design == "cmos":
-        return cmos_cell(), None
-    if design == "asym":
-        return asym_cell(), None
-    raise ValueError(f"unknown sweep design {design!r}; known: {SWEEP_DESIGNS}")
+RUN_KEY_SUFFIX = ":rows"
+"""Appended to the sweep's run key: tasks are keyed by row count, so a
+checkpoint written under another keying raises ``CheckpointMismatch``
+instead of replaying one geometry's results under another's rows."""
 
 
 def sweep_points(
@@ -48,13 +35,16 @@ def sweep_points(
     design: str = "proposed",
     scenario: str = "read",
 ) -> list[dict]:
-    """The sweep's task payloads, one per geometry."""
+    """The sweep's task payloads, one per geometry (row counts unique)."""
     if design not in SWEEP_DESIGNS:
         raise ValueError(f"unknown sweep design {design!r}; known: {SWEEP_DESIGNS}")
+    rows_list = [int(rows) for rows in rows_list]
+    if len(set(rows_list)) != len(rows_list):
+        raise ValueError(f"duplicate row count in {rows_list}")
     return [
         {
             "design": design,
-            "rows": int(rows),
+            "rows": rows,
             "columns": int(columns),
             "vdd": float(vdd),
             "scenario": scenario,
@@ -70,10 +60,11 @@ def evaluate_sweep_point(payload, ctx=None) -> dict:
     fields as a JSON-serializable dict (``inf``/``nan`` delays use the
     engine checkpoint's JSON dialect).
     """
+    from repro.char.designs import build_cell
     from repro.sram.compiler.measure import measure_array
     from repro.sram.compiler.column import compile_array
 
-    cell, assist = _sweep_cell(payload["design"])
+    cell, assist = build_cell(payload["design"])
     if payload["scenario"] != "read":
         assist = None  # the default assist is a read assist
     geometry = ArrayGeometry(rows=payload["rows"], columns=payload["columns"])
@@ -95,8 +86,10 @@ def run_array_sweep(
 ):
     """Run the sweep through the batch engine.
 
-    Returns ``(results, report)``: the per-geometry measurement dicts
-    in ``rows_list`` order (``None`` where a task failed — the failure
+    Each task is keyed by its row count, so ``--resume`` with another
+    rows list replays exactly the geometries both lists share.  Returns
+    ``(results, report)``: the per-geometry measurement dicts in
+    ``rows_list`` order (``None`` where a task failed — the failure
     detail is in the report) and the engine's
     :class:`~repro.engine.scheduler.BatchReport` (checkpoint/resume
     statistics, telemetry counters).
@@ -104,17 +97,12 @@ def run_array_sweep(
     payloads = sweep_points(rows_list, columns, vdd, design, scenario)
     tasks = [
         Task(
-            index=k,
+            index=payload["rows"],
             fn=evaluate_sweep_point,
             payload=payload,
-            seed=derive_seed(engine.root_seed, k),
+            seed=derive_seed(engine.root_seed, payload["rows"]),
         )
-        for k, payload in enumerate(payloads)
+        for payload in payloads
     ]
-    report = run_tasks(tasks, engine)
-    by_index = {o.index: o for o in report.outcomes}
-    results = [
-        by_index[k].value if k in by_index and by_index[k].ok else None
-        for k in range(len(tasks))
-    ]
-    return results, report
+    report = run_tasks(tasks, replace(engine, run_key=engine.run_key + RUN_KEY_SUFFIX))
+    return report.values(), report

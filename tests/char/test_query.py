@@ -203,13 +203,27 @@ class TestServing:
         assert stored_value(store, "drnm", "cmos", 0.123) is None
         assert stored_value(store, "drnm", "proposed", 0.7) is None
 
-    def test_metric_reader_falls_back_to_compute(self, tmp_path):
+    def test_metric_reader_simulates_misses_with_evaluate_metric(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.char import metrics
+
         spec = _vdd_spec()
         store = CharStore(tmp_path)
         _fill(store, spec, lambda p, m: 2.0 * p.vdd)
+        calls = []
+
+        def recording(metric, design, vdd, beta=None, corner="tt"):
+            calls.append((metric, design, vdd, beta, corner))
+            return 999.0
+
+        monkeypatch.setattr(metrics, "evaluate_metric", recording)
         read = metric_reader(store)
-        assert read("drnm", "cmos", 0.7, lambda: 999.0) == pytest.approx(1.4)
-        assert read("drnm", "cmos", 0.123, lambda: 999.0) == 999.0
-        # Without a store everything computes.
+        assert read("drnm", "cmos", 0.7) == pytest.approx(1.4)
+        assert calls == []
+        assert read("drnm", "cmos", 0.123, beta=1.1) == 999.0
+        assert calls == [("drnm", "cmos", 0.123, 1.1, "tt")]
+        # Without a store every point simulates.
         read_none = metric_reader(None)
-        assert read_none("drnm", "cmos", 0.7, lambda: 999.0) == 999.0
+        assert read_none("drnm", "inward_p", 0.7, beta=0.8, corner="ss") == 999.0
+        assert calls[-1] == ("drnm", "inward_p", 0.7, 0.8, "ss")

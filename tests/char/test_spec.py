@@ -79,6 +79,17 @@ class TestCompilation:
         assert {p.beta for p in points if p.design == "cmos"} == {None, 1.5}
         assert {p.beta for p in points if p.design == "proposed"} == {None}
 
+    @pytest.mark.parametrize("design", ["proposed", "asym", "7t"])
+    def test_beta_on_fixed_sizing_design_raises(self, design):
+        """The rule the compiler applies above: no silent canonical cell."""
+        from repro.char.designs import build_cell
+        from repro.char.metrics import evaluate_metric
+
+        with pytest.raises(ValueError, match="fixed topology-defined sizing"):
+            build_cell(design, beta=1.5)
+        with pytest.raises(ValueError, match="fixed topology-defined sizing"):
+            evaluate_metric("hold_power", design, 0.8, beta=1.5)
+
     def test_entries_skip_undefined_metrics(self):
         spec = _spec(designs=("asym",), metrics=("drnm", "wl_crit"))
         assert {e.metric for e in spec.entries()} == {"drnm"}

@@ -21,7 +21,6 @@ from repro.circuit.netlist import Circuit
 from repro.circuit.parser import parse_netlist
 from repro.circuit.sparse import (
     DEFAULT_SPARSE_THRESHOLD,
-    HAVE_SPARSE,
     SparseMnaSystem,
     make_system,
 )
@@ -29,8 +28,6 @@ from repro.devices.library import nmos_device, tfet_device
 from repro.verify.fuzz import generate_deck
 
 from tests.circuit.test_mna_equivalence import random_circuit
-
-pytestmark = pytest.mark.skipif(not HAVE_SPARSE, reason="scipy is unavailable")
 
 RTOL = 1e-12
 ATOL = 1e-30

@@ -104,6 +104,34 @@ class TestInterruptedRuns:
         done = make_log(tmp_path).load()
         assert sorted(done) == [0, 1]
 
+    def test_interrupted_compaction_keeps_every_record(self, tmp_path, monkeypatch):
+        log = make_log(tmp_path)
+        log.open_fresh()
+        for index in range(10):
+            log.append(TaskOutcome(index=index, status="ok", value=float(index)))
+        log.close()
+
+        class Killed(Exception):
+            pass
+
+        write_line = CheckpointLog._write_line
+        written = []
+
+        def killed_at_fourth_line(self, record):
+            written.append(record)
+            if len(written) == 4:
+                raise Killed
+            write_line(self, record)
+
+        monkeypatch.setattr(CheckpointLog, "_write_line", killed_at_fourth_line)
+        resumed = make_log(tmp_path)
+        with pytest.raises(Killed):
+            resumed.open_resumed()
+        resumed.close()
+        monkeypatch.undo()
+
+        assert sorted(make_log(tmp_path).load()) == list(range(10))
+
     def test_open_resumed_without_file_degrades_to_fresh(self, tmp_path):
         log = make_log(tmp_path)
         assert log.open_resumed() == {}

@@ -8,7 +8,6 @@ from repro.experiments.designs import (
     PROPOSED_BETA,
     asym_cell,
     cmos_cell,
-    comparison_designs,
     proposed_cell,
     proposed_read_assist,
     seven_t_cell,
@@ -26,11 +25,6 @@ class TestDesigns:
         assert assist.name == "vgnd_lowering"
         assert assist.kind == "read"
         assert assist.fraction == 0.3
-
-    def test_comparison_set_has_four_designs(self):
-        designs = comparison_designs()
-        assert len(designs) == 4
-        assert "6T CMOS" in designs
 
     def test_cells_are_fresh_instances(self):
         assert proposed_cell() is not proposed_cell()

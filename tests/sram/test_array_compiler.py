@@ -9,7 +9,6 @@ import pytest
 
 from repro.circuit.sparse import (
     DEFAULT_SPARSE_THRESHOLD,
-    HAVE_SPARSE,
     SparseMnaSystem,
     make_system,
 )
@@ -131,18 +130,12 @@ class TestCompile:
         # sparse MNA assembler through make_system.
         compiled = compile_array(proposed, ArrayGeometry(16, 4), VDD)
         assert compiled.unknown_count >= DEFAULT_SPARSE_THRESHOLD
-        system = make_system(compiled.circuit)
-        if HAVE_SPARSE:
-            assert isinstance(system, SparseMnaSystem)
-        else:
-            assert not isinstance(system, SparseMnaSystem)
+        assert isinstance(make_system(compiled.circuit), SparseMnaSystem)
 
     def test_sparse_selection_counter_increments(self, proposed):
         from repro.telemetry import core as telemetry
 
         compiled = compile_array(proposed, ArrayGeometry(16, 4), VDD)
-        if not HAVE_SPARSE:
-            pytest.skip("scipy.sparse unavailable")
         with telemetry.enabled() as session:
             make_system(compiled.circuit)
         assert session.counters.get("mna.sparse_selected", 0) >= 1
@@ -203,9 +196,7 @@ class TestMeasure:
         assert m.completed
         assert 0.0 < m.wordline_delay < m.access_delay
         assert m.unknowns == compiled.unknown_count
-        assert m.sparse_engaged == (
-            HAVE_SPARSE and m.unknowns >= DEFAULT_SPARSE_THRESHOLD
-        )
+        assert m.sparse_engaged == (m.unknowns >= DEFAULT_SPARSE_THRESHOLD)
 
     def test_read_energy_positive_and_cell_share_smaller(self, small_read):
         _, m = small_read

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cli import main
@@ -46,6 +48,44 @@ class TestCell:
     def test_cmos_rejects_non_nominal_corner(self, capsys):
         assert main(["cell", "cmos", "--corner", "ff"]) == 2
         assert "CMOS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("design", ["proposed", "cmos", "asym", "7t", "outward_n"])
+    def test_prints_the_registry_measurements(self, design, capsys):
+        """Every printed number is `evaluate_metric`'s, as the store serves it."""
+        from repro.char.designs import DESIGNS
+        from repro.char.metrics import evaluate_metric
+
+        vdd = 0.8
+        assert main(["cell", design, "--vdd", str(vdd)]) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            key, value = line.split(":", 1)
+            printed[key.strip()] = value.replace("(with read assist)", "").strip()
+
+        def ps(metric):
+            value = evaluate_metric(metric, design, vdd)
+            return "inf" if math.isinf(value) else f"{value * 1e12:.1f} ps"
+
+        expected = {
+            "hold power": f"{evaluate_metric('hold_power', design, vdd):.3e} W",
+            "DRNM": f"{evaluate_metric('drnm', design, vdd) * 1e3:.1f} mV",
+            "WL_crit": (
+                ps("wl_crit") if "wl_crit" in DESIGNS[design].metrics
+                else "undefined (no separatrix)"
+            ),
+            "write delay": ps("write_delay"),
+            "read delay": ps("read_delay"),
+        }
+        assert {key: printed[key] for key in expected} == expected
+
+    def test_accepts_every_registry_design(self, capsys):
+        from repro.char.designs import DESIGNS
+
+        with pytest.raises(SystemExit):
+            main(["cell", "--help"])
+        usage = capsys.readouterr().out
+        for name in DESIGNS:
+            assert name in usage
 
 
 class TestExperiment:
@@ -252,3 +292,49 @@ class TestArrayCLI:
     def test_bad_rows_list_is_an_error(self, capsys):
         assert main(["array", "sweep", "--rows-list", "4,x"]) == 2
         assert "rows-list" in capsys.readouterr().err
+
+    def test_resume_with_other_rows_measures_the_new_geometry(
+        self, tmp_path, capsys
+    ):
+        """Tasks are keyed by row count: a 4-row checkpoint is not replayed
+        as the 16-row point, and a later 4,16 resume replays the 4 only."""
+        def sweep(directory, rows_list, *extra):
+            assert main(["array", "sweep", "--rows-list", rows_list,
+                         "--columns", "2", "--output-dir", str(directory),
+                         *extra]) == 0
+            summary, *table = capsys.readouterr().out.splitlines()
+            return summary, table
+
+        sweep(tmp_path / "a", "4")
+        summary, resumed = sweep(tmp_path / "a", "16", "--resume")
+        assert "0 resumed" in summary
+        _, fresh = sweep(tmp_path / "b", "16")
+        assert resumed == fresh
+
+        sweep(tmp_path / "c", "4")
+        summary, table = sweep(tmp_path / "c", "4,16", "--resume")
+        assert "1 resumed" in summary
+        assert table[2] == fresh[1]
+
+    def test_position_keyed_checkpoint_is_an_error(self, tmp_path, capsys):
+        """A checkpoint keyed by list position cannot be replayed."""
+        import json
+
+        checkpoint = tmp_path / "checkpoints" / "array_sweep.jsonl"
+        checkpoint.parent.mkdir(parents=True)
+        checkpoint.write_text(json.dumps({
+            "schema": "repro.engine.checkpoint/v1",
+            "run_key": "array_proposed_read_2x@0.8",
+            "root_seed": 0,
+        }) + "\n")
+        assert main(["array", "sweep", "--rows-list", "4", "--columns", "2",
+                     "--output-dir", str(tmp_path), "--resume"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "belongs to run" in err[0]
+
+    def test_duplicate_row_count_is_an_error(self, tmp_path, capsys):
+        assert main(["array", "sweep", "--rows-list", "4,8,4", "--columns", "2",
+                     "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "duplicate row count" in err[0]
