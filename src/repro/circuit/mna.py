@@ -188,6 +188,37 @@ def _concat_intp(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts).astype(np.intp)
 
 
+def _linear_stamp(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constant linear stamp as ``(row, col, value)`` triplets.
+
+    Resistor conductances plus voltage-source incidence, one triplet per
+    stamp in element order; a repeated ``(row, col)`` sums.  Summing the
+    triplets in this order starting from zero is bytes-equal to stamping
+    a dense matrix element by element (a subtracted stamp is the addition
+    of its negation).
+    """
+    n = circuit.node_count
+    stamps: list[tuple[int, int, float]] = []
+    for r in circuit.resistors:
+        g = 1.0 / r.resistance
+        for node, sign in ((r.a, 1.0), (r.b, -1.0)):
+            if node == GROUND:
+                continue
+            if r.a != GROUND:
+                stamps.append((node, r.a, sign * g))
+            if r.b != GROUND:
+                stamps.append((node, r.b, -(sign * g)))
+    for m, src in enumerate(circuit.voltage_sources):
+        row = n + m
+        if src.a != GROUND:
+            stamps += [(src.a, row, 1.0), (row, src.a, 1.0)]
+        if src.b != GROUND:
+            stamps += [(src.b, row, -1.0), (row, src.b, -1.0)]
+    # Node indices are far below 2**53, so they survive the float array.
+    triplets = np.array(stamps, dtype=float).reshape(-1, 3)
+    return triplets[:, 0].astype(np.intp), triplets[:, 1].astype(np.intp), triplets[:, 2]
+
+
 class MnaSystem:
     """Assembler bound to one circuit, with precompiled element stamps."""
 
@@ -218,35 +249,9 @@ class MnaSystem:
 
         # Scratch buffers reused across assemblies.
         self._f = np.zeros(size)
-        self._jac = np.zeros((size, size))
-        self._jac_flat = self._jac.reshape(-1)
         self._xg = np.zeros(n + 1)  # ground aliased to the extra slot
         self._vs_values = np.zeros(self.n_branches)
         self._is_values = np.zeros(len(circuit.current_sources))
-
-        # Constant linear stamp: resistor conductances plus voltage-source
-        # incidence.  Both the Jacobian contribution (copied in wholesale)
-        # and the x-linear residual contribution (one mat-vec) come from
-        # this single matrix.
-        lin = np.zeros((size, size))
-        for r in circuit.resistors:
-            g = 1.0 / r.resistance
-            for node, sign in ((r.a, 1.0), (r.b, -1.0)):
-                if node == GROUND:
-                    continue
-                if r.a != GROUND:
-                    lin[node, r.a] += sign * g
-                if r.b != GROUND:
-                    lin[node, r.b] -= sign * g
-        for m, src in enumerate(circuit.voltage_sources):
-            row = n + m
-            if src.a != GROUND:
-                lin[src.a, row] += 1.0
-                lin[row, src.a] += 1.0
-            if src.b != GROUND:
-                lin[src.b, row] -= 1.0
-                lin[row, src.b] -= 1.0
-        self._lin = lin
         self._diag_flat = np.arange(n, dtype=np.intp) * (size + 1)
 
         # Current sources: static scatter targets, per-call waveform values.
@@ -263,6 +268,7 @@ class MnaSystem:
         self._compile_transistors()
         self._caps = _CapacitorBank(circuit)
         self._compile_capacitors()
+        self._compile_matrix(*_linear_stamp(circuit))
         self._clamp_cache: tuple | None = None
 
         # Last-point evaluation caches.  Newton's accepted line-search
@@ -285,6 +291,21 @@ class MnaSystem:
         self._vs_waves: list = [None] * self.n_branches
         self._is_t: float | None = None
         self._is_waves: list = [None] * len(circuit.current_sources)
+
+    def _compile_matrix(self, rows, cols, vals) -> None:
+        """The constant linear stamp and the Jacobian scratch buffer.
+
+        Both the Jacobian contribution (copied in wholesale) and the
+        x-linear residual contribution (one mat-vec) come from the one
+        matrix ``_lin``, the :func:`_linear_stamp` triplets summed in
+        element order.
+        """
+        size = self.size
+        lin = np.zeros((size, size))
+        np.add.at(lin, (rows, cols), vals)
+        self._lin = lin
+        self._jac = np.zeros((size, size))
+        self._jac_flat = self._jac.reshape(-1)
 
     def invalidate_caches(self) -> None:
         """Recompile the stamps and drop every last-point cache.

@@ -18,18 +18,31 @@ dense assembler and changes only where stamps land:
   scatters, now into a length-nnz vector instead of ``size**2`` (the
   source, transistor and capacitor stamps are the dense assembler's
   own methods, pointed at the CSC slots);
+* the compile itself is O(nnz) in memory: the linear stamp arrives as
+  triplets and is summed per index, never as a ``size x size`` matrix;
 * the residual's linear mat-vec runs on a CSR copy of the constant
   linear stamp (O(nnz) instead of O(n^2));
-* ``assemble`` returns a ``scipy.sparse`` CSC matrix sharing the fixed
-  pattern, which :class:`repro.circuit.dcop._Factorization` routes to
-  ``splu``.
+* the fill-reducing column order is computed once per pattern too (see
+  below), and the CSC data vector is laid out in that order, so every
+  assembly writes the column-permuted Jacobian ``A·Pc`` into the one
+  ``scipy.sparse`` matrix built at compile time.
 
-scipy's ``splu`` exposes no values-only refactorization hook, so what
-is reused across Newton iterations is the *assembly-level* symbolic
-work (pattern, index maps, buffers) plus the modified-Newton LU reuse
-in the solver; each re-stamp pays one full ``splu``.  ``permc_spec``
-is pinned to ``"COLAMD"`` so the fill-reducing ordering — a pure
-function of the fixed pattern — is deterministic across calls.
+Ordering reuse.  scipy's ``splu`` exposes no values-only refactorization
+hook, but SuperLU's final column order ``perm_c`` — COLAMD followed by
+the postorder of the column elimination tree — reads only the pattern.
+The compile takes it from one ``splu(..., permc_spec="COLAMD")`` of a
+probe matrix with the compiled pattern (unit off-diagonals, the row's
+off-diagonal count + 1 on the diagonal, so never singular);
+``assemble(copy=False)`` hands the Newton solver ``A·Pc`` with
+``perm_c`` as a :class:`ColumnOrderedJacobian`, and
+:class:`SparseFactorization` factors it with ``permc_spec="NATURAL"``
+and un-permutes each solution.  A re-stamp then skips COLAMD and the
+postorder; SuperLU's symbolic and numeric factorization still run per
+call.  Only columns are relabelled, so SuperLU walks the same column
+sequence, row labels and tie order as on its COLAMD path: ``L``, ``U``,
+``perm_r`` and every solve equal those of
+``splu(A, permc_spec="COLAMD")`` bit for bit, except on the exact pivot
+tie :class:`SparseFactorization` describes.
 
 :func:`selects_sparse` states the selection rule and :func:`make_system`
 applies it: ``"auto"`` picks sparse when the system size reaches
@@ -41,6 +54,8 @@ on the telemetry counters ``mna.sparse_selected`` /
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy import sparse as _sparse
 from scipy.sparse.linalg import splu as _splu
@@ -51,6 +66,7 @@ from repro.telemetry import core as telemetry
 
 __all__ = [
     "DEFAULT_SPARSE_THRESHOLD",
+    "ColumnOrderedJacobian",
     "SparseMnaSystem",
     "SparseFactorization",
     "make_system",
@@ -63,47 +79,107 @@ DEFAULT_SPARSE_THRESHOLD = 64
 MATRIX_FORMATS = ("auto", "dense", "sparse")
 
 
+class ColumnOrderedJacobian(NamedTuple):
+    """A stamped Jacobian ``A`` held as ``A·Pc``, ready for SuperLU.
+
+    What ``SparseMnaSystem.assemble(copy=False)`` returns: column ``j``
+    of ``matrix`` is column ``i`` of ``A`` where ``perm_c[i] == j``
+    (SuperLU's convention).
+    """
+
+    matrix: _sparse.csc_matrix
+    perm_c: np.ndarray
+
+
+def _column_order(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """SuperLU's COLAMD column order for a CSC pattern with a full diagonal.
+
+    Factors a probe matrix of that pattern whose values make it strictly
+    diagonally dominant (unit off-diagonals, the row's off-diagonal count
+    + 1 on the diagonal); the order depends on the pattern alone.
+    """
+    size = indptr.size - 1
+    cols = np.repeat(np.arange(size), np.diff(indptr))
+    diagonal = indices == cols
+    off_diagonal_per_row = np.bincount(indices[~diagonal], minlength=size)
+    values = np.ones(indices.size)
+    values[diagonal] = off_diagonal_per_row[indices[diagonal]] + 1.0
+    probe = _sparse.csc_matrix((values, indices, indptr), shape=(size, size))
+    return _splu(probe, permc_spec="COLAMD").perm_c.astype(np.intp)
+
+
 class SparseFactorization:
-    """splu of one stamped CSC Jacobian, matching ``_Factorization``'s
+    """splu of one compiled Jacobian, matching ``_Factorization``'s
     contract: construction raises ``np.linalg.LinAlgError`` on a
-    singular or non-finite matrix, ``solve`` back-substitutes."""
+    singular or non-finite matrix, ``solve`` back-substitutes.
 
-    __slots__ = ("_lu",)
+    ``jac`` is a :class:`ColumnOrderedJacobian`, factored in its given
+    column order (``permc_spec="NATURAL"``); ``solve`` returns the
+    solution in the natural order.
 
-    def __init__(self, jac):
-        if not np.isfinite(jac.data).all():
+    The one difference from ``splu(A, permc_spec="COLAMD")``: SuperLU
+    keeps "the diagonal" as pivot when its magnitude reaches
+    ``DiagPivotThresh`` (1.0) times the column's largest, and names the
+    diagonal by column position — in ``A·Pc`` that is a different row of
+    the relabelled column than on the COLAMD path.  At threshold 1.0 the
+    two rules part only on an *exact* magnitude tie between the column's
+    largest entry and the entry each names; SuperLU may then pick a
+    different, equally valid pivot, and the solution can differ in its
+    last digits.
+    """
+
+    __slots__ = ("_lu", "_perm_c")
+
+    def __init__(self, jac: ColumnOrderedJacobian):
+        matrix, self._perm_c = jac
+        if not np.isfinite(matrix.data).all():
             raise np.linalg.LinAlgError("non-finite sparse Jacobian")
         try:
-            # COLAMD ordering is a pure function of the (fixed) pattern,
-            # keeping factorization deterministic across re-stamps.
-            self._lu = _splu(jac, permc_spec="COLAMD")
+            self._lu = _splu(matrix, permc_spec="NATURAL")
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise np.linalg.LinAlgError(str(exc)) from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(rhs)
+        return self._lu.solve(rhs)[self._perm_c]
 
 
 class SparseMnaSystem(MnaSystem):
     """MNA assembler producing fixed-pattern CSC Jacobians.
 
-    The public surface is identical to :class:`MnaSystem` except that
-    the Jacobian returned by ``assemble`` is a
-    ``scipy.sparse.csc_matrix`` (``copy`` requests a matrix with private
-    data; the no-copy fast path shares the assembler's data buffer,
-    overwritten by the next assembly).
+    The public surface is identical to :class:`MnaSystem` except for
+    the Jacobian ``assemble`` returns: with ``copy`` a
+    ``scipy.sparse.csc_matrix`` of private arrays in the natural column
+    order; without, the Newton solver's fast path, the compiled
+    :class:`ColumnOrderedJacobian` whose data buffer the next assembly
+    overwrites.
     """
 
-    def _compile(self) -> None:
-        super()._compile()
+    def _compile_matrix(self, rows, cols, vals) -> None:
         size = self.size
         n = self.n_nodes
+
+        # The linear stamp summed per flat index in element order, exact
+        # zeros dropped: the nonzeros of the dense class's ``_lin``,
+        # without its size x size matrix.
+        lin_flat, where = np.unique(rows * size + cols, return_inverse=True)
+        lin_vals = np.zeros(lin_flat.size)
+        np.add.at(lin_vals, where, vals)
+        nonzero = lin_vals != 0.0
+        lin_flat, lin_vals = lin_flat[nonzero], lin_vals[nonzero]
+        lin_rows, lin_cols = np.divmod(lin_flat, size)
+        self._lin_csr = _sparse.csr_matrix(
+            (
+                lin_vals,
+                lin_cols.astype(np.int32),
+                np.searchsorted(lin_rows, np.arange(size + 1)).astype(np.int32),
+            ),
+            shape=(size, size),
+        )
 
         # Pattern union: linear stamp + node diagonal (gmin and clamps
         # land there) + transistor and capacitor scatter targets.  The
         # diagonal of the *whole* system is included so splu never sees
         # a structurally empty pivot column.
-        lin_flat = np.flatnonzero(self._lin)
         parts = [
             lin_flat,
             np.arange(size, dtype=np.intp) * (size + 1),
@@ -111,40 +187,58 @@ class SparseMnaSystem(MnaSystem):
             self._cj_flat,
         ]
         pattern = np.unique(np.concatenate(parts)).astype(np.intp)
-        rows = pattern // size
-        cols = pattern % size
+        rows, cols = np.divmod(pattern, size)
 
-        # CSC layout: entries sorted by (col, row).  ``pattern`` is
-        # sorted by flat index = row-major, so re-sort; the map from a
-        # flat dense index to its CSC data slot is then one
-        # ``searchsorted`` at compile time per stamp array.
-        order = np.lexsort((rows, cols))
-        self._csc_indices = rows[order].astype(np.int32)
-        self._csc_indptr = np.zeros(size + 1, dtype=np.int32)
-        np.add.at(self._csc_indptr, cols + 1, 1)
-        np.cumsum(self._csc_indptr, out=self._csc_indptr)
+        # CSC layouts: entries sorted by (column, row) in the natural
+        # column order, which ``assemble(copy=True)`` hands out and the
+        # ordering probe reads, and in SuperLU's order ``perm_c``, which
+        # the data buffer uses.  ``pattern`` is sorted by flat index =
+        # row-major, so the map from a flat dense index to its data slot
+        # is one ``searchsorted`` at compile time per stamp array.
+        natural = np.lexsort((rows, cols))
+        self._natural_indices = rows[natural].astype(np.int32)
+        self._natural_indptr = np.searchsorted(
+            cols[natural], np.arange(size + 1)
+        ).astype(np.int32)
+        perm_c = _column_order(self._natural_indices, self._natural_indptr)
+        order = np.lexsort((rows, perm_c[cols]))
         slot_of_pattern = np.empty(len(pattern), dtype=np.intp)
         slot_of_pattern[order] = np.arange(len(pattern), dtype=np.intp)
+        self._natural_slots = slot_of_pattern[natural]
         self._pattern = pattern
         self._pattern_slots = slot_of_pattern
+        slots = self._flat_slots
 
-        def slots(flat_idx: np.ndarray) -> np.ndarray:
-            return slot_of_pattern[np.searchsorted(pattern, flat_idx)]
-
-        self._nnz = len(pattern)
-        self._data = np.zeros(self._nnz)
-        base = np.zeros(self._nnz)
-        base[slots(lin_flat)] = self._lin.reshape(-1)[lin_flat]
+        ordered = _sparse.csc_matrix(
+            (
+                np.zeros(len(pattern)),
+                rows[order].astype(np.int32),
+                np.searchsorted(perm_c[cols[order]], np.arange(size + 1)).astype(np.int32),
+            ),
+            shape=(size, size),
+        )
+        self._ordered = ColumnOrderedJacobian(ordered, perm_c)
+        self._data = ordered.data  # stamps land in the matrix's own buffer
+        base = np.zeros(len(pattern))
+        base[slots(lin_flat)] = lin_vals
         self._data_base = base
         self._diag_slots = slots(np.arange(n, dtype=np.intp) * (size + 1))
         self._tj_dst = slots(self._tj_flat)
         self._cj_dst = slots(self._cj_flat)
-        self._lin_csr = _sparse.csr_matrix(self._lin)
         self._clamp_slot_cache: tuple | None = None
-        # The dense Jacobian scratch is never stamped on this class;
-        # release the O(size^2) buffers the base compile allocated.
-        self._jac = np.empty((0, 0))
-        self._jac_flat = self._jac.reshape(-1)
+        self._lin_dense: np.ndarray | None = None
+
+    @property
+    def _lin(self) -> np.ndarray:
+        """The dense linear stamp, built on first use after each compile.
+
+        Only the stacked batch reads it (its blocks are dense anyway), so
+        the compile stays O(nnz).  Bytes-equal to the dense class's
+        ``_lin``: a stamp sum that cancels is +0.0 either way.
+        """
+        if self._lin_dense is None:
+            self._lin_dense = self._lin_csr.toarray()
+        return self._lin_dense
 
     def _flat_slots(self, flat_idx: np.ndarray) -> np.ndarray:
         """Map flat dense indices (row*size+col) to CSC data positions."""
@@ -199,19 +293,24 @@ class SparseMnaSystem(MnaSystem):
         if transient is not None and len(self._caps):
             self._stamp_capacitors(x, f, data, transient, want_jac)
 
-        if not want_jac:
-            return f.copy(), None
-        jac = _sparse.csc_matrix(
-            (data, self._csc_indices, self._csc_indptr),
-            shape=(self.size, self.size),
-            copy=False,
-        )
-        return f.copy(), jac
+        return f.copy(), (self._ordered if want_jac else None)
 
     def assemble(self, x, t, gmin=0.0, transient=None, clamps=(),
                  source_scale=1.0, copy=True):
         f, jac = self._assemble(x, t, gmin, transient, clamps, source_scale, True)
-        return (f, jac.copy()) if copy else (f, jac)
+        if not copy:
+            return f, jac
+        size = self.size
+        natural = _sparse.csc_matrix(
+            (
+                self._data[self._natural_slots],
+                self._natural_indices.copy(),
+                self._natural_indptr.copy(),
+            ),
+            shape=(size, size),
+            copy=False,
+        )
+        return f, natural
 
 
 def selects_sparse(

@@ -126,6 +126,7 @@ def _audit_jacobian(
     companion-conductance errors) that a residual audit cannot see —
     they bend Newton's path without moving its fixed point.  Costs
     ``2 * size`` reference assemblies; gated by ``jacobian_interval``.
+    A sparse system's Jacobian is compared densified.
     """
     options = session.options
     session.count("jacobian")
@@ -134,6 +135,8 @@ def _audit_jacobian(
         x, t, gmin=gmin, transient=transient, clamps=clamps,
         source_scale=source_scale, copy=True,
     )
+    if not isinstance(jac, np.ndarray):
+        jac = jac.toarray()
     eps = options.jacobian_step
     fd = np.empty_like(jac)
     probe = x.copy()

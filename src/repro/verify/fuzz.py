@@ -9,9 +9,12 @@ paths against the retained seed references:
   randomized solution vectors, across DC / gmin / clamp /
   source-scaled / transient companion configurations;
 * full solves (``solve_dc`` warm and cold, ``dc_sweep`` warm starts,
-  ``simulate_transient`` with the predictor on and off) under a
-  collection-mode :mod:`repro.verify` session, harvesting every KCL,
-  equivalence, charge, table, and Jacobian audit violation.
+  ``simulate_transient`` with the predictor on and off, then
+  ``solve_dc`` and ``simulate_transient`` again on the forced-sparse
+  assembler, which fuzz decks — all below the 64-unknown auto
+  threshold — never select on their own) under a collection-mode
+  :mod:`repro.verify` session, harvesting every KCL, equivalence,
+  charge, table, and Jacobian audit violation.
 
 A failing deck is *shrunk* by greedy card removal (a reduced deck is
 kept whenever it still reproduces the same failure kind) and the
@@ -33,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.circuit.dcop import ConvergenceError, solve_dc
+from repro.circuit.dcop import ConvergenceError, SolverOptions, solve_dc
 from repro.circuit.mna import MnaSystem, TransientState, VoltageClamp
 from repro.circuit.mna_reference import ReferenceMnaSystem
 from repro.circuit.parser import NetlistSyntaxError, parse_netlist
@@ -249,6 +252,17 @@ def check_deck(deck: str) -> CheckResult:
                     )
                 except ConvergenceError:
                     result.nonconverged += 1
+            sparse = SolverOptions(matrix_format="sparse")
+            try:
+                solve_dc(circuit, options=sparse)
+            except ConvergenceError:
+                result.nonconverged += 1
+            try:
+                simulate_transient(
+                    circuit, t_stop, options=TransientOptions(solver=sparse)
+                )
+            except ConvergenceError:
+                result.nonconverged += 1
             result.audits = dict(session.audits)
             if session.violation_count:
                 first = session.violations[0]

@@ -6,7 +6,9 @@ the control flow itself (damping, step control, the fallback ladder,
 the WL_crit bisection) would pass them unnoticed.  These values were
 recorded from the solver before the scalar and stacked paths shared
 one implementation; waveform values must hold to 1e-9 relative and the
-work counts exactly.
+work counts exactly.  The compiled-array case pins the sparse path (the
+CSC assembler and splu) the same way; it was recorded while every
+factorization still recomputed its own COLAMD ordering.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ from repro.analysis.stability import (
     dynamic_read_noise_margin,
 )
 from repro.circuit.transient import simulate_transient
+from repro.circuit.sparse import DEFAULT_SPARSE_THRESHOLD
 from repro.experiments.designs import proposed_cell, proposed_read_assist
+from repro.sram.array import ArrayGeometry
+from repro.sram.compiler import compile_array
 from repro.telemetry import core as telemetry
 from tests.circuit.test_batch import T_STOP, VARIANTS, _inverter
 
@@ -93,3 +98,50 @@ def test_tfet_wlcrit_matches_golden():
     assert tel.counters["newton.iterations"] == 3034
     assert tel.counters["wlcrit.steps_resumed"] == 694
     assert tel.counters["wlcrit.probes_latched"] == 11
+
+
+# Final voltages of the 8x4 read path's probe nodes.
+ARRAY_READ_FINAL = {
+    "bl_0": 0.8003194124555798,
+    "bl_8": 0.8003193550515184,
+    "blb_0": 0.31621819611382096,
+    "blb_8": 0.31621806955651593,
+    "hs_q": 0.7999963198461035,
+    "hs_qb": 0.0005457997431545965,
+    "rbl_0": 0.3048015138287279,
+    "rbl_sen": 0.7998349350619444,
+    "sa_out": 0.7999999942960621,
+    "sa_outb": 8.967117252147391e-09,
+    "sel_q": 0.8001811083592483,
+    "sel_qb": 0.0004692359361286618,
+    "wl_0": -7.990723880278412e-08,
+    "wl_4": -9.989397905981364e-08,
+}
+
+
+def test_compiled_array_read_matches_golden():
+    compiled = compile_array(
+        proposed_cell(), ArrayGeometry(rows=8, columns=4), 0.8,
+        scenario="read", assist=proposed_read_assist(),
+    )
+    assert compiled.unknown_count == 76 >= DEFAULT_SPARSE_THRESHOLD
+    bench = compiled.bench
+    with telemetry.enabled() as tel:
+        result = simulate_transient(
+            bench.circuit, bench.settle_stop(1.0e-9),
+            initial_conditions=bench.initial_conditions,
+        )
+    assert tel.counters["mna.sparse_selected"] == 1
+    assert tel.counters["transient.steps_accepted"] == 350
+    assert tel.counters["newton.iterations"] == 1473
+    assert tel.counters["newton.jacobian_stamps"] == 855
+    assert len(result.times) == 351
+    mid = len(result.times) // 2
+    np.testing.assert_allclose(
+        result.times[mid], 8.328284973000263e-10, rtol=RTOL, atol=0.0
+    )
+    for node, value in ARRAY_READ_FINAL.items():
+        np.testing.assert_allclose(result.final(node), value, rtol=RTOL, atol=0.0)
+    np.testing.assert_allclose(
+        np.linalg.norm(result.states[-1]), 4.5167637052029, rtol=RTOL, atol=0.0
+    )

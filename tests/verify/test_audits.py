@@ -16,9 +16,13 @@ import pytest
 from repro.circuit.dcop import solve_dc
 from repro.circuit.mna import MnaSystem, TransientState
 from repro.circuit.netlist import Circuit
+from repro.circuit.sparse import DEFAULT_SPARSE_THRESHOLD
 from repro.circuit.transient import simulate_transient
 from repro.circuit.waveforms import Pulse
 from repro.devices.tables import CubicTable2D, UniformGrid
+from repro.experiments.designs import proposed_cell, proposed_read_assist
+from repro.sram.array import ArrayGeometry
+from repro.sram.compiler import compile_array, measure_array
 from repro.verify import (
     VerificationError,
     VerifyOptions,
@@ -54,6 +58,19 @@ class TestGreenPath:
         assert session.violation_count == 0
         for kind in ("kcl", "equivalence", "charge", "table", "jacobian"):
             assert session.audits.get(kind, 0) > 0, f"{kind} audit never ran"
+
+    def test_sparse_array_path_is_clean_under_jacobian_audit(self):
+        """The Jacobian audit densifies a sparse system's CSC Jacobian."""
+        compiled = compile_array(
+            proposed_cell(), ArrayGeometry(rows=8, columns=4), 0.8,
+            scenario="read", assist=proposed_read_assist(),
+        )
+        assert compiled.unknown_count >= DEFAULT_SPARSE_THRESHOLD
+        options = VerifyOptions(jacobian_audit=True, jacobian_interval=64)
+        with enabled(options) as session:
+            measure_array(compiled)
+        assert session.violation_count == 0
+        assert session.audits.get("jacobian", 0) > 0
 
     def test_disabled_session_audits_nothing(self, inverter):
         with enabled() as outer:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.telemetry import core as telemetry
 from repro.verify import fuzz
 
 
@@ -56,6 +57,15 @@ class TestCheckDeck:
         assert result.failure is None
         assert result.audits.get("kcl", 0) > 0
         assert result.audits.get("charge", 0) > 0
+
+    def test_sparse_stages_run_under_the_audits(self):
+        # Fuzz decks sit below the auto-sparse threshold; the forced
+        # sparse DC and transient stages are their only sparse solves.
+        with telemetry.enabled() as tel:
+            result = fuzz.check_deck(GOOD_DECK)
+        assert result.failure is None
+        assert tel.counters.get("mna.sparse_selected", 0) == 2
+        assert result.audits.get("jacobian", 0) > 0
 
     def test_unparseable_deck_reports_parse_failure(self):
         result = fuzz.check_deck(BROKEN_DECK)
