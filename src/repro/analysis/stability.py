@@ -12,6 +12,12 @@ Following the paper's Section 3, stability is measured *dynamically*:
 Both capture the dynamics that static margins miss — a slow cell can
 survive a disturb that would kill it at DC, and a write can fail even
 when the static margin says otherwise.
+
+Both transients end once their value is decided: DRNM at the first
+sample at or past the end of the access window (the minimum is taken
+inside it), a WL_crit probe once the cell has latched.  Neither changes
+a value: :func:`repro.circuit.transient.full_length` and
+:class:`ReferenceWlCritSearch` are the full-length references.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from repro.sram.testbench import Testbench
 from repro.telemetry import core as telemetry
 
 __all__ = [
+    "drnm_gen",
     "dynamic_read_noise_margin",
     "write_flips_cell",
     "critical_wordline_pulse",
@@ -56,25 +63,38 @@ constant the regenerative pair only widens from there, so the sign of
 v(one) - v(zero) is the probe's outcome."""
 
 
+def drnm_gen(bench: Testbench, options: TransientOptions | None = None):
+    """Generator form of :func:`dynamic_read_noise_margin`, the one DRNM
+    procedure: the scalar call drives it, and so does a stacked
+    Monte-Carlo batch member (:mod:`repro.engine.mc`).
+
+    The transient is set up to end :data:`SETTLE_TIME` after the access
+    window, but stops at the first sample at or after ``window.t_off``:
+    every sample the minimum reads is in by then.
+    """
+    if bench.read_bitline is None:
+        raise ValueError("testbench is not a read operation")
+    t_on, t_off = bench.window.t_on, bench.window.t_off
+    result = yield from transient_gen(
+        bench.circuit,
+        bench.settle_stop(SETTLE_TIME),
+        initial_conditions=bench.initial_conditions,
+        options=options,
+        until=lambda t, x: t >= t_off,
+    )
+    return result.min_difference(bench.one_node, bench.zero_node, t_on, t_off)
+
+
 def dynamic_read_noise_margin(
     bench: Testbench, options: TransientOptions | None = None
 ) -> float:
     """DRNM in volts for a read testbench.
 
-    Simulates through the access window plus settling and returns the
-    minimum separation of the storage nodes inside the window.
+    Simulates through the access window and returns the minimum
+    separation of the storage nodes inside it.  The transient is not a
+    ``transient`` telemetry span of its own; its counters are recorded.
     """
-    if bench.read_bitline is None:
-        raise ValueError("testbench is not a read operation")
-    result = simulate_transient(
-        bench.circuit,
-        bench.settle_stop(SETTLE_TIME),
-        initial_conditions=bench.initial_conditions,
-        options=options,
-    )
-    return result.min_difference(
-        bench.one_node, bench.zero_node, bench.window.t_on, bench.window.t_off
-    )
+    return drive(drnm_gen(bench, options))
 
 
 def _flipped(bench: Testbench, result) -> bool:
@@ -240,7 +260,7 @@ class ReferenceWlCritSearch(WlCritSearch):
     end of its settle window and decides on the final state.
 
     Kept as the reference :class:`WlCritSearch` is checked against
-    (value and probe decisions, ``scripts/wlcrit_identity.py``), the
+    (value and probe decisions, ``scripts/measure_identity.py``), the
     way :class:`repro.circuit.mna_reference.ReferenceMnaSystem` is kept.
     """
 

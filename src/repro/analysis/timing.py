@@ -1,9 +1,18 @@
-"""Write and read delay measurements (the paper's Fig. 11 metrics)."""
+"""Write and read delay measurements (the paper's Fig. 11 metrics).
+
+Each transient ends at its decision point: a write at the first sign
+change of v(one) - v(zero) after the wordline rises, a read at the
+first sample after it whose split reaches the threshold.  The
+extraction reads only samples up to there, so both values equal the
+full-length ones bit for bit
+(:func:`repro.circuit.transient.full_length` is the reference).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.circuit.netlist import Circuit
 from repro.circuit.transient import TransientOptions, simulate_transient
 from repro.sram.assist import Assist
 from repro.sram.testbench import Testbench
@@ -17,6 +26,49 @@ WRITE_PULSE_FACTOR = 10.0
 """Write delay is measured with a comfortably wide wordline pulse."""
 
 
+def _sample_voltage(circuit: Circuit, x: np.ndarray):
+    """``voltage(node)`` of one solution vector, the per-sample
+    counterpart of :meth:`TransientResult.voltage` (ground is 0 V)."""
+
+    def voltage(name: str):
+        index = circuit.index_of(name)
+        return 0.0 if index < 0 else x[index]
+
+    return voltage
+
+
+def _read_split(bench: Testbench, voltage):
+    """The read signal from ``voltage(node)``, a sample's value or a
+    waveform: ``|v(blb) - v(bl)|``, or the single-ended read bitline's
+    droop below its precharge level."""
+    if bench.read_reference is None:
+        reference = bench.precharge_level
+    else:
+        reference = voltage(bench.read_reference)
+    return np.abs(reference - voltage(bench.read_bitline))
+
+
+def _crossed_rule(bench: Testbench):
+    """Stop rule of a write: the first sample at or after ``t_on`` whose
+    sign bit of v(one) - v(zero) differs from the previous such
+    sample's — the end of the interval
+    :meth:`TransientResult.crossing_time` interpolates in."""
+    circuit, t_on = bench.circuit, bench.window.t_on
+    previous = None
+
+    def until(t: float, x: np.ndarray) -> bool:
+        nonlocal previous
+        if t < t_on:
+            return False
+        v = _sample_voltage(circuit, x)
+        sign = bool(np.signbit(v(bench.one_node) - v(bench.zero_node)))
+        crossed = previous is not None and sign != previous
+        previous = sign
+        return crossed
+
+    return until
+
+
 def write_delay(
     cell,
     vdd: float,
@@ -26,7 +78,8 @@ def write_delay(
 ) -> float:
     """Time from wordline activation to the storage-node crossing.
 
-    Returns ``math.inf`` when the cell never flips within the pulse.
+    Returns ``math.inf`` when the cell never flips within the pulse
+    (that transient runs to 0.5 ns past the pulse).
     """
     bench = cell.write_testbench(vdd, pulse_width, assist=assist)
     result = simulate_transient(
@@ -34,6 +87,7 @@ def write_delay(
         bench.settle_stop(0.5e-9),
         initial_conditions=bench.initial_conditions,
         options=options,
+        until=_crossed_rule(bench),
     )
     crossing = result.crossing_time(
         bench.one_node, bench.zero_node, after=bench.window.t_on
@@ -56,23 +110,23 @@ def read_delay(
     For differential cells the signal is the bitline split
     ``|v(bl) - v(blb)|``; for the 7T's single-ended port it is the read
     bitline's droop below its precharge level.  Returns ``math.inf``
-    when the threshold is never reached inside the access window.
+    when the threshold is never reached inside the access window (that
+    transient runs to the window's end).
     """
     bench = cell.read_testbench(vdd, assist=assist, duration=duration)
+    circuit, t_on = bench.circuit, bench.window.t_on
     result = simulate_transient(
-        bench.circuit,
+        circuit,
         bench.window.t_off,
         initial_conditions=bench.initial_conditions,
         options=options,
+        until=lambda t, x: (
+            t >= t_on and _read_split(bench, _sample_voltage(circuit, x)) >= threshold
+        ),
     )
-    signal_node = result.voltage(bench.read_bitline)
-    if bench.read_reference is not None:
-        reference = result.voltage(bench.read_reference)
-    else:
-        reference = np.full_like(signal_node, bench.precharge_level)
-    split = np.abs(reference - signal_node)
+    split = _read_split(bench, result.voltage)
 
-    mask = result.times >= bench.window.t_on
+    mask = result.times >= t_on
     times = result.times[mask]
     split = split[mask]
     above = np.nonzero(split >= threshold)[0]
@@ -83,4 +137,4 @@ def read_delay(
         return 0.0
     frac = (threshold - split[k - 1]) / (split[k] - split[k - 1])
     t_cross = times[k - 1] + frac * (times[k] - times[k - 1])
-    return float(t_cross - bench.window.t_on)
+    return float(t_cross - t_on)

@@ -463,6 +463,11 @@ def _stamp_capacitors_batch(layout: _Layout, tr: list[int], states: list) -> Non
     expression with factor 1.0 and no previous current: ``1.0 * d`` and
     ``d - 0.0`` are exact, so both methods share one block expression
     and stay bit-identical to :meth:`MnaSystem._stamp_capacitors`.
+
+    Each member's ``(v, q, c)`` rows are left in its system's last-point
+    cache, as the scalar stamp leaves its own: the integrator's
+    post-step ``capacitor_currents``/``capacitor_charges`` at the point
+    this tick solved for are then cache hits on these same values.
     """
     ab, sc_lin, c_lin, scale, steps, B, src, dst, sign = layout.transient_rows(tr)
     V = np.subtract(*layout.XGr.take(ab))
@@ -490,6 +495,10 @@ def _stamp_capacitors_batch(layout: _Layout, tr: list[int], states: list) -> Non
     np.subtract(factor * (Q - QS[:, 0]) / H, QS[:, 1], out=B[0])  # companion currents
     np.divide(factor * C, H, out=B[1])  # companion conductances
     np.add.at(layout.FJ, dst, sign * B.reshape(-1).take(src))
+    for row, i in enumerate(tr):
+        sys = layout.plans[i].system
+        sys._c_v, sys._c_q, sys._c_c = V[row], Q[row], C[row]
+        sys._c_valid = True
 
 
 def _assemble_tick(layout: _Layout, reqs: list, registry: _TableRegistry, tel) -> None:
@@ -532,10 +541,14 @@ def _assemble_tick(layout: _Layout, reqs: list, registry: _TableRegistry, tel) -
         if tr:
             if layout.cap_other:
                 # Exotic charge functions: the vectorized bank falls
-                # back per member, exactly like the scalar assembler.
+                # back per member, exactly like the scalar assembler,
+                # at the block's dense indices (a sparse member's own
+                # ``_cj_dst`` are CSC data slots).
                 for i in tr:
                     sys = layout.plans[i].system
-                    sys._stamp_capacitors(X[i], F[i], layout.JAC2[i], transients[i], True)
+                    sys._stamp_capacitors(
+                        X[i], F[i], layout.JAC2[i], sys._cj_flat, transients[i], True
+                    )
             else:
                 _stamp_capacitors_batch(layout, tr, [transients[i] for i in tr])
 

@@ -559,7 +559,7 @@ class MnaSystem:
         if self._t_count:
             self._stamp_transistors(x, f, jac_flat, want_jac)
         if transient is not None and len(self._caps):
-            self._stamp_capacitors(x, f, jac_flat, transient, want_jac)
+            self._stamp_capacitors(x, f, jac_flat, self._cj_dst, transient, want_jac)
 
         return f.copy(), jac
 
@@ -647,8 +647,12 @@ class MnaSystem:
             return 2.0 * delta - transient.capacitor_currents
         return delta
 
-    def _stamp_capacitors(self, x, f, jac, transient: TransientState, want_jac: bool) -> None:
-        """Companion-model capacitor stamps (Jacobian at ``_cj_dst``)."""
+    def _stamp_capacitors(
+        self, x, f, jac, jac_idx, transient: TransientState, want_jac: bool
+    ) -> None:
+        """Companion-model capacitor stamps, the Jacobian's at ``jac_idx``:
+        the system's own ``_cj_dst``, or ``_cj_flat`` in a dense block
+        (a stacked batch member, whatever its own format)."""
         h = transient.timestep
         q, c = self._cap_qc(x)
         if transient.method == "trapezoidal":
@@ -659,4 +663,4 @@ class MnaSystem:
             conductance = c / h
         np.add.at(f, self._cf_idx, self._cf_sign * current[self._cf_member])
         if want_jac:
-            np.add.at(jac, self._cj_dst, self._cj_sign * conductance[self._cj_member])
+            np.add.at(jac, jac_idx, self._cj_sign * conductance[self._cj_member])

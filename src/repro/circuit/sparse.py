@@ -291,7 +291,7 @@ class SparseMnaSystem(MnaSystem):
         if self._t_count:
             self._stamp_transistors(x, f, data, want_jac)
         if transient is not None and len(self._caps):
-            self._stamp_capacitors(x, f, data, transient, want_jac)
+            self._stamp_capacitors(x, f, data, self._cj_dst, transient, want_jac)
 
         return f.copy(), (self._ordered if want_jac else None)
 

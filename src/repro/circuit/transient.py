@@ -33,6 +33,15 @@ probe's states.  :func:`simulate_transient` drives one generator on the
 scalar path (:func:`repro.circuit.dcop.drive`), and
 :func:`repro.circuit.batch.run_generators` drives many as a stacked
 batch.
+
+A measurement that is decided before ``t_stop`` passes a stop rule,
+``until(t, x) -> bool``: the loop shows it every accepted sample, t = 0
+included, and ends after the first one for which it holds.  The
+breakpoints and ``t_stop`` are those of the full-length run, so every
+step taken is the step that run takes and the result is a bytes-equal
+prefix of its result; an extraction that reads only samples up to the
+stop point then returns the full-length value bit for bit.
+:func:`full_length` switches the rules off, for checking exactly that.
 """
 
 from __future__ import annotations
@@ -40,6 +49,9 @@ from __future__ import annotations
 import bisect
 import math
 import time
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +76,7 @@ __all__ = [
     "TransientOptions",
     "accepted_step_gen",
     "attempt_step_gen",
+    "full_length",
     "shared_steps",
     "simulate_transient",
     "step_breakpoints",
@@ -72,6 +85,35 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+
+StopRule = Callable[[float, np.ndarray], bool]
+"""``until(t, x)``: whether a transient may end at the accepted sample
+``(t, x)``; ``x`` is the full solution vector."""
+
+_FULL_LENGTH: ContextVar[bool] = ContextVar("repro_transient_full_length", default=False)
+
+
+def _to_t_stop(t: float, x: np.ndarray) -> bool:
+    """The stop rule of a full-length run."""
+    return False
+
+
+@contextmanager
+def full_length() -> Iterator[None]:
+    """Run every transient started in the block to its ``t_stop``.
+
+    :func:`transient_gen` ignores its stop rule here, so a measurement
+    becomes its full-length reference: the same steps to the old end
+    and the same extraction on the whole waveform.  The identity checks
+    (``scripts/measure_identity.py``, the stop-rule tests) compare the
+    two bit for bit.  The switch is a context variable: it holds in the
+    calling thread (and every generator it drives), not in others.
+    """
+    token = _FULL_LENGTH.set(True)
+    try:
+        yield
+    finally:
+        _FULL_LENGTH.reset(token)
 
 
 @dataclass(frozen=True)
@@ -392,12 +434,15 @@ def transient_gen(
     initial_conditions: dict[str, float] | None = None,
     options: TransientOptions | None = None,
     operating_point_guess: dict[str, float] | None = None,
+    until: StopRule | None = None,
 ):
     """Generator form of :func:`simulate_transient`: the integration loop."""
     if t_stop <= 0.0:
         raise ValueError("t_stop must be positive")
     options = options or TransientOptions()
     tel = telemetry.active()
+    if until is None or _FULL_LENGTH.get():
+        until = _to_t_stop
 
     system, state = yield from transient_start_gen(
         circuit, initial_conditions, options, operating_point_guess
@@ -405,13 +450,15 @@ def transient_gen(
     breakpoints = step_breakpoints(circuit, t_stop)
     times = [state.t]
     states = [state.x]
-    while state.t < t_stop - 1e-21:
+    while not until(state.t, state.x) and state.t < t_stop - 1e-21:
         state = yield from accepted_step_gen(system, state, breakpoints, options, tel)
         times.append(state.t)
         states.append(state.x)
 
     if tel is not None:
         tel.count("transient.simulations")
+        if state.t < t_stop - 1e-21:
+            tel.count("transient.stopped")
         tel.event(
             "transient.complete",
             level="debug",
@@ -427,11 +474,18 @@ def simulate_transient(
     initial_conditions: dict[str, float] | None = None,
     options: TransientOptions | None = None,
     operating_point_guess: dict[str, float] | None = None,
+    until: StopRule | None = None,
 ) -> TransientResult:
     """Integrate the circuit from 0 to ``t_stop``.
 
     ``initial_conditions`` pin the named nodes for the t = 0 operating
     point (bistable-state selection) and are released afterwards.
+
+    ``until(t, x)``, when given, sees every accepted sample from t = 0
+    on and ends the run after the first sample for which it holds (the
+    ``transient.stopped`` counter records a run it ended before
+    ``t_stop``).  Steps and breakpoints are the full-length run's, so
+    the result is a bytes-equal prefix of the full-length result.
 
     ``operating_point_guess`` seeds the t = 0 DC solve with node
     voltages from a previous converged run of the same cell — bisection
@@ -446,7 +500,7 @@ def simulate_transient(
     ``transient.wall_s`` timer sample.
     """
     gen = transient_gen(
-        circuit, t_stop, initial_conditions, options, operating_point_guess
+        circuit, t_stop, initial_conditions, options, operating_point_guess, until
     )
     tel = telemetry.active()
     if tel is None:

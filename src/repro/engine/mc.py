@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.circuit.dcop import SolverOptions, drive
-from repro.circuit.transient import TransientOptions, transient_gen
+from repro.circuit.transient import TransientOptions
 from repro.devices.variation import OxideVariation
 from repro.engine.jobs import Task, TaskContext, TaskOutcome, derive_seed, task_rng
 from repro.engine.scheduler import BatchReport, EngineConfig, run_tasks
@@ -136,7 +136,7 @@ def _mc_sample_gen(payload, ctx: TaskContext):
     cell and yields the metric's assembly requests, so one sample can
     be a member of a stacked batch."""
     from repro.analysis.montecarlo import varied_device_set
-    from repro.analysis.stability import SETTLE_TIME, WlCritSearch
+    from repro.analysis.stability import WlCritSearch, drnm_gen
     from repro.sram import (
         READ_ASSISTS,
         WRITE_ASSISTS,
@@ -159,18 +159,8 @@ def _mc_sample_gen(payload, ctx: TaskContext):
         )
         return float(value)
     assist = READ_ASSISTS[spec.assist] if spec.assist else None
-    bench = cell.read_testbench(spec.vdd, assist=assist)
-    result = yield from transient_gen(
-        bench.circuit,
-        bench.settle_stop(SETTLE_TIME),
-        initial_conditions=bench.initial_conditions,
-        options=options,
-    )
-    return float(
-        result.min_difference(
-            bench.one_node, bench.zero_node, bench.window.t_on, bench.window.t_off
-        )
-    )
+    value = yield from drnm_gen(cell.read_testbench(spec.vdd, assist=assist), options)
+    return float(value)
 
 
 def evaluate_mc_sample(payload, ctx: TaskContext) -> float:

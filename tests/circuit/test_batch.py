@@ -20,7 +20,7 @@ from repro.circuit.dcop import solve_dc, solve_dc_gen
 from repro.circuit.netlist import Circuit
 from repro.circuit.transient import simulate_transient, transient_gen
 from repro.circuit.waveforms import Pulse
-from repro.devices.charges import SmoothStepCharge
+from repro.devices.charges import ChargeFunction, SmoothStepCharge
 from repro.devices.library import tfet_device
 from repro.telemetry import core as telemetry
 
@@ -368,3 +368,87 @@ def test_batched_wlcrit_search_matches_scalar(design):
         assert outcome.status == "ok"
         assert outcome.value == scalar.search(factory(*point))
         assert batched.decisions == scalar.decisions
+
+
+class _QuadraticCharge(ChargeFunction):
+    """``q = c0 v + k v^2 / 2``: neither linear nor a logistic step, so
+    every assembler stamps it through the per-element fallback."""
+
+    def __init__(self, c0: float, k: float):
+        self.c0, self.k = c0, k
+
+    def charge(self, v):
+        return self.c0 * v + 0.5 * self.k * v * v
+
+    def capacitance(self, v):
+        return self.c0 + self.k * v
+
+
+def _ladder(resistance: float, stages: int = 68) -> Circuit:
+    """A pulsed RC ladder with fallback capacitors, above the sparse
+    threshold."""
+    c = Circuit("ladder")
+    c.add_voltage_source(
+        "vin", "n0", "0", Pulse(0.0, 0.8, t_start=1e-11, width=1e-10, t_edge=1e-11)
+    )
+    for k in range(stages):
+        c.add_resistor(f"n{k}", f"n{k + 1}", resistance)
+        c.add_capacitor(f"n{k + 1}", "0", _QuadraticCharge(1e-16, 5e-17))
+    return c
+
+
+def test_sparse_members_with_fallback_capacitors_match_the_dense_batch():
+    """A sparse member's fallback capacitors stamp the batch's dense
+    block at dense indices, not at the member's CSC data slots."""
+    from repro.circuit.dcop import SolverOptions
+    from repro.circuit.sparse import DEFAULT_SPARSE_THRESHOLD
+    from repro.circuit.transient import TransientOptions
+
+    resistances = (1e3, 2e3)
+    assert _ladder(1e3).unknown_count >= DEFAULT_SPARSE_THRESHOLD
+
+    def batch(matrix_format):
+        options = TransientOptions(solver=SolverOptions(matrix_format=matrix_format))
+        return run_generators(
+            [transient_gen(_ladder(r), 3e-10, options=options) for r in resistances]
+        )
+
+    with telemetry.enabled() as tel:
+        auto = batch("auto")
+    assert tel.counters["mna.sparse_selected"] == len(resistances)
+    dense = batch("dense")
+    for a, d in zip(auto, dense):
+        assert a.status == d.status == "ok", a.error
+        assert a.value.times.tobytes() == d.value.times.tobytes()
+        assert a.value.states.tobytes() == d.value.states.tobytes()
+
+
+def test_batched_steps_leave_capacitor_values_in_the_cache(monkeypatch):
+    """The integrator's post-step capacitor queries are cache hits on
+    the batched stamp's values: the only bank evaluations of a batched
+    transient are its members' t = 0 charges."""
+    from repro.circuit.mna import _CapacitorBank
+
+    members = VARIANTS[:2]
+    evaluated = []
+    original = _CapacitorBank.charges_and_caps
+
+    def counted(bank, v):
+        evaluated.append(v.copy())
+        return original(bank, v)
+
+    monkeypatch.setattr(_CapacitorBank, "charges_and_caps", counted)
+    outcomes = run_generators([transient_gen(_inverter(*v), T_STOP) for v in members])
+    monkeypatch.undo()
+
+    assert [o.status for o in outcomes] == ["ok"] * len(members)
+    t0_voltages = set()
+    for v, outcome in zip(members, outcomes):
+        ref = simulate_transient(_inverter(*v), T_STOP)
+        assert outcome.value.times.tobytes() == ref.times.tobytes()
+        assert outcome.value.states.tobytes() == ref.states.tobytes()
+        out = outcome.value.circuit.index_of("out")
+        # Both capacitors sit between out and ground: v(out) at t = 0.
+        t0_voltages.add(np.full(2, ref.states[0, out]).tobytes())
+    # Members finish their DC solves in any order.
+    assert sorted(v.tobytes() for v in evaluated) == sorted(t0_voltages)

@@ -8,7 +8,9 @@ recorded from the solver before the scalar and stacked paths shared
 one implementation; waveform values must hold to 1e-9 relative and the
 work counts exactly.  The compiled-array case pins the sparse path (the
 CSC assembler and splu) the same way; it was recorded while every
-factorization still recomputed its own COLAMD ordering.
+factorization still recomputed its own COLAMD ordering.  The DRNM and
+WL_crit counts were recorded on full-length transients; the stopped
+and latched runs' counts are pinned beside them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.analysis.stability import (
     critical_wordline_pulse,
     dynamic_read_noise_margin,
 )
-from repro.circuit.transient import simulate_transient
+from repro.circuit.transient import full_length, simulate_transient
 from repro.circuit.sparse import DEFAULT_SPARSE_THRESHOLD
 from repro.experiments.designs import proposed_cell, proposed_read_assist
 from repro.sram.array import ArrayGeometry
@@ -70,11 +72,22 @@ def test_inverter_transient_matches_golden(variant, golden):
 
 def test_proposed_cell_drnm_matches_golden():
     bench = proposed_cell().read_testbench(0.8, assist=proposed_read_assist())
-    with telemetry.enabled() as tel:
+    # The full-length transient carries the recorded work counts.
+    with telemetry.enabled() as tel, full_length():
         drnm = dynamic_read_noise_margin(bench)
     assert drnm == pytest.approx(0.9675762085116936, rel=RTOL, abs=0.0)
     assert tel.counters["transient.steps_accepted"] == 183
     assert tel.counters["newton.iterations"] == 720
+    assert "transient.stopped" not in tel.counters
+
+    # The default run stops at the end of the access window: the same
+    # value from the first 107 of those steps.
+    with telemetry.enabled() as tel:
+        drnm = dynamic_read_noise_margin(bench)
+    assert drnm == pytest.approx(0.9675762085116936, rel=RTOL, abs=0.0)
+    assert tel.counters["transient.steps_accepted"] == 107
+    assert tel.counters["newton.iterations"] == 380
+    assert tel.counters["transient.stopped"] == 1
 
 
 def test_tfet_wlcrit_matches_golden():

@@ -7,12 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuit.dcop import ConvergenceError
+from repro.circuit.dcop import ConvergenceError, drive
 from repro.circuit.netlist import Circuit
-from repro.circuit.transient import TransientOptions, simulate_transient
+from repro.circuit.transient import (
+    TransientOptions,
+    full_length,
+    simulate_transient,
+    transient_gen,
+)
 from repro.circuit.waveforms import Pulse
 from repro.devices.charges import SmoothStepCharge
 from repro.devices.library import tfet_device
+from repro.telemetry import core as telemetry
 
 
 def rc_circuit(tau_resistor=1e4, cap=1e-13):
@@ -210,3 +216,58 @@ class TestOptionsAndErrors:
     def test_simulation_reaches_exactly_t_stop(self):
         res = simulate_transient(rc_circuit(), 1.7e-9)
         assert res.times[-1] == pytest.approx(1.7e-9, rel=1e-12)
+
+
+class TestStopRule:
+    T_STOP = 2e-9
+
+    def test_rule_sees_every_sample_from_t0(self):
+        full = simulate_transient(rc_circuit(), self.T_STOP)
+        seen = []
+
+        def until(t, x):
+            seen.append((t, x.copy()))
+            return False
+
+        result = drive(transient_gen(rc_circuit(), self.T_STOP, until=until))
+        assert seen[0][0] == 0.0
+        assert np.array([t for t, _ in seen]).tobytes() == full.times.tobytes()
+        assert np.array([x for _, x in seen]).tobytes() == full.states.tobytes()
+        assert result.states.tobytes() == full.states.tobytes()
+
+    def test_stopped_result_is_a_bytes_equal_prefix(self):
+        full = simulate_transient(rc_circuit(), self.T_STOP)
+        out = rc_circuit().index_of("out")
+        with telemetry.enabled() as tel:
+            stopped = simulate_transient(
+                rc_circuit(), self.T_STOP, until=lambda t, x: x[out] >= 0.5
+            )
+        k = int(np.argmax(full.states[:, out] >= 0.5))
+        assert 0 < k < len(full.times) - 1
+        assert stopped.times.tobytes() == full.times[: k + 1].tobytes()
+        assert stopped.states.tobytes() == full.states[: k + 1].tobytes()
+        assert tel.counters["transient.stopped"] == 1
+        assert tel.counters["transient.steps_accepted"] == k
+
+    def test_rule_true_at_t0_keeps_only_the_operating_point(self):
+        full = simulate_transient(rc_circuit(), self.T_STOP)
+        stopped = simulate_transient(rc_circuit(), self.T_STOP, until=lambda t, x: True)
+        assert stopped.times.tobytes() == full.times[:1].tobytes()
+        assert stopped.states.tobytes() == full.states[:1].tobytes()
+
+    def test_rule_holding_only_at_t_stop_is_not_an_early_end(self):
+        with telemetry.enabled() as tel:
+            result = simulate_transient(
+                rc_circuit(), self.T_STOP, until=lambda t, x: t >= self.T_STOP
+            )
+        assert result.times[-1] == self.T_STOP
+        assert "transient.stopped" not in tel.counters
+
+    def test_full_length_ignores_the_rule(self):
+        full = simulate_transient(rc_circuit(), self.T_STOP)
+        with full_length():
+            result = simulate_transient(rc_circuit(), self.T_STOP, until=lambda t, x: True)
+        assert result.states.tobytes() == full.states.tobytes()
+        # The switch ends with its block.
+        after = simulate_transient(rc_circuit(), self.T_STOP, until=lambda t, x: True)
+        assert len(after.times) == 1
