@@ -7,11 +7,14 @@ Three parts, each on ``perfbench/golden.json`` (read only):
   :class:`repro.analysis.stability.WlCritSearch` and
   :class:`repro.analysis.stability.ReferenceWlCritSearch`, the way
   ``repro.char.metrics.evaluate_metric`` evaluates it, comparing the two
-  searches' values and probe decisions ``(width, flipped)`` exactly;
-  then the same searches again as stacked batches, one
+  searches' values and probe decisions ``(width, flipped)`` exactly, and
+  checking that a warm DC re-solve from the search's start state (the
+  one t = 0 state all its probes start from) returns that state
+  bytes-equal; then the same searches again as stacked batches, one
   :func:`repro.circuit.batch.run_generators` call per design (supply,
   beta and corner vary inside a batch), each batched value and decision
-  list against the scalar search's.
+  list against the scalar search's.  The summary line adds up the
+  accepted and resumed steps of both searches.
 * DRNM, read delay and write delay: every ``drnm``, ``read_delay`` and
   ``write_delay`` entry through ``evaluate_metric``, whose transients
   stop at their decision points, and through the same call under
@@ -43,12 +46,16 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.analysis.stability import (  # noqa: E402
     ReferenceWlCritSearch,
     WlCritSearch,
-    wlcrit_bench_factory,
 )
 from repro.char.designs import build_cell  # noqa: E402
 from repro.char.metrics import WL_CRIT_UPPER_BOUND, evaluate_metric  # noqa: E402
 from repro.circuit.batch import run_generators  # noqa: E402
-from repro.circuit.transient import full_length  # noqa: E402
+from repro.circuit.dcop import drive  # noqa: E402
+from repro.circuit.transient import (  # noqa: E402
+    TransientOptions,
+    full_length,
+    transient_start_gen,
+)
 from repro.engine.jobs import TaskContext, derive_seed  # noqa: E402
 from repro.engine.mc import (  # noqa: E402
     McMetricSpec,
@@ -57,6 +64,7 @@ from repro.engine.mc import (  # noqa: E402
     sample_scales,
 )
 from repro.engine.scheduler import EngineConfig  # noqa: E402
+from repro.telemetry import core as telemetry  # noqa: E402
 
 GOLDEN = ROOT / "perfbench" / "golden.json"
 STOPPED_METRICS = ("drnm", "read_delay", "write_delay")
@@ -71,14 +79,44 @@ def _bytes(value: float) -> bytes:
 
 def bench_factory(entry: dict):
     cell, _ = build_cell(entry["design"], beta=entry["beta"], corner=entry["corner"])
-    return wlcrit_bench_factory(cell, entry["vdd"])
+    return cell.write_bench_factory(entry["vdd"])
 
 
-def run(search_cls, entry: dict) -> tuple[float, list, float]:
+def run(search_cls, entry: dict) -> dict:
+    """One search of ``entry``: value, decisions, wall time, accepted
+    and resumed steps, and whether its start state is a warm DC fixed
+    point (always true for the reference, which keeps no start)."""
     search = search_cls(upper_bound=WL_CRIT_UPPER_BOUND)
+    factory = bench_factory(entry)
     start = time.perf_counter()
-    value = search.search(bench_factory(entry))
-    return value, list(search.decisions), time.perf_counter() - start
+    with telemetry.enabled() as tel:
+        value = search.search(factory)
+    wall = time.perf_counter() - start
+    fixed = True
+    if search_cls is WlCritSearch:
+        fixed = search.start is not None and _is_warm_fixed_point(
+            factory(search.upper_bound), search.start.x
+        )
+    return {
+        "value": value,
+        "decisions": list(search.decisions),
+        "s": wall,
+        "accepted": tel.counters.get("transient.steps_accepted", 0),
+        "resumed": tel.counters.get("wlcrit.steps_resumed", 0),
+        "fixed": fixed,
+    }
+
+
+def _is_warm_fixed_point(bench, x: np.ndarray) -> bool:
+    """Whether the t = 0 solve seeded with ``x``'s node voltages, on a
+    fresh system, returns ``x`` bytes-equal."""
+    guess = dict(zip(bench.circuit.node_names, (float(v) for v in x)))
+    _, state = drive(
+        transient_start_gen(
+            bench.circuit, bench.initial_conditions, TransientOptions(), guess
+        )
+    )
+    return state.x.tobytes() == x.tobytes()
 
 
 def run_batched(entries: list[tuple[str, dict]]) -> tuple[list, float]:
@@ -100,21 +138,31 @@ def check_wlcrit(cells: dict) -> int:
     entries = sorted((k, e) for k, e in cells.items() if e["metric"] == "wl_crit")
     differences = 0
     wall = {"reference": 0.0, "search": 0.0, "batched": 0.0}
+    steps = {"accepted": 0, "resumed": 0, "reference": 0}
     scalar = {}
     for key, entry in entries:
-        ref_value, ref_decisions, ref_s = run(ReferenceWlCritSearch, entry)
-        value, decisions, s = run(WlCritSearch, entry)
-        scalar[key] = (value, decisions)
-        wall["reference"] += ref_s
-        wall["search"] += s
-        same = value == ref_value and decisions == ref_decisions
+        ref = run(ReferenceWlCritSearch, entry)
+        got = run(WlCritSearch, entry)
+        scalar[key] = (got["value"], got["decisions"])
+        wall["reference"] += ref["s"]
+        wall["search"] += got["s"]
+        steps["accepted"] += got["accepted"]
+        steps["resumed"] += got["resumed"]
+        steps["reference"] += ref["accepted"]
+        same = (
+            got["value"] == ref["value"]
+            and got["decisions"] == ref["decisions"]
+            and got["fixed"]
+        )
         differences += not same
         print(
             f"{'ok  ' if same else 'DIFF'} {key:16s} {entry['design']:9s} "
             f"vdd={entry['vdd']} beta={entry['beta']} corner={entry['corner']} "
-            f"value={value!r} reference={ref_value!r} probes={len(decisions)}/"
-            f"{len(ref_decisions)} golden={'=' if value == entry['value'] else '!='} "
-            f"{s:.2f}s/{ref_s:.2f}s",
+            f"value={got['value']!r} reference={ref['value']!r} "
+            f"probes={len(got['decisions'])}/{len(ref['decisions'])} "
+            f"start={'fixed' if got['fixed'] else 'MOVES'} "
+            f"golden={'=' if got['value'] == entry['value'] else '!='} "
+            f"{got['s']:.2f}s/{ref['s']:.2f}s",
             flush=True,
         )
     by_design = sorted(entries, key=lambda ke: ke[1]["design"])
@@ -133,7 +181,8 @@ def check_wlcrit(cells: dict) -> int:
     print(
         f"wl_crit: {len(entries)} entries, {differences} different; "
         f"search {wall['search']:.1f}s, reference {wall['reference']:.1f}s, "
-        f"batched {wall['batched']:.1f}s",
+        f"batched {wall['batched']:.1f}s; steps accepted {steps['accepted']} "
+        f"(+{steps['resumed']} resumed), reference {steps['reference']}",
         flush=True,
     )
     return differences

@@ -44,7 +44,6 @@ __all__ = [
     "dynamic_read_noise_margin",
     "write_flips_cell",
     "critical_wordline_pulse",
-    "wlcrit_bench_factory",
     "LATCH_FRACTION",
     "ReferenceWlCritSearch",
     "WlCritSearch",
@@ -122,23 +121,29 @@ class WlCritSearch:
     to flip the cell the write is declared impossible and the search
     returns ``math.inf`` — the paper's "infinite WL_crit".
 
-    ``bench_factory(pulse_width)`` must return benches that differ only
-    in the pulse width: every source waveform of two widths agrees up to
-    the first breakpoint the two benches do not share (the contract of
+    ``bench_factory(pulse_width)`` must return benches on one circuit
+    that differ only in the pulse width: every source waveform of two
+    widths agrees up to the first breakpoint the two benches do not
+    share (the contract of
     :meth:`repro.sram.base.SixTCellBase.write_bench_factory`).  Each
     probe then integrates only what no earlier probe of the same search
     has integrated, and only until its outcome is latched:
 
     * The t = 0 operating point is the same for every width, so the
-      search seeds each probe's DC solve with the last converged one.
-    * A probe whose DC solution is bitwise equal to an earlier probe's
-      takes over that probe's accepted steps up to the first step the
-      step control would take differently
+      search builds one system and solves that point once, on the
+      first probe: cold, then warm from its own solution, the fixed
+      point a warm solve returns bit for bit.  Every probe starts from
+      that state (:attr:`start`) on that system.
+    * A probe takes over an earlier probe's accepted steps up to the
+      first step the step control would take differently
       (:func:`repro.circuit.transient.shared_steps`), from the stored
       probe that reaches furthest.
     * A probe ends once all its sources are constant (it is past its
       last breakpoint) and the storage nodes are :data:`LATCH_FRACTION`
       of their initial separation apart; that sign is its outcome.
+
+    An operating point that does not converge makes the first probe a
+    non-flip, so the search returns ``math.inf``.
 
     :attr:`decisions` lists the last search's probes as ``(width,
     flipped)`` pairs, in order.  :class:`ReferenceWlCritSearch` keeps
@@ -161,17 +166,30 @@ class WlCritSearch:
         self.relative_tolerance = relative_tolerance
         self.options = options
         self.decisions: list[tuple[float, bool]] = []
-        self._op_guess: dict[str, float] | None = None
+        self.start: IntegratorState | None = None
+        """The last search's t = 0 state (None before its first probe
+        solved it)."""
+        self._system = None
         self._probes: list[tuple[list[float], list[IntegratorState]]] = []
 
-    def _resume(self, start: IntegratorState, breakpoints, options) -> list[IntegratorState]:
+    def _start_gen(self, bench: Testbench, options: TransientOptions):
+        """Build the search's system and solve its start state: cold,
+        then warm from the cold solution's node voltages."""
+        circuit = bench.circuit
+        system, cold = yield from transient_start_gen(
+            circuit, bench.initial_conditions, options
+        )
+        guess = dict(zip(circuit.node_names, (float(v) for v in cold.x)))
+        _, self.start = yield from transient_start_gen(
+            circuit, bench.initial_conditions, options, guess, system
+        )
+        self._system = system
+
+    def _resume(self, breakpoints, options) -> list[IntegratorState]:
         """The longest stored trajectory prefix this probe would compute
-        itself from ``start``, or just ``[start]``."""
-        key = start.x.tobytes()
-        best = [start]
+        itself from the start state, or just ``[start]``."""
+        best = [self.start]
         for stored_breaks, trajectory in self._probes:
-            if trajectory[0].x.tobytes() != key:
-                continue
             n = shared_steps(trajectory, stored_breaks, breakpoints, options)
             if trajectory[n].t > best[-1].t:
                 best = trajectory[: n + 1]
@@ -186,11 +204,16 @@ class WlCritSearch:
         one = circuit.index_of(bench.one_node)
         zero = circuit.index_of(bench.zero_node)
         try:
-            system, start = yield from transient_start_gen(
-                circuit, bench.initial_conditions, options, self._op_guess
-            )
+            if self._system is None:
+                yield from self._start_gen(bench, options)
+            elif self._system.circuit is not circuit:
+                raise ValueError(
+                    "a WL_crit bench factory must return benches on one circuit "
+                    "(see SixTCellBase.write_bench_factory)"
+                )
+            system, start = self._system, self.start
             breakpoints = step_breakpoints(circuit, t_stop)
-            trajectory = self._resume(start, breakpoints, options)
+            trajectory = self._resume(breakpoints, options)
             self._probes.append((breakpoints, trajectory))
             if tel is not None and len(trajectory) > 1:
                 tel.count("wlcrit.steps_resumed", len(trajectory) - 1)
@@ -214,7 +237,6 @@ class WlCritSearch:
             # flip": the bisection then errs toward a *larger* WL_crit,
             # the conservative direction for a reliability metric.
             return False
-        self._op_guess = dict(zip(circuit.node_names, (float(v) for v in start.x)))
         if tel is not None:
             tel.count("transient.simulations")
         return _node(state.x, one) - _node(state.x, zero) < FLIP_MARGIN
@@ -223,8 +245,9 @@ class WlCritSearch:
         """Generator form of :meth:`search`, yielding every probe's
         assembly requests — the WL_crit bisection of a stacked
         Monte-Carlo batch member."""
-        # A new cell/assist invalidates the cached OP and stored probes.
-        self._op_guess = None
+        # A new cell/assist needs its own system, start and probes.
+        self.start = None
+        self._system = None
         self._probes = []
         self.decisions = []
         if not (yield from self._probe_gen(bench_factory, self.upper_bound)):
@@ -256,13 +279,19 @@ class WlCritSearch:
 
 
 class ReferenceWlCritSearch(WlCritSearch):
-    """The full-length probe: every probe simulates from t = 0 to the
-    end of its settle window and decides on the final state.
+    """The full-length probe: every probe builds its own system,
+    simulates from t = 0 to the end of its settle window and decides on
+    the final state; its t = 0 solve is seeded with the previous
+    probe's operating point.
 
     Kept as the reference :class:`WlCritSearch` is checked against
     (value and probe decisions, ``scripts/measure_identity.py``), the
     way :class:`repro.circuit.mna_reference.ReferenceMnaSystem` is kept.
     """
+
+    def search_gen(self, bench_factory):
+        self._op_guess = None
+        return (yield from super().search_gen(bench_factory))
 
     def _flips_gen(self, bench_factory, width: float):
         bench = bench_factory(width)
@@ -295,18 +324,9 @@ def critical_wordline_pulse(
     assist: Assist | None = None,
     search: WlCritSearch | None = None,
 ) -> float:
-    """WL_crit in seconds for a cell at the given supply (inf if unwritable)."""
+    """WL_crit in seconds for a cell at the given supply (inf if unwritable).
+
+    Every probe runs on the one circuit of the cell's
+    ``write_bench_factory(vdd, assist=assist)``."""
     search = search or WlCritSearch()
-    return search.search(wlcrit_bench_factory(cell, vdd, assist))
-
-
-def wlcrit_bench_factory(cell, vdd: float, assist: Assist | None = None):
-    """The ``pulse_width -> Testbench`` factory a WL_crit search of
-    ``cell`` at ``vdd`` probes (what :func:`critical_wordline_pulse`
-    hands :meth:`WlCritSearch.search`)."""
-    factory = getattr(cell, "write_bench_factory", None)
-    if factory is not None:
-        # One built netlist for the whole bisection (waveform swaps per
-        # width) instead of a rebuild per probe — value-identical.
-        return factory(vdd, assist=assist)
-    return lambda width: cell.write_testbench(vdd, width, assist=assist)
+    return search.search(cell.write_bench_factory(vdd, assist=assist))

@@ -299,21 +299,26 @@ def transient_start_gen(
     initial_conditions: dict[str, float] | None,
     options: TransientOptions,
     operating_point_guess: dict[str, float] | None = None,
+    system: MnaSystem | None = None,
 ):
-    """Build the circuit's system and solve its t = 0 operating point.
+    """Solve the circuit's t = 0 operating point on ``system``, built
+    here when not given (a caller that solves the same circuit again
+    passes the system it got back).
 
     Returns ``(system, state)``, ``state`` the integrator state at t = 0.
     """
     guess = dict(operating_point_guess or {})
     guess.update(initial_conditions or {})
-    # Dense class through the module global so monkeypatched assemblers
-    # (ReferenceMnaSystem in benchmarks) keep flowing through the factory.
-    system = make_system(
-        circuit,
-        matrix_format=options.solver.matrix_format,
-        sparse_threshold=options.solver.sparse_threshold,
-        dense_cls=MnaSystem,
-    )
+    if system is None:
+        # Dense class through the module global so monkeypatched
+        # assemblers (ReferenceMnaSystem in benchmarks) keep flowing
+        # through the factory.
+        system = make_system(
+            circuit,
+            matrix_format=options.solver.matrix_format,
+            sparse_threshold=options.solver.sparse_threshold,
+            dense_cls=MnaSystem,
+        )
     op = yield from solve_dc_gen(
         circuit,
         initial_guess=guess or None,
@@ -409,10 +414,21 @@ def shared_steps(
     :func:`_landing` snap — and the step ends no later than that first
     unshared breakpoint, so every Newton solve of the step sees the
     same residuals.
+
+    A state more than one ``max_step``, plus the snap's slack, before
+    both that breakpoint and ``t_stop`` passes all three checks: each
+    run's next breakpoint is then a common one or out of the step's
+    reach.  The check therefore starts at the first such state past
+    that horizon, found by bisection over the stored times.
     """
     unshared = _first_unshared(stored_breaks, breakpoints)
     t_stop = breakpoints[-1]
-    for i in range(len(trajectory) - 1):
+    # Twice the snap's 64 ulps of the latest breakpoint either run
+    # knows, so float rounding of t + h cannot reach a snap either.
+    slack = 128.0 * _EPS * max(stored_breaks[-1], t_stop)
+    horizon = min(unshared, t_stop) - options.max_step - slack
+    first = bisect.bisect_left(trajectory, horizon, key=lambda state: state.t)
+    for i in range(first, len(trajectory) - 1):
         state = trajectory[i]
         stored_break, stored_cap = _capped_step(state, stored_breaks, options)
         next_break, cap = _capped_step(state, breakpoints, options)

@@ -13,7 +13,9 @@ via the engine's seed derivation, and each chunk task is keyed by the
 range of samples it holds, so a study is reproducible at any worker
 count and chunk size, resumable, and extendable (a 200-sample run
 reuses the chunks of a 64-sample run of the same seed that hold the
-same samples).
+same samples).  A checkpoint whose chunks hold other ranges (another
+chunk size, or one written before :func:`chunk_size` balanced the
+chunks) is valid but replays nothing: its samples are recomputed.
 """
 
 from __future__ import annotations
@@ -54,10 +56,19 @@ misread."""
 
 
 def chunk_size(sample_count: int, jobs: int) -> int:
-    """The derived chunk size: ``min(MAX_CHUNK, ceil(samples / jobs))``,
-    so every worker gets a chunk and no chunk outgrows the measured
-    sweet spot."""
-    return min(MAX_CHUNK, math.ceil(sample_count / jobs))
+    """The derived chunk size: ``ceil(samples / count)`` for a chunk
+    count of ``jobs * ceil(samples / (jobs * MAX_CHUNK))``.
+
+    The count is the fewest chunks of at most :data:`MAX_CHUNK` samples,
+    rounded up to a multiple of ``jobs``, so every worker gets as many
+    chunks as every other and the chunks are as even as the sample
+    count allows: 40 samples run as 4 x 10 at two jobs and as 14, 14
+    and 12 at one, where ``min(MAX_CHUNK, ceil(samples / jobs))`` ran
+    16, 16 and 8 at both and left one of two workers idle through the
+    last chunk.
+    """
+    count = jobs * math.ceil(sample_count / (jobs * MAX_CHUNK))
+    return math.ceil(sample_count / count)
 
 
 def chunk_index(lo: int, hi: int) -> int:

@@ -93,9 +93,12 @@ def run_study(
 
     The shared loop body of ``fig09``/``fig10``.  The samples run in
     stacked chunks sized from ``samples`` and ``jobs``
-    (:func:`repro.engine.mc.chunk_size`); values are bit-identical at
-    any ``jobs``, so the figures' statistics are independent of how
-    the work was scheduled.
+    (:func:`repro.engine.mc.chunk_size`: at most 16 samples, as even as
+    the count allows, the same number of chunks per worker); values
+    are bit-identical at any ``jobs``, so the figures' statistics are
+    independent of how the work was scheduled.  Chunks are keyed by
+    the samples they hold, so a checkpoint written under another chunk
+    layout resumes by recomputing its samples.
     """
     engine = engine_config_for(experiment_id, spec, seed, **engine_kwargs)
     return MonteCarloBatch(spec).run(samples, seed=seed, engine=engine)

@@ -46,8 +46,12 @@ class ServeClient:
             raise ValueError("need a unix socket path or a TCP port")
         if socket_path is not None:
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.settimeout(timeout_s)
-            self._sock.connect(str(socket_path))
+            try:
+                self._sock.settimeout(timeout_s)
+                self._sock.connect(str(socket_path))
+            except OSError:
+                self._sock.close()
+                raise
         else:
             self._sock = socket.create_connection(
                 ("127.0.0.1", tcp_port), timeout=timeout_s

@@ -12,8 +12,6 @@ are mirror-symmetric.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.circuit.netlist import Circuit
 from repro.circuit.waveforms import Constant, Pulse, Waveform
 from repro.devices.charges import LinearCharge
@@ -23,6 +21,7 @@ from repro.sram.testbench import (
     BITLINE_CAPACITANCE,
     DEFAULT_ACCESS_START,
     Testbench,
+    pulse_width_factory,
 )
 
 __all__ = ["SixTCellBase"]
@@ -161,17 +160,9 @@ class SixTCellBase:
         circuit: a bench is current until the next call.
         """
         base = self.write_testbench(vdd, 1.0, assist=assist, t_on=t_on)
-        circuit = base.circuit
-
-        def factory(pulse_width: float) -> Testbench:
-            sources = self._write_sources(vdd, pulse_width, assist, t_on)
-            for name, waveform in sources.items():
-                m = circuit.source_index(name)
-                circuit.voltage_sources[m] = replace(circuit.voltage_sources[m], waveform=waveform)
-            window = AccessWindow(t_on, t_on + pulse_width)
-            return Testbench(circuit, base.initial_conditions, window)
-
-        return factory
+        return pulse_width_factory(
+            base, lambda width: self._write_sources(vdd, width, assist, t_on)
+        )
 
     # -- helpers ----------------------------------------------------------------
 

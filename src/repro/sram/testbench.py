@@ -8,12 +8,19 @@ read signal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 from repro.circuit.netlist import Circuit
+from repro.circuit.waveforms import Waveform
 from repro.sram.assist import AccessWindow
 
-__all__ = ["Testbench", "BITLINE_CAPACITANCE", "DEFAULT_ACCESS_START"]
+__all__ = [
+    "Testbench",
+    "BITLINE_CAPACITANCE",
+    "DEFAULT_ACCESS_START",
+    "pulse_width_factory",
+]
 
 BITLINE_CAPACITANCE = 5e-15
 """Bitline capacitance in farads (short local-array segment)."""
@@ -45,3 +52,27 @@ class Testbench:
     def settle_stop(self, settle: float = 1.5e-9) -> float:
         """A simulation end time comfortably past the access window."""
         return self.window.t_off + settle
+
+
+def pulse_width_factory(
+    base: Testbench, sources: Callable[[float], dict[str, Waveform]]
+) -> Callable[[float], Testbench]:
+    """A ``pulse_width -> Testbench`` factory on ``base``'s circuit.
+
+    Each call sets every source that ``sources(pulse_width)`` names to
+    its waveform — the waveform swap the MNA source caches key on — and
+    returns a bench whose access window opens at ``base``'s ``t_on``
+    and lasts the width.  The benches share the circuit: a bench is
+    current until the next call.  The cells' ``write_bench_factory``
+    is this over their write bench and its source definition.
+    """
+    circuit = base.circuit
+    t_on = base.window.t_on
+
+    def factory(pulse_width: float) -> Testbench:
+        for name, waveform in sources(pulse_width).items():
+            m = circuit.source_index(name)
+            circuit.voltage_sources[m] = replace(circuit.voltage_sources[m], waveform=waveform)
+        return Testbench(circuit, base.initial_conditions, AccessWindow(t_on, t_on + pulse_width))
+
+    return factory

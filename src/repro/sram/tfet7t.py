@@ -20,7 +20,7 @@ paper's description:
 from __future__ import annotations
 
 from repro.circuit.netlist import Circuit
-from repro.circuit.waveforms import Pulse
+from repro.circuit.waveforms import Constant, Pulse, Waveform
 from repro.devices.charges import LinearCharge
 from repro.devices.library import tfet_device
 from repro.sram.assist import AccessWindow, Assist
@@ -29,6 +29,7 @@ from repro.sram.testbench import (
     BITLINE_CAPACITANCE,
     DEFAULT_ACCESS_START,
     Testbench,
+    pulse_width_factory,
 )
 
 __all__ = ["Tfet7TCell"]
@@ -143,21 +144,39 @@ class Tfet7TCell:
         t_on: float = DEFAULT_ACCESS_START,
     ) -> Testbench:
         """Write q = 1 -> 0: wbl stays low, wblb raised so m6 stays off."""
+        circuit = self._new_circuit("write")
+        for name, waveform in self._write_sources(vdd, pulse_width, assist, t_on).items():
+            circuit.add_voltage_source(name, name, "0", waveform)
+        ic = self._storage_ic(vdd)
+        return Testbench(circuit, ic, AccessWindow(t_on, t_on + pulse_width))
+
+    def write_bench_factory(
+        self,
+        vdd: float,
+        assist: Assist | None = None,
+        t_on: float = DEFAULT_ACCESS_START,
+    ):
+        """A ``pulse_width -> Testbench`` factory sharing one built
+        circuit, as :meth:`repro.sram.base.SixTCellBase.write_bench_factory`:
+        each bench equals a fresh ``write_testbench(vdd, width)``."""
+        base = self.write_testbench(vdd, 1.0, assist=assist, t_on=t_on)
+        return pulse_width_factory(
+            base, lambda width: self._write_sources(vdd, width, assist, t_on)
+        )
+
+    def _write_sources(
+        self, vdd: float, pulse_width: float, assist: Assist | None, t_on: float
+    ) -> dict[str, Waveform]:
+        """Name -> waveform of every source of a write bench, in netlist
+        order."""
         if assist is not None:
             raise ValueError("the 7T comparison cell is simulated without assists")
-        circuit = self._new_circuit("write")
-        window = AccessWindow(t_on, t_on + pulse_width)
-        circuit.add_voltage_source("vddc", "vddc", "0", vdd)
-        circuit.add_voltage_source("vgnd", "vgnd", "0", 0.0)
-        circuit.add_voltage_source(
-            "wwl", "wwl", "0", Pulse(0.0, vdd, t_start=t_on, width=pulse_width)
-        )
-        circuit.add_voltage_source("wbl", "wbl", "0", 0.0)
-        circuit.add_voltage_source(
-            "wblb", "wblb", "0", Pulse(0.0, vdd, t_start=t_on, width=pulse_width)
-        )
-        circuit.add_voltage_source("rbl", "rbl", "0", vdd)
-        circuit.add_voltage_source("rsl", "rsl", "0", vdd)
-
-        ic = self._storage_ic(vdd)
-        return Testbench(circuit, ic, window)
+        return {
+            "vddc": Constant(vdd),
+            "vgnd": Constant(0.0),
+            "wwl": Pulse(0.0, vdd, t_start=t_on, width=pulse_width),
+            "wbl": Constant(0.0),
+            "wblb": Pulse(0.0, vdd, t_start=t_on, width=pulse_width),
+            "rbl": Constant(vdd),
+            "rsl": Constant(vdd),
+        }

@@ -370,6 +370,33 @@ def test_batched_wlcrit_search_matches_scalar(design):
         assert batched.decisions == scalar.decisions
 
 
+def test_batched_wlcrit_searches_keep_one_member_plan_each(monkeypatch):
+    """A search runs every probe on one system, so a batch member's
+    stamping plan is built once for the whole search."""
+    from repro.analysis.stability import WlCritSearch
+    from repro.char.designs import build_cell
+    from repro.circuit import batch
+
+    planned = []
+    real_init = batch._MemberPlan.__init__
+
+    def counting_init(self, system, registry):
+        planned.append(system)
+        real_init(self, system, registry)
+
+    monkeypatch.setattr(batch._MemberPlan, "__init__", counting_init)
+    vdds = (0.7, 0.75, 0.8, 0.85)
+    searches = [WlCritSearch(upper_bound=2e-9) for _ in vdds]
+    outcomes = run_generators([
+        s.search_gen(build_cell("proposed")[0].write_bench_factory(vdd))
+        for s, vdd in zip(searches, vdds)
+    ])
+    assert [o.status for o in outcomes] == ["ok"] * 4
+    assert all(len(s.decisions) > 2 for s in searches)
+    assert len(planned) == 4
+    assert len({id(system) for system in planned}) == 4
+
+
 class _QuadraticCharge(ChargeFunction):
     """``q = c0 v + k v^2 / 2``: neither linear nor a logistic step, so
     every assembler stamps it through the per-element fallback."""

@@ -101,15 +101,17 @@ def test_tfet_wlcrit_matches_golden():
     assert tel.counters["transient.steps_accepted"] == 1703
     assert tel.counters["newton.iterations"] == 6720
 
-    # The default search resumes and latches: the same value from the
+    # The default search solves t = 0 once (cold, then warm), starts
+    # every probe there, resumes and latches: the same value from the
     # same 11 probes, with fewer steps.
     with telemetry.enabled() as tel:
         wlcrit = critical_wordline_pulse(proposed_cell(), 0.8)
     assert wlcrit == pytest.approx(7.419789006313753e-10, rel=RTOL, abs=0.0)
     assert tel.counters["transient.simulations"] == 11
-    assert tel.counters["transient.steps_accepted"] == 722
-    assert tel.counters["newton.iterations"] == 3034
-    assert tel.counters["wlcrit.steps_resumed"] == 694
+    assert tel.counters["dcop.solves"] == 2
+    assert tel.counters["transient.steps_accepted"] == 609
+    assert tel.counters["newton.iterations"] == 2579
+    assert tel.counters["wlcrit.steps_resumed"] == 807
     assert tel.counters["wlcrit.probes_latched"] == 11
 
 

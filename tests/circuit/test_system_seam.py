@@ -1,7 +1,7 @@
 """The dense-assembler seam of the scalar solvers.
 
 ``solve_dc`` builds its system from ``dcop.MnaSystem``, and every
-transient — ``simulate_transient`` and each WL_crit probe — from
+transient — ``simulate_transient`` and each WL_crit search — from
 ``transient.MnaSystem``; both are read at call time and handed to
 ``make_system(dense_cls=...)``.  ``benchmarks/test_spice_core.py``
 patches both to :class:`ReferenceMnaSystem` to rebuild its seed
@@ -76,6 +76,8 @@ def test_wlcrit_probes_build_from_the_transient_global(reference):
     with telemetry.enabled() as tel:
         wlcrit = critical_wordline_pulse(proposed_cell(), 0.8, search=search)
     assert 1e-12 < wlcrit < 4e-9
-    # One system per probe; every step a probe integrates assembles on it.
-    assert reference.instances == tel.counters["transient.simulations"] >= 3
+    # One system per search, shared by its probes; every step a probe
+    # integrates assembles on it.
+    assert tel.counters["transient.simulations"] >= 3
+    assert reference.instances == 1
     assert reference.assemblies >= tel.counters["transient.steps_accepted"]

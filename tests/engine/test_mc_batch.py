@@ -101,14 +101,15 @@ class TestDerivedChunkSize:
         "jobs, samples, expected",
         [
             (1, 3, [3]),
-            (1, 40, [16, 16, 8]),
+            (1, 40, [14, 14, 12]),
             (2, 3, [2, 1]),
             (2, 10, [5, 5]),
-            (2, 40, [16, 16, 8]),
+            (2, 40, [10, 10, 10, 10]),
         ],
     )
     def test_run_derives_chunk_size(self, monkeypatch, jobs, samples, expected):
-        """No batch_size: chunks of min(16, ceil(samples / jobs))."""
+        """No batch_size: jobs * ceil(samples / (16 jobs)) chunks, as
+        even as the sample count allows."""
         sizes = []
         real_run_tasks = mc.run_tasks
 

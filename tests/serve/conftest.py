@@ -55,16 +55,23 @@ class DaemonHarness:
         asyncio.run(self._main())
 
     def start(self) -> "DaemonHarness":
+        """Start the daemon and return once it answers a ping.
+
+        The socket file appears when the daemon binds, before it
+        listens; a test connecting in between is refused."""
         self.thread.start()
         deadline = time.monotonic() + 15.0
-        path = Path(self.config.socket_path)
         while time.monotonic() < deadline:
-            if path.exists():
-                return self
             if not self.thread.is_alive():
                 raise RuntimeError("daemon thread died during startup")
+            try:
+                with self.client(timeout_s=5.0) as client:
+                    if client.ping():
+                        return self
+            except OSError:  # no socket file yet, or not yet listening
+                pass
             time.sleep(0.01)
-        raise RuntimeError("daemon socket never appeared")
+        raise RuntimeError("daemon never answered a ping")
 
     def stop(self, timeout_s: float = 20.0) -> None:
         if self.thread.is_alive() and self.loop is not None:

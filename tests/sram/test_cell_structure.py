@@ -244,3 +244,20 @@ class TestWriteBenchFactory:
             bench = factory(width)
             fresh = cell.write_testbench(0.8, width)
             assert _source_table(bench, self.TIMES) == _source_table(fresh, self.TIMES)
+
+    def test_seven_t_cell_factory_follows_the_width(self):
+        from repro.sram import WRITE_ASSISTS
+
+        cell = Tfet7TCell()
+        factory = cell.write_bench_factory(0.8)
+        circuit = factory(5e-11).circuit
+        for width in (5e-11, 1.2e-9, 5e-11):
+            bench = factory(width)
+            fresh = cell.write_testbench(0.8, width)
+            assert bench.circuit is circuit
+            assert _source_table(bench, self.TIMES) == _source_table(fresh, self.TIMES)
+            assert bench.circuit.breakpoints() == fresh.circuit.breakpoints()
+            assert bench.window == fresh.window
+            assert bench.initial_conditions == fresh.initial_conditions
+        with pytest.raises(ValueError, match="without assists"):
+            cell.write_bench_factory(0.8, assist=WRITE_ASSISTS["vdd_lowering"])
