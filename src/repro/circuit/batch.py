@@ -25,15 +25,20 @@ indices, offset to its row, in the member's own order; f and J share
 one buffer, so a kind that lands in both is one scatter).  What still
 loops over the members is reading their requests, sampling their
 sources (each system keeps its own ``(t, waveform identity)`` cache,
-:meth:`MnaSystem._source_values`), the per-member MOSFET calls and
-handing out the answers.
+:meth:`MnaSystem._source_values`) and handing out the answers.  Each
+model family is one device call per tick: the stale rows' table-backed
+devices go through one table-kernel call, and their MOSFET devices,
+whatever their cards, through one call of a stacked card
+(:meth:`repro.devices.mosfet.MosfetModel.stacked`).
 
 Bit-exactness is the design contract, not an aspiration: every batched
 stamp replicates the scalar assembly expression-for-expression (same
-operation order, same elementwise arithmetic), and the device tables
-run the very kernel the scalar tables run
-(:func:`repro.devices.tables.evaluate_stacked`), so a batch of any size
-produces solution vectors bit-identical to the scalar path.  The linear
+operation order, same elementwise arithmetic), the device tables run
+the very kernel the scalar tables run
+(:func:`repro.devices.tables.evaluate_stacked`), and the MOSFETs run
+the scalar EKV expressions, elementwise on per-device parameters, so a
+batch of any size produces solution vectors bit-identical to the
+scalar path.  The linear
 stamp needs care: ``np.matmul(LIN, X[:, :, None])`` on the stacked
 ``(K, n, n)`` block runs one gemv per member, the kernel of the scalar
 ``np.matmul(lin, x)``, and is bytes-equal to it; the single dgemm
@@ -43,7 +48,9 @@ audited by re-running them scalar and comparing exactly.
 
 Members must share node, branch, transistor and current-source counts
 and the capacitor wiring (nodes, kinds, p-mirroring); anything else may
-differ per member: device tables and models, widths, capacitor charge
+differ per member: device tables and models (table-backed or
+:class:`~repro.devices.mosfet.MosfetModel`; planning a member with any
+other model raises :class:`TypeError`), widths, capacitor charge
 parameters and scale (the device width, so a β sweep is one batch),
 source waveforms, and each request's time, gmin, clamps, integration
 method and source scale.
@@ -82,6 +89,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.circuit.mna import MnaSystem, logistic_step_charges
+from repro.devices.mosfet import MosfetModel
 from repro.devices.tables import CurrentTable, evaluate_stacked
 from repro.telemetry import core as telemetry
 
@@ -177,11 +185,15 @@ class _MemberPlan:
     (shared quantized-scale models group differently).  The plan
     therefore carries the member's own per-device arrays and the
     member's own scatter index arrays — never another member's.
+
+    Devices are table-backed (``t_tbl``, a registry slot) or MOSFETs
+    (``t_mos``, their single cards in device order); any other model
+    raises :class:`TypeError`.
     """
 
     __slots__ = (
-        "system", "lin", "vs_waves", "t_tbl", "t_sign", "t_width",
-        "t_d", "t_g", "t_s", "t_fallback",
+        "system", "lin", "vs_waves", "t_tbl", "t_mos", "t_sign", "t_width",
+        "t_d", "t_g", "t_s",
     )
 
     def __init__(self, system: MnaSystem, registry: _TableRegistry):
@@ -195,21 +207,21 @@ class _MemberPlan:
         self.t_d = np.zeros(n_t, dtype=np.intp)
         self.t_g = np.zeros(n_t, dtype=np.intp)
         self.t_s = np.zeros(n_t, dtype=np.intp)
-        self.t_fallback: list[tuple] = []
-        for group in system._t_groups:
-            model, sl, sign, width, d, g, s = group
-            self.t_sign[sl] = sign
-            self.t_width[sl] = width
-            self.t_d[sl] = d
-            self.t_g[sl] = g
-            self.t_s[sl] = s
+        for model, at, sign, width, d, g, s in system._t_groups:
+            self.t_sign[at] = sign
+            self.t_width[at] = width
+            self.t_d[at] = d
+            self.t_g[at] = g
+            self.t_s[at] = s
             table = getattr(model, "table", None)
             if isinstance(table, CurrentTable):
-                self.t_tbl[sl] = registry.slot_of(table)
-            else:
-                # Non-table models (e.g. the MOSFET baseline) evaluate
-                # through the scalar model call, member by member.
-                self.t_fallback.append(group)
+                self.t_tbl[at] = registry.slot_of(table)
+            elif type(model) is not MosfetModel:
+                raise TypeError(
+                    "a stacked batch evaluates table-backed and MOSFET models, "
+                    f"not {type(model).__name__}"
+                )
+        self.t_mos = system._mos_cards
 
 
 def _by_row(parts: list[np.ndarray], stride: int) -> np.ndarray:
@@ -286,7 +298,16 @@ class _Layout:
             self.MUL = np.array((width, width, self.SIGN * width))
             self.TBL = np.array([p.t_tbl for p in plans])
             self.TAB = self.TBL >= 0
-            self.fallback = [(i, p.t_fallback) for i, p in enumerate(plans) if p.t_fallback]
+            # Every device that is not table-backed is a MOSFET (the
+            # plans refuse other models).  Every member's MOSFET devices
+            # sit on one stacked card in row-major (member, device)
+            # order: MOS_AT is a device's position on the card.
+            cards = [card for p in plans for card in p.t_mos]
+            self.n_mos = len(cards)
+            if cards:
+                self.MOS = ~self.TAB
+                self.MOS_AT = np.cumsum(self.MOS.reshape(-1)) - 1
+                self.mos_card = MosfetModel.stacked(cards)
             # Per device (gds, gm, j) as evaluated, and the stamped
             # coefficients: gds, gm, drain current and gm + gds.
             self.R = np.zeros((3, K, n_t))
@@ -420,33 +441,34 @@ def _stamp_devices_batch(layout: _Layout, registry: _TableRegistry, tel) -> None
     """Evaluate the stale members' transistors, then scatter everyone's.
 
     Terminal voltages are gathered for every row at once; only the stale
-    rows' devices are evaluated, and only their coefficients change.
+    rows' devices are evaluated (one table-kernel call and one stacked
+    MOSFET call), and only their coefficients change.
     """
     n = layout.n
     X = layout.X
     stale = ~(layout.T_VALID & (X[:, :n] == layout.T_X).all(axis=1))
     V = layout.XGr.take(layout.SGD)  # source, gate, drain voltages
-    VGDS = layout.SIGN * (V[1:] - V[0])  # V_GS and V_DS
-    R = layout.R  # gds, gm, j per device
+    # V_GS and V_DS of every (member, device), flattened row-major.
+    VGDS = (layout.SIGN * (V[1:] - V[0])).reshape(2, -1)
     due = np.flatnonzero(layout.TAB & stale[:, None])  # the stale rows' table devices
     if due.size:
-        vgs, vds = VGDS.reshape(2, -1)[:, due]
+        vgs, vds = VGDS[:, due]
         j, gm, gds = registry.evaluate(layout.TBL.take(due), vgs, vds)
         layout.R2[:, due] = (gds, gm, j)
         if tel is not None:
             tel.count("batch.table_points", int(due.size))
-    for i, groups in layout.fallback:
-        if stale[i]:
-            for model, sl, *_ in groups:
-                j, gm, gds = model.evaluate_density(VGDS[0, i, sl], VGDS[1, i, sl])
-                R[:, i, sl] = (
-                    np.asarray(gds, dtype=float),
-                    np.asarray(gm, dtype=float),
-                    np.asarray(j, dtype=float),
-                )
+    if layout.n_mos:
+        due = np.flatnonzero(layout.MOS & stale[:, None])  # their MOSFET devices
+        if due.size:
+            card = layout.mos_card
+            if due.size < layout.n_mos:
+                card = card.take(layout.MOS_AT.take(due))
+            vgs, vds = VGDS[:, due]
+            j, gm, gds = card.evaluate_density(vgs, vds)
+            layout.R2[:, due] = (gds, gm, j)
     rows = stale[:, None]
     COEF = layout.COEF
-    np.multiply(layout.MUL, R, out=COEF[:3], where=rows)
+    np.multiply(layout.MUL, layout.R, out=COEF[:3], where=rows)
     np.add(COEF[1], COEF[0], out=COEF[3])
     np.copyto(layout.T_X, X[:, :n], where=rows)
     layout.T_VALID |= stale

@@ -545,6 +545,11 @@ def solve_dc_gen(
         for name, target in (clamp_nodes or {}).items()
         if circuit.index_of(name) >= 0
     )
+    # The first tier is a warm start when the caller guessed at the
+    # operating point: an ``x0``, or an ``initial_guess`` naming a node
+    # the clamps do not pin.  A transient's initial conditions arrive as
+    # both guess and clamps; alone they seed the solve but guess nothing.
+    guessed = x0 is not None or bool(set(initial_guess or ()) - set(clamp_nodes or ()))
     if x0 is None:
         x0 = _initial_vector(system, initial_guess)
     else:
@@ -554,8 +559,8 @@ def solve_dc_gen(
     if tel is not None:
         tel.count("dcop.solves")
 
+    first_tier = "warm_start" if guessed else "cold_start"
     warm = bool(np.any(x0 != 0.0))
-    first_tier = "warm_start" if warm else "cold_start"
     try:
         x, _ = yield from newton_gen(system, x0, t, options, clamps=clamps)
         _tier_converged(tel, first_tier, t)
@@ -639,8 +644,10 @@ def solve_dc(
     silently biasing the solve.
 
     Escalation tiers (telemetry counters ``dcop.converged.<tier>`` tell
-    which one succeeded): ``warm_start`` (the caller's guess),
-    ``cold_start`` (all-zeros restart), ``gmin_stepping``,
+    which one succeeded): ``warm_start`` (the first try, from the
+    caller's guess: ``x0``, or ``initial_guess`` at a node the clamps do
+    not pin), ``cold_start`` (the first try without a guess, or the
+    all-zeros restart after a guess failed), ``gmin_stepping``,
     ``source_stepping``.  With telemetry on, the solve is one ``dcop``
     span.
     """

@@ -14,8 +14,9 @@ so :class:`MnaSystem` *precompiles* the netlist at construction:
   and their residual contribution is a single mat-vec;
 * transistors are flattened into index/sign/kind arrays so the whole
   nonlinear stamp is a handful of vectorized gathers, one batched
-  device-model call per distinct model, and two ``np.add.at``
-  scatter-adds (residual and flat Jacobian);
+  device-model call per model family (one per TFET table, one for
+  every MOSFET whatever its card), and two ``np.add.at`` scatter-adds
+  (residual and flat Jacobian);
 * capacitors keep their vectorized charge evaluation and get
   precomputed scatter index arrays;
 * ``f`` and the dense Jacobian live in preallocated buffers — the hot
@@ -47,6 +48,7 @@ import numpy as np
 from repro.circuit.elements import GROUND
 from repro.circuit.netlist import Circuit
 from repro.devices.charges import LinearCharge, MirroredCharge, SmoothStepCharge
+from repro.devices.mosfet import MosfetModel
 
 __all__ = ["VoltageClamp", "TransientState", "MnaSystem"]
 
@@ -83,7 +85,11 @@ class TransientState:
 
 
 class _TransistorGroup:
-    """Transistors sharing one device model, evaluated in one batch."""
+    """Transistors sharing one device model, in circuit order.
+
+    The reference assembler evaluates each group with one call;
+    :class:`MnaSystem` evaluates every MOSFET group together.
+    """
 
     def __init__(self, model, members):
         self.model = model
@@ -334,9 +340,14 @@ class MnaSystem:
     def _compile_transistors(self) -> None:
         """Flatten every transistor into gather/scatter index arrays.
 
-        Per assembly the only Python-level work left is one
-        ``evaluate_density`` call per distinct model; stamping is two
-        ``np.add.at`` calls over these precomputed arrays.
+        The flattened device order is the model groups' (``_groups``),
+        one after another; it fixes the scatter order, and with it
+        every bit.  Per assembly the only Python-level work left is one
+        ``evaluate_density`` call per evaluation group (``_t_groups``):
+        one per distinct non-MOSFET model (a TFET table), and one for
+        every MOSFET device, whatever its card, on a stacked card
+        (:meth:`MosfetModel.stacked`) indexed by the devices' positions.
+        Stamping is two ``np.add.at`` calls over these arrays.
         """
         n = self.n_nodes
         size = self.size
@@ -348,24 +359,36 @@ class MnaSystem:
         self._t_coef = np.zeros((3, n_t))
         self._t_gds, self._t_gm = self._t_coef[0], self._t_coef[1]
 
-        # (model, slice, sign, width, drain/gate/source gather indices)
-        self._t_groups: list[tuple] = []
+        members = [t for grp in self._groups for t in grp.members]
+        models = [grp.model for grp in self._groups for _ in grp.members]
+        sign = np.array([1.0 if t.polarity == "n" else -1.0 for t in members])
+        width = np.array([t.width_um for t in members])
+        drains = [t.drain for t in members]
+        gates = [t.gate for t in members]
+        sources = [t.source for t in members]
+        # GROUND (-1) indexes the zeroed extra slot of the xg buffer.
+        dgs = np.array((drains, gates, sources), dtype=np.intp).reshape(3, n_t)
+        dgs[dgs == GROUND] = n
+
+        # (model, positions, sign, width, drain/gate/source gather indices)
+        evals: list[tuple] = []
         start = 0
-        drains: list[int] = []
-        gates: list[int] = []
-        sources: list[int] = []
         for grp in self._groups:
             count = len(grp.members)
-            sl = slice(start, start + count)
-            # GROUND (-1) indexes the zeroed extra slot of the xg buffer.
-            d = np.where(grp.drain == GROUND, n, grp.drain).astype(np.intp)
-            g = np.where(grp.gate == GROUND, n, grp.gate).astype(np.intp)
-            s = np.where(grp.source == GROUND, n, grp.source).astype(np.intp)
-            self._t_groups.append((grp.model, sl, grp.sign, grp.width, d, g, s))
-            drains.extend(int(v) for v in grp.drain)
-            gates.extend(int(v) for v in grp.gate)
-            sources.extend(int(v) for v in grp.source)
+            if type(grp.model) is not MosfetModel:
+                evals.append((grp.model, slice(start, start + count)))
             start += count
+        mosfet = [k for k, model in enumerate(models) if type(model) is MosfetModel]
+        # The MOSFET devices' own cards, in device order.
+        self._mos_cards = [models[k] for k in mosfet]
+        if mosfet:
+            at = np.array(mosfet, dtype=np.intp)
+            if mosfet[-1] - mosfet[0] == len(mosfet) - 1:
+                at = slice(mosfet[0], mosfet[-1] + 1)  # one run: cheaper to index
+            evals.append((MosfetModel.stacked(self._mos_cards), at))
+        self._t_groups = [
+            (model, at, sign[at], width[at], *dgs[:, at]) for model, at in evals
+        ]
 
         f_idx: list[int] = []
         f_sign: list[float] = []
@@ -612,8 +635,8 @@ class MnaSystem:
     def _stamp_transistors(self, x, f, jac, want_jac: bool) -> None:
         """Device evaluation and the transistor stamps.
 
-        One ``evaluate_density`` call per model group, skipped when the
-        node voltages equal the last evaluated point.  ``jac`` is the
+        One ``evaluate_density`` call per evaluation group, skipped when
+        the node voltages equal the last evaluated point.  ``jac`` is the
         Jacobian value buffer; the stamps land at ``_tj_dst``.
         """
         i_d, gm_w, gds_w = self._t_id, self._t_gm, self._t_gds
@@ -621,14 +644,14 @@ class MnaSystem:
         if not (self._t_valid and (volts == self._t_x).all()):
             xg = self._xg
             xg[: self.n_nodes] = volts
-            for model, sl, sign, width, d, g, s in self._t_groups:
+            for model, at, sign, width, d, g, s in self._t_groups:
                 vs = xg[s]
                 vgs = sign * (xg[g] - vs)
                 vds = sign * (xg[d] - vs)
                 j, gm, gds = model.evaluate_density(vgs, vds)
-                i_d[sl] = sign * width * np.asarray(j)
-                gm_w[sl] = width * np.asarray(gm)
-                gds_w[sl] = width * np.asarray(gds)
+                i_d[at] = sign * width * np.asarray(j)
+                gm_w[at] = width * np.asarray(gm)
+                gds_w[at] = width * np.asarray(gds)
             self._t_x[:] = volts
             self._t_valid = True
         np.add.at(f, self._tf_idx, self._tf_sign * i_d[self._tf_member])

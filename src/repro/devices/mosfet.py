@@ -13,12 +13,19 @@ to the TFET.
 Currents are densities in A/um of gate width for the n-type reference
 device; polarity mirroring and width scaling happen in
 :class:`repro.circuit.elements.Transistor`.
+
+A card's parameters may also be per-device arrays
+(:meth:`MosfetModel.stacked`): the EKV expressions are elementwise, so
+one call evaluates devices of several cards, each bytes-equal to its
+own card's call.  The assembler evaluates all of a system's MOSFET
+devices, and the stacked batch all of its members', that way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -39,7 +46,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MosfetParameters:
-    """EKV-style model card for the n-type reference device."""
+    """EKV-style model card for the n-type reference device.
+
+    Each field is one value, or a per-device array on a stacked card
+    (:meth:`MosfetModel.stacked`).
+    """
 
     threshold_voltage: float = 0.45
     """V_T0 in volts; set by calibration for the off-current anchor."""
@@ -75,6 +86,37 @@ class MosfetModel:
     """Terminal-current evaluation of the analytic MOSFET."""
 
     params: MosfetParameters = field(default_factory=MosfetParameters)
+
+    @classmethod
+    def stacked(cls, cards: Sequence["MosfetModel"]) -> "MosfetModel":
+        """One card whose device ``k`` is ``cards[k]`` (single cards).
+
+        Every parameter becomes a per-device array, except a temperature
+        all the cards share, which stays one value.  The EKV expressions
+        broadcast the arrays against the probed points and are
+        elementwise, so ``stacked(cards).evaluate_density(vgs, vds)``
+        equals, bytes for bytes, each ``cards[k].evaluate_density`` at
+        ``(vgs[k], vds[k])``.  A stacked card only evaluates currents:
+        the calibration helpers (:meth:`on_current` and the rest) need
+        a single card.
+        """
+        params = [card.params for card in cards]
+        columns = {
+            f.name: np.array([getattr(p, f.name) for p in params])
+            for f in fields(MosfetParameters)
+        }
+        temperature = columns["temperature"]
+        if (temperature == temperature[0]).all():
+            columns["temperature"] = params[0].temperature
+        return cls(MosfetParameters(**columns))
+
+    def take(self, indices: np.ndarray) -> "MosfetModel":
+        """The stacked card of this stacked card's devices at ``indices``."""
+        columns = {f.name: getattr(self.params, f.name) for f in fields(MosfetParameters)}
+        return MosfetModel(MosfetParameters(**{
+            name: value[indices] if np.ndim(value) else value
+            for name, value in columns.items()
+        }))
 
     def _forward_density(self, vgs: np.ndarray, vds: np.ndarray) -> np.ndarray:
         """Density for vds >= 0 (source-referenced)."""

@@ -8,7 +8,10 @@ in flight.  Resuming replays the completed indices and computes only
 the rest; because task seeds derive from ``(root_seed, index)``, a
 resumed run is bit-identical to an uninterrupted one — and a run may
 even be *extended* to a larger task count on resume, reusing the
-prefix it already computed.
+prefix it already computed.  Resuming keeps only the records of the
+tasks the resumed run asks for: a resume asking for fewer tasks (or
+other ones, such as Monte-Carlo chunks over new member ranges) drops
+the rest from the log.
 
 Values use Python's JSON dialect (``Infinity``/``NaN`` literals are
 legal), matching the Monte-Carlo convention that a diverged metric is
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Collection
 from pathlib import Path
 
 from repro.engine.jobs import TaskOutcome
@@ -107,17 +111,24 @@ class CheckpointLog:
             }
         )
 
-    def open_resumed(self) -> dict[int, TaskOutcome]:
+    def open_resumed(self, keep: Collection[int] | None = None) -> dict[int, TaskOutcome]:
         """Load completed outcomes, then reopen the log for appending.
 
-        A missing file degrades to :meth:`open_fresh` — ``--resume`` on
-        a first run is not an error.
+        ``keep`` names the task indices the resumed run asks for; when
+        given, the returned outcomes and the compacted log hold only
+        those, so a record no run asks for any more (a superseded
+        Monte-Carlo chunk) is dropped instead of carried forever.  A
+        missing file degrades to :meth:`open_fresh` — ``--resume`` on a
+        first run is not an error.
         """
         done = self.load()
         if not done and not self.path.exists():
             self.open_fresh()
             return {}
-        # Rewrite compacted: header + the outcomes that survived parsing.
+        if keep is not None:
+            keep = set(keep)
+            done = {index: o for index, o in done.items() if index in keep}
+        # Rewrite compacted: header + the kept outcomes that survived parsing.
         # This drops any torn tail so the appended lines stay parseable.
         # The rewrite goes to a sibling file that replaces the log only
         # once complete, so a kill mid-rewrite loses no finished outcome.

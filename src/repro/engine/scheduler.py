@@ -146,7 +146,7 @@ def run_tasks(tasks: list[Task], config: EngineConfig = EngineConfig()) -> Batch
     if config.checkpoint_path is not None:
         log = CheckpointLog(config.checkpoint_path, config.run_key, config.root_seed)
         if config.resume:
-            done = log.open_resumed()
+            done = log.open_resumed(indices)
         else:
             log.open_fresh()
         if trace is not None:

@@ -397,6 +397,62 @@ def test_batched_wlcrit_searches_keep_one_member_plan_each(monkeypatch):
     assert len({id(system) for system in planned}) == 4
 
 
+def test_batched_cmos_searches_make_one_mosfet_call_per_stale_tick(monkeypatch):
+    """Every stale member's MOSFET devices, whatever their card, go
+    through one stacked EKV call per tick, with fewer stale rows too;
+    the values stay the scalar searches'."""
+    from repro.analysis.stability import WlCritSearch
+    from repro.char.designs import build_cell
+    from repro.circuit import batch
+    from tests.circuit.test_mna import count_mosfet_calls
+
+    points = [(0.6, 1.0), (0.7, 1.3), (0.8, 1.6)]
+
+    def factory(vdd, beta):
+        return build_cell("cmos", beta=beta)[0].write_bench_factory(vdd)
+
+    calls = count_mosfet_calls(monkeypatch)
+    ticks = []  # (stale rows, active rows, MOSFET calls)
+    real_stamp = batch._stamp_devices_batch
+
+    def recording_stamp(layout, registry, tel):
+        n = layout.n
+        fresh = layout.T_VALID & (layout.X[:, :n] == layout.T_X).all(axis=1)
+        before = len(calls)
+        real_stamp(layout, registry, tel)
+        ticks.append((int((~fresh).sum()), layout.K, len(calls) - before))
+
+    monkeypatch.setattr(batch, "_stamp_devices_batch", recording_stamp)
+    searches = [WlCritSearch(upper_bound=2e-9) for _ in points]
+    outcomes = run_generators([s.search_gen(factory(*p)) for s, p in zip(searches, points)])
+    monkeypatch.undo()
+
+    assert all(made == (1 if stale else 0) for stale, _, made in ticks)
+    assert any(0 < stale < k for stale, k, _ in ticks)  # partial ticks ran
+    for point, outcome, batched in zip(points, outcomes, searches):
+        scalar = WlCritSearch(upper_bound=2e-9)
+        assert outcome.status == "ok"
+        assert outcome.value == scalar.search(factory(*point))
+        assert batched.decisions == scalar.decisions
+
+
+def test_member_with_another_device_model_raises():
+    """Only table-backed and MOSFET models stack; any other model is
+    refused rather than stamped as zeros."""
+
+    class Ohmic:
+        def evaluate_density(self, vgs, vds):
+            return 1e-4 * vds, np.zeros_like(vgs), np.full_like(vds, 1e-4)
+
+    c = Circuit("ohmic")
+    c.add_voltage_source("vdd", "a", "0", 0.8)
+    c.add_transistor("m1", "a", "a", "b", Ohmic(), "n", 1.0)
+    c.add_resistor("b", "0", 1e4)
+    assert solve_dc(c).voltage("b") > 0.0  # the scalar path takes any model
+    with pytest.raises(TypeError, match="Ohmic"):
+        run_generators([solve_dc_gen(c)])
+
+
 class _QuadraticCharge(ChargeFunction):
     """``q = c0 v + k v^2 / 2``: neither linear nor a logistic step, so
     every assembler stamps it through the per-element fallback."""

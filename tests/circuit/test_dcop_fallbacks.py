@@ -15,6 +15,7 @@ import pytest
 import repro.circuit.dcop as dcop
 from repro.circuit.mna import MnaSystem
 from repro.circuit.netlist import Circuit
+from repro.circuit.transient import simulate_transient
 from repro.telemetry import core as telemetry
 
 
@@ -110,6 +111,25 @@ class TestTierTelemetry:
         assert "fallback_tier=source_stepping" in str(excinfo.value)
         assert tel.counters["dcop.failures"] == 1
         assert tel.counters.get("dcop.converged.cold_start", 0) == 0
+
+    def test_initial_conditions_alone_are_no_guess(self):
+        """A transient's t = 0 solve seeded only by its initial
+        conditions counts as a cold start, though its seed is non-zero;
+        an operating-point guess beside them makes it a warm start."""
+        circuit = divider()
+        circuit.add_capacitor("mid", "0", 1e-15)
+        with telemetry.enabled() as tel:
+            simulate_transient(circuit, 1e-12, initial_conditions={"mid": 0.7})
+        assert tel.counters["dcop.converged.cold_start"] == 1
+        assert "dcop.converged.warm_start" not in tel.counters
+
+        with telemetry.enabled() as tel:
+            simulate_transient(
+                circuit, 1e-12, initial_conditions={"mid": 0.7},
+                operating_point_guess={"in": 1.0},
+            )
+        assert tel.counters["dcop.converged.warm_start"] == 1
+        assert "dcop.converged.cold_start" not in tel.counters
 
 
 class TestNewtonErrors:

@@ -173,3 +173,101 @@ class TestTransistorBatching:
         f, _ = system.assemble(x, 0.0)
         # Current out of node d must be negative (being charged).
         assert f[c.index_of("d")] < 0.0
+
+
+def per_card_stamp(system, x):
+    """The devices' stamped ``(i_d, gm, gds)`` with one ``evaluate_density``
+    call per card, each card's devices in the system's flattened order."""
+    xg = np.append(x[: system.n_nodes], 0.0)  # GROUND (-1) reads the 0.0
+    out = np.empty((3, system._t_count))
+    start = 0
+    for grp in system._groups:
+        at = slice(start, start + len(grp.members))
+        vs = xg[grp.source]
+        j, gm, gds = grp.model.evaluate_density(
+            grp.sign * (xg[grp.gate] - vs), grp.sign * (xg[grp.drain] - vs)
+        )
+        out[:, at] = (grp.sign * grp.width * j, grp.width * gm, grp.width * gds)
+        start += len(grp.members)
+    return out
+
+
+def count_mosfet_calls(monkeypatch) -> list:
+    """Patch ``MosfetModel.evaluate_density`` to log each call's size."""
+    from repro.devices.mosfet import MosfetModel
+
+    calls = []
+    real = MosfetModel.evaluate_density
+
+    def counting(self, vgs, vds, *args, **kwargs):
+        calls.append(np.size(vgs))
+        return real(self, vgs, vds, *args, **kwargs)
+
+    monkeypatch.setattr(MosfetModel, "evaluate_density", counting)
+    return calls
+
+
+def assert_one_mosfet_call_per_fresh_assembly(system, monkeypatch, seed=0):
+    """Two cards (nMOS and pMOS), one call per fresh assembly, none on a
+    repeat of the last point, and stamps bytes-equal to per-card calls."""
+    from repro.devices.mosfet import MosfetModel
+
+    cards = {id(g.model) for g in system._groups if type(g.model) is MosfetModel}
+    assert len(cards) == 2
+    n_mos = sum(len(g.members) for g in system._groups if id(g.model) in cards)
+    calls = count_mosfet_calls(monkeypatch)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x = rng.uniform(-0.2, 1.0, system.size)
+        before = len(calls)
+        system.assemble(x, 0.0)
+        assert calls[before:] == [n_mos]
+        system.assemble_residual(x, 0.0)
+        assert len(calls) == before + 1
+        stamped = np.array((system._t_id, system._t_gm, system._t_gds))
+        assert stamped.tobytes() == per_card_stamp(system, x).tobytes()
+
+
+class TestMosfetStacking:
+    def test_cmos_bench_makes_one_mosfet_call_per_assembly(self, monkeypatch):
+        from repro.sram.cmos6t import Cmos6TCell
+
+        bench = Cmos6TCell().read_testbench(0.8)
+        assert_one_mosfet_call_per_fresh_assembly(MnaSystem(bench.circuit), monkeypatch)
+
+    def test_interleaved_mosfet_cards_keep_device_order(self, monkeypatch):
+        """MOSFET groups separated by a TFET group: one call over
+        non-contiguous positions, stamps still per-card bytes."""
+        from repro.devices.library import pmos_device
+
+        c = Circuit()
+        c.add_voltage_source("vdd", "vdd", "0", 0.8)
+        c.add_transistor("m1", "a", "b", "0", nmos_device(), "n", 0.1)
+        c.add_transistor("m2", "b", "a", "0", tfet_device(), "n", 0.1)
+        c.add_transistor("m3", "a", "b", "vdd", pmos_device(), "p", 0.2)
+        c.add_transistor("m4", "b", "a", "vdd", tfet_device(), "p", 0.2)
+        c.add_transistor("m5", "b", "a", "0", nmos_device(), "n", 0.3)
+        system = MnaSystem(c)
+        (_, tfet_at, *_), (_, mos_at, *_) = system._t_groups
+        assert tfet_at == slice(2, 4)
+        assert mos_at.tolist() == [0, 1, 4]
+        assert_one_mosfet_call_per_fresh_assembly(system, monkeypatch)
+
+    def test_other_models_keep_their_own_call(self):
+        """A model that is neither a table nor a MosfetModel is evaluated
+        per card, as before."""
+
+        class Ohmic:
+            def evaluate_density(self, vgs, vds):
+                return 1e-4 * vds, np.zeros_like(vgs), np.full_like(vds, 1e-4)
+
+        c = Circuit()
+        c.add_voltage_source("vdd", "a", "0", 0.8)
+        c.add_transistor("m1", "a", "a", "b", Ohmic(), "n", 1.0)
+        c.add_transistor("m2", "b", "b", "0", nmos_device(), "n", 0.1)
+        system = MnaSystem(c)
+        assert len(system._t_groups) == 2
+        x = np.array([0.8, 0.3, 0.0])
+        system.assemble(x, 0.0)
+        stamped = np.array((system._t_id, system._t_gm, system._t_gds))
+        assert stamped.tobytes() == per_card_stamp(system, x).tobytes()

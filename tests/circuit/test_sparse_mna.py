@@ -47,6 +47,7 @@ from repro.sram.compiler import compile_array, measure_array
 from repro.telemetry import core as telemetry
 from repro.verify.fuzz import generate_deck
 
+from tests.circuit.test_mna import assert_one_mosfet_call_per_fresh_assembly
 from tests.circuit.test_mna_equivalence import random_circuit
 
 RTOL = 1e-12
@@ -276,6 +277,14 @@ def test_ordering_once_per_compile_and_no_matrix_per_assembly(monkeypatch):
     assert stamps > 100
     assert orderings.count("COLAMD") == 1
     assert orderings.count("NATURAL") == stamps
+
+
+@pytest.mark.parametrize("scenario", ["read", "write"])
+def test_compiled_array_makes_one_mosfet_call_per_assembly(scenario, monkeypatch):
+    """The array's nMOS and pMOS periphery: one stacked EKV call per
+    fresh sparse assembly, stamps bytes-equal to per-card calls."""
+    system = SparseMnaSystem(_compiled(16, scenario, columns=4).bench.circuit)
+    assert_one_mosfet_call_per_fresh_assembly(system, monkeypatch)
 
 
 def _dense_reference_layout(circuit: Circuit):

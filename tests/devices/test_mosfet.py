@@ -13,6 +13,8 @@ from repro.devices.mosfet import (
     MosfetTargets,
     calibrate_mosfet,
     mosfet_charges,
+    nmos_32nm,
+    pmos_32nm,
 )
 
 
@@ -122,3 +124,56 @@ class TestParameters:
         p = MosfetParameters()
         assert 0.2 < p.threshold_voltage < 0.7
         assert p.subthreshold_slope_factor > 1.0
+
+
+class TestStackedCard:
+    """One call of a stacked card equals each card's own call, bit for bit."""
+
+    CARDS = {
+        "n": nmos_32nm(),
+        "p": pmos_32nm(),
+        "hot": MosfetModel(MosfetParameters(temperature=350.0)),
+    }
+
+    @staticmethod
+    def assert_bytes_equal(actual, expected):
+        for a, e in zip(actual, expected):
+            a, e = np.asarray(a, dtype=float), np.asarray(e, dtype=float)
+            assert a.shape == e.shape and a.tobytes() == e.tobytes()
+
+    @given(
+        devices=st.lists(
+            st.tuples(
+                st.sampled_from(["n", "p", "hot"]),
+                st.floats(-1.2, 1.2),
+                st.one_of(st.floats(-1.2, 1.2), st.sampled_from([0.0, -0.0])),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_each_cards_own_evaluation(self, devices):
+        names = [name for name, *_ in devices]
+        # A flipped device sees the negated voltages, as a p-type
+        # device of the same card does.
+        sign = np.array([-1.0 if flip else 1.0 for *_, flip in devices])
+        vgs = sign * np.array([vg for _, vg, _, _ in devices])
+        vds = sign * np.array([vd for _, _, vd, _ in devices])
+        stacked = MosfetModel.stacked([self.CARDS[name] for name in names])
+        if "hot" in names and len(set(names)) > 1:
+            assert np.ndim(stacked.params.temperature) == 1
+        else:
+            assert np.ndim(stacked.params.temperature) == 0
+        out = stacked.evaluate_density(vgs, vds)
+        for name, card in self.CARDS.items():
+            at = np.flatnonzero([n == name for n in names])
+            if at.size:
+                self.assert_bytes_equal(
+                    [o[at] for o in out], card.evaluate_density(vgs[at], vds[at])
+                )
+                self.assert_bytes_equal(
+                    stacked.take(at).evaluate_density(vgs[at], vds[at]),
+                    card.evaluate_density(vgs[at], vds[at]),
+                )

@@ -132,6 +132,18 @@ class TestInterruptedRuns:
 
         assert sorted(make_log(tmp_path).load()) == list(range(10))
 
+    def test_open_resumed_keeps_only_the_asked_for_indices(self, tmp_path):
+        log = make_log(tmp_path)
+        log.open_fresh()
+        for index in range(3):
+            log.append(TaskOutcome(index=index, status="ok", value=float(index)))
+        log.close()
+
+        log = make_log(tmp_path)
+        assert sorted(log.open_resumed(keep=[0, 2, 7])) == [0, 2]
+        log.close()
+        assert sorted(make_log(tmp_path).load()) == [0, 2]
+
     def test_open_resumed_without_file_degrades_to_fresh(self, tmp_path):
         log = make_log(tmp_path)
         assert log.open_resumed() == {}

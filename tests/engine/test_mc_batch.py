@@ -14,6 +14,7 @@ real studies close the end-to-end loop against the scalar path.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -326,6 +327,28 @@ class TestResume:
         assert computed == [[2, 3]]
         assert resumed.report.resumed_count == 1
         assert [o.index for o in resumed.report.outcomes] == [0, 1, 2, 3]
+        assert resumed.samples.tobytes() == uninterrupted.samples.tobytes()
+
+    def test_resume_drops_superseded_chunks(self, tmp_path, monkeypatch):
+        """A 3-sample study in chunks of 2, resumed twice as 4 samples:
+        the log keeps the chunks [0, 2) and [2, 4), not the superseded
+        [2, 3), and the values equal an uninterrupted run's."""
+        monkeypatch.setattr(mc, "_mc_sample_gen", _value_gen)
+        path = tmp_path / "study.jsonl"
+        batch = MonteCarloBatch(_spec())
+
+        def logged():
+            lines = path.read_text().splitlines()[1:]  # after the header
+            return sorted(json.loads(line)["index"] for line in lines)
+
+        batch.run(3, seed=5, engine=self._config(path), batch_size=2)
+        assert logged() == [chunk_index(0, 2), chunk_index(2, 3)]
+        for _ in range(2):
+            resumed = batch.run(
+                4, seed=5, engine=self._config(path, resume=True), batch_size=2
+            )
+            assert logged() == [chunk_index(0, 2), chunk_index(2, 4)]
+        uninterrupted = batch.run(4, seed=5, engine=EngineConfig(), batch_size=2)
         assert resumed.samples.tobytes() == uninterrupted.samples.tobytes()
 
     @pytest.mark.parametrize("old_key", ["study", "study:bs=2"])
