@@ -1,5 +1,5 @@
 """CI smoke test for the serve daemon: warm hits, real backfill,
-kill-during-backfill resume, SIGTERM drain.
+kill-during-backfill resume, a non-finite answer, SIGTERM drain.
 
 Everything runs through real processes — the daemon is a ``repro
 serve start`` subprocess, queries go through the CLI verbs and the
@@ -20,7 +20,11 @@ wire protocol — and the kill is a real SIGKILL:
    coalesces into the same spec, resumes from the checkpoint, and
    ``serve status`` reports ``resumed > 0`` with fewer points
    recomputed than the batch total;
-7. SIGTERM drains the daemon: exit code 0, socket removed, final run
+7. a non-finite answer crosses the wire: the inward-p cell's WL_crit
+   at 0.8 V, beta 2.0 (it never flips, so it is ``inf``) backfills and
+   then reads warm, and ``ServeClient.query`` returns ``math.inf``
+   both times;
+8. SIGTERM drains the daemon: exit code 0, socket removed, final run
    manifest and its Prometheus text written (into ``SMOKE_ARTIFACTS``
    when set, for CI upload), and the manifest's ``trace_id`` is one of
    the merged backfill trace's ``trace_ids``.
@@ -32,6 +36,7 @@ non-zero on the first violated expectation.
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import subprocess
@@ -221,7 +226,19 @@ def main() -> int:
             "every missed point landed",
         )
 
-        print("7. SIGTERM drains cleanly and writes the run manifest")
+        print("7. a non-finite answer crosses the wire")
+        with ServeClient(socket_path=sock, timeout_s=120.0) as client:
+            for served in ("backfill", "memory"):
+                response = client.query("wl_crit", design="inward_p",
+                                        vdd=0.8, beta=2.0)
+                check(
+                    response["served"] == served
+                    and response["result"]["value"] == math.inf,
+                    f"unwritable WL_crit served from {served} as inf "
+                    f"(got {response['served']}, {response['result']['value']!r})",
+                )
+
+        print("8. SIGTERM drains cleanly and writes the run manifest")
         daemon.send_signal(signal.SIGTERM)
         out, err = daemon.communicate(timeout=60)
         check(daemon.returncode == 0, f"daemon exits 0 (stderr: {err.strip()!r})")

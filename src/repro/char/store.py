@@ -86,6 +86,9 @@ class CharStore:
         self.directory = Path(directory)
         self._index_cache: dict[str, dict] | None = None
         self._index_token: tuple[int, int] | None = None
+        # The daemon stats the index on every read; a str skips
+        # building a pathlib path each time.
+        self._index_file = str(self.index_path)
 
     # -- paths -------------------------------------------------------------
 
@@ -109,7 +112,7 @@ class CharStore:
         ``None`` when no index exists yet.
         """
         try:
-            stat = self.index_path.stat()
+            stat = os.stat(self._index_file)
         except FileNotFoundError:
             return None
         return (stat.st_mtime_ns, stat.st_size)

@@ -65,11 +65,12 @@ class ServeClient:
 
         Returns the decoded response dict on ``ok: true``; raises
         :class:`ServeError` on a structured error, ``ConnectionError``
-        when the daemon hangs up without answering.
+        when the daemon hangs up without answering (a reply cut off
+        before its newline included).
         """
         self._sock.sendall(protocol.encode_line(payload))
-        line = self._file.readline()
-        if not line:
+        line = self._read_reply()
+        if line is None:
             raise ConnectionError("daemon closed the connection")
         response = protocol.decode_line(line)
         if not response.get("ok"):
@@ -88,8 +89,17 @@ class ServeClient:
         hangs up instead of answering.
         """
         self._sock.sendall(line)
-        response = self._file.readline()
-        return protocol.decode_line(response) if response else None
+        response = self._read_reply()
+        return None if response is None else protocol.decode_line(response)
+
+    def _read_reply(self) -> bytes | None:
+        """One reply line, or ``None`` when the daemon hung up first.
+
+        Every reply ends in a newline; bytes without one are what a
+        daemon that died mid-write left, not a reply.
+        """
+        line = self._file.readline()
+        return line if line.endswith(b"\n") else None
 
     def close(self) -> None:
         try:

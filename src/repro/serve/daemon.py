@@ -5,7 +5,10 @@ answered from in-memory :class:`~repro.char.query.CharGrid` surrogates
 (microseconds of numpy per hit), misses flow through the
 :class:`~repro.serve.backfill.BackfillQueue`, and everything speaks the
 JSON-lines protocol of :mod:`repro.serve.protocol` over a unix socket
-and/or a localhost TCP port.
+and/or a localhost TCP port.  A hit never awaits: the store-coherence
+stat, the grid lookup and the reply run inline in the connection's
+coroutine, with no task of their own; only a miss awaits, on its
+backfill.
 
 Operational contract:
 
@@ -15,10 +18,11 @@ Operational contract:
   (``overloaded``) instead of queueing unboundedly.  Request lines
   over ``max_line_bytes`` are answered with ``oversized`` and the
   connection is closed.
-* **Per-request timeout** — ``request_timeout_s`` bounds every query
-  (including its backfill wait); expiry answers ``timeout`` while the
-  backfill itself keeps running, so a retry after the build lands is a
-  warm hit.
+* **Per-request timeout** — ``request_timeout_s`` bounds a miss's
+  backfill wait, the only step of a query that awaits (a hit, which
+  never yields, could not be interrupted by it); expiry answers
+  ``timeout`` while the backfill itself keeps running, so a retry
+  after the build lands is a warm hit.
 * **Graceful shutdown** — SIGTERM/SIGINT (or a ``shutdown`` op) stops
   accepting, drains in-flight requests and backfill within
   ``drain_grace_s``, writes the final run manifest (JSON, with its
@@ -291,9 +295,16 @@ class ServeDaemon:
             )
         self._active_queries += 1
         try:
-            response = await asyncio.wait_for(
-                self._query(request), self.config.request_timeout_s
-            )
+            # A hit never awaits, so it runs inline: no task, no timeout.
+            started = time.perf_counter()
+            coords = {k: request[k]
+                      for k in ("metric", "design", "vdd", "beta", "corner")}
+            response = self._answer_from_memory(request, coords, started)
+            if response is None:
+                response = await asyncio.wait_for(
+                    self._backfill_query(request, coords, started),
+                    self.config.request_timeout_s,
+                )
         except asyncio.TimeoutError:
             self.session.count("serve.timeouts")
             response = protocol.error_response(
@@ -312,21 +323,21 @@ class ServeDaemon:
         self.session.add_time("serve.request_s", time.perf_counter() - t0)
         return response
 
-    async def _query(self, request: dict) -> dict:
-        t0 = time.perf_counter()
-        coords = {k: request[k] for k in ("metric", "design", "vdd", "beta", "corner")}
+    def _answer_from_memory(self, request, coords, t0) -> dict | None:
+        """The answer from the loaded grids, synchronously; ``None`` for
+        a miss a backfill can cure."""
         self.registry.maybe_reload()
         try:
             with self.session.time_block("span.serve.query"):
                 answer = self.registry.answer(method=request["method"], **coords)
-            self.session.count("serve.hits")
-            return self._answer_response(request, answer, "memory", t0)
         except CharQueryError as exc:
             if exc.reason not in BACKFILLABLE_REASONS:
                 self.session.count("serve.rejected.bad_request")
                 return protocol.error_response("bad_request", str(exc), request)
-        self.session.count("serve.misses")
-        return await self._backfill_query(request, coords, t0)
+            self.session.count("serve.misses")
+            return None
+        self.session.count("serve.hits")
+        return self._answer_response(request, answer, "memory", t0)
 
     async def _backfill_query(self, request, coords, t0) -> dict:
         key = MissKey(

@@ -44,6 +44,14 @@ artifacts: non-finite floats (an unwritable cell's infinite
 objects (:mod:`repro.experiments.io`) — the bare ``NaN``/``Infinity``
 literals are rejected on ingress exactly as ``encode_line`` refuses to
 emit them (``allow_nan=False``).
+
+Every line goes through one encoder and one request decoder built at
+import.  The ``__float__`` walk runs only on a payload that can hold a
+non-finite value: ``encode_line`` wraps a payload only after the
+strict encoder refused it, and ``decode_line`` unwraps only a line
+whose text contains ``__float__`` or a ``\\u`` escape (which could
+spell it).  Either way the bytes and values are those of the walk
+applied to every line.
 """
 
 from __future__ import annotations
@@ -110,6 +118,21 @@ def _reject_constant(literal: str):
     )
 
 
+# Built once: ``json.dumps``/``json.loads`` with keyword arguments
+# construct a fresh encoder or decoder on every call.
+_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",", ":"))
+_REQUEST_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _text(line: bytes | str) -> str:
+    """``line`` as text, decoded exactly as :func:`json.loads` decodes
+    bytes (UTF-8/16/32 by :func:`json.detect_encoding`, a UTF-8 BOM
+    dropped)."""
+    if isinstance(line, str):
+        return line
+    return line.decode(json.detect_encoding(line), "surrogatepass")
+
+
 def _finite(name: str, value) -> float:
     """``value`` as a finite float, rejecting booleans (which are
     ``int`` to ``isinstance``) and non-finite results either from
@@ -137,7 +160,7 @@ def parse_request(line: bytes | str, max_bytes: int = MAX_LINE_BYTES) -> dict:
             "oversized", f"request line is {len(raw)} bytes (limit {max_bytes})"
         )
     try:
-        payload = json.loads(raw, parse_constant=_reject_constant)
+        payload = _REQUEST_DECODER.decode(_text(raw))
     except ProtocolError:
         raise
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -192,19 +215,33 @@ def _decode_tree(value):
 
 
 def encode_line(payload: dict) -> bytes:
-    """One response/request dict as a newline-terminated JSON line."""
-    return (
-        json.dumps(encode_tree(payload), allow_nan=False, separators=(",", ":"))
-        + "\n"
-    ).encode()
+    """One response/request dict as a newline-terminated JSON line.
+
+    The strict encoder raises ``ValueError`` on a non-finite float;
+    only then is the payload re-encoded through :func:`encode_tree`,
+    which changes nothing else, so the bytes are the same either way.
+    """
+    try:
+        text = _ENCODER.encode(payload)
+    except ValueError:
+        text = _ENCODER.encode(encode_tree(payload))
+    return (text + "\n").encode()
 
 
 def decode_line(line: bytes | str) -> dict:
-    """Parse a received line, unwrapping the non-finite float encoding."""
-    payload = json.loads(line)
+    """Parse a received line, unwrapping the non-finite float encoding.
+
+    A ``{"__float__": ...}`` object can only be in a line whose text
+    spells ``__float__``, directly or through a ``\\u`` escape; any
+    other line skips the walk.
+    """
+    text = _text(line)
+    payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("protocol line must be a JSON object")
-    return _decode_tree(payload)
+    if "__float__" in text or "\\u" in text:
+        return _decode_tree(payload)
+    return payload
 
 
 def ok_response(request: dict | None = None, **fields) -> dict:

@@ -5,17 +5,24 @@ shutdown."""
 
 from __future__ import annotations
 
+import asyncio
 import json
+import math
+import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from repro.serve import ServeConfig, protocol
+from repro.serve import ServeConfig, ServeDaemon, protocol
 from repro.serve.client import ServeError
+from repro.telemetry import core as telemetry
 
 COLD = {"metric": "hold_power", "design": "cmos", "vdd": 0.55}
+WARM = {"op": "query", "metric": "hold_power", "design": "cmos", "vdd": 0.7}
+INFINITE = {"metric": "wl_crit", "design": "inward_p", "vdd": 0.8, "beta": 2.0}
+"""An unwritable point: its WL_crit is ``inf`` (``perfbench/golden.json``)."""
 
 
 def _wait(predicate, timeout_s=30.0, interval_s=0.05):
@@ -118,6 +125,151 @@ class TestWarmPath:
             assert client.ping()
             answer = client.query("hold_power", design="cmos", vdd=0.6)
             assert answer["served"] == "memory"
+
+
+@pytest.fixture
+def in_process(tmp_path, seed_store_dir, serve_spec):
+    """A daemon that is never started: tests drive ``_dispatch`` on
+    their own event loop."""
+    store_dir = tmp_path / "store"
+    shutil.copytree(seed_store_dir, store_dir)
+    daemon = ServeDaemon(ServeConfig(store_dir=store_dir, specs=[serve_spec],
+                                     socket_path=tmp_path / "unused.sock"))
+    yield daemon
+    if daemon._owns_session and telemetry.active() is daemon.session:
+        telemetry.disable()
+
+
+@pytest.fixture
+def wait_for_calls(monkeypatch):
+    """The timeouts of every ``asyncio.wait_for`` call, in order."""
+    calls = []
+    real = asyncio.wait_for
+
+    def spy(awaitable, timeout):
+        calls.append(timeout)
+        return real(awaitable, timeout)
+
+    monkeypatch.setattr(asyncio, "wait_for", spy)
+    return calls
+
+
+def _dispatch(daemon, payload: dict) -> tuple[dict, list]:
+    """``payload`` through ``_dispatch``; returns the response and the
+    tasks the dispatch created."""
+    created = []
+
+    async def drive():
+        loop = asyncio.get_running_loop()
+
+        def factory(loop, coro, **kwargs):
+            created.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        loop.set_task_factory(factory)
+        try:
+            return await daemon._dispatch(protocol.encode_line(payload))
+        finally:
+            loop.set_task_factory(None)
+
+    return asyncio.run(drive()), created
+
+
+class TestHitPath:
+    """A warm hit is answered inline: only a backfill awaits, and only
+    the backfill wait runs under ``request_timeout_s``."""
+
+    def test_hit_creates_no_task_and_awaits_no_timeout(
+        self, in_process, wait_for_calls
+    ):
+        for _ in range(3):
+            response, created = _dispatch(in_process, WARM)
+            assert response["served"] == "memory"
+            assert response["result"]["method"] == "linear"
+            assert created == []
+        assert wait_for_calls == []
+        session = in_process.session
+        assert session.counters["serve.requests"] == 3
+        assert session.counters["serve.hits"] == 3
+        assert "serve.misses" not in session.counters
+        assert session.timers["span.serve.query"].count == 3
+        assert session.timers["serve.request_s"].count == 3
+        assert session.histograms["serve.answer_us"].count == 3
+        assert in_process._active_queries == 0
+
+    def test_hit_reply_matches_the_reference_line(self, in_process):
+        """Apart from ``wall_us``, a hit's reply is the answer's JSON."""
+        response, _ = _dispatch(in_process, {**WARM, "id": "w1"})
+        answer = in_process.registry.answer(
+            "hold_power", design="cmos", vdd=0.7, beta=None, corner="tt"
+        )
+        assert protocol.encode_line(response) == protocol.encode_line(
+            {"ok": True, "result": answer.to_json(), "served": "memory",
+             "wall_us": response["wall_us"], "id": "w1"}
+        )
+
+    def test_exception_in_answer_is_internal_and_the_next_read_serves(
+        self, daemon_factory
+    ):
+        daemon = daemon_factory()
+        registry = daemon.daemon.registry
+        real = registry.answer
+        calls = []
+
+        def broken_once(**kwargs):
+            calls.append(kwargs)
+            if len(calls) == 1:
+                raise RuntimeError("grid exploded")
+            return real(**kwargs)
+
+        registry.answer = broken_once
+        with daemon.client() as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.query("hold_power", design="cmos", vdd=0.6)
+            assert excinfo.value.code == "internal"
+            assert "RuntimeError: grid exploded" in excinfo.value.message
+            assert client.query("hold_power", design="cmos", vdd=0.6)[
+                "served"] == "memory"
+            counters = client.status()["counters"]
+        assert counters["serve.errors.internal"] == 1
+        assert counters["serve.hits"] == 1
+        assert daemon.daemon._active_queries == 0
+
+    def test_admission_answers_are_unchanged(self, in_process):
+        in_process._active_queries = in_process.config.max_inflight
+        response, _ = _dispatch(in_process, {**WARM, "id": 3})
+        assert response == {
+            "ok": False, "id": 3,
+            "error": {"code": "overloaded",
+                      "message": "64 queries in flight (limit 64)"},
+        }
+        in_process._active_queries = 0
+        in_process.request_shutdown()
+        response, _ = _dispatch(in_process, WARM)
+        assert response == {
+            "ok": False,
+            "error": {"code": "shutting_down", "message": "daemon is draining"},
+        }
+        counters = in_process.session.counters
+        assert counters["serve.rejected.overload"] == 1
+        assert counters["serve.rejected.shutting_down"] == 1
+        assert "serve.hits" not in counters
+
+
+class TestNonFiniteAnswer:
+    def test_infinite_wl_crit_crosses_the_wire(self, daemon_factory):
+        """The reply carries ``{"__float__": "Infinity"}``, so the
+        encoder's fallback runs on both the backfill and the memory
+        answer."""
+        daemon = daemon_factory(coalesce_s=0.05)
+        with daemon.client() as client:
+            cold = client.query(**INFINITE)
+            assert cold["served"] == "backfill"
+            assert cold["result"]["value"] == math.inf
+            warm = client.query(**INFINITE)
+            assert warm["served"] == "memory"
+            assert warm["result"]["value"] == math.inf
+            assert warm["result"]["method"] == "exact"
 
 
 class TestProtocolEdges:
@@ -241,7 +393,9 @@ class TestBackfill:
         assert len(errors) == 1 and errors[0].code == "overloaded"
         assert len(answers) == 1 and answers[0]["served"] == "backfill"
 
-    def test_timeout_leaves_the_backfill_running(self, daemon_factory):
+    def test_timeout_leaves_the_backfill_running(
+        self, daemon_factory, wait_for_calls
+    ):
         daemon = daemon_factory(coalesce_s=0.5, request_timeout_s=0.15)
         with daemon.client() as client:
             with pytest.raises(ServeError) as excinfo:
@@ -254,6 +408,9 @@ class TestBackfill:
             assert retry["served"] == "memory"
             status = client.status()
         assert status["counters"]["serve.timeouts"] == 1
+        # Only the miss's backfill wait ran under the timeout; the
+        # retry, a hit, ran none.
+        assert wait_for_calls == [0.15]
 
     def test_backfill_landing_race_answers_backfill_failed(self, daemon_factory):
         """A backfill can land and *still* not be servable — a

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.experiments.io import encode_tree
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError, parse_request
 
@@ -166,3 +170,100 @@ class TestFraming:
         assert error["id"] == "q9"
         assert error["error"]["code"] == "timeout"
         assert protocol.ok_response({"op": "ping"}) == {"ok": True}
+
+
+# Payload trees as the daemon and client build them, plus the shapes
+# that can trip a shortcut: non-finite floats at any depth, non-ASCII
+# text (every such character is a ``\u`` escape on the wire), and
+# ``__float__`` as a value or a key.
+_LEAVES = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.none()
+    | st.booleans()
+    | st.integers()
+    | st.text()
+    | st.just("__float__")
+)
+_KEYS = st.text() | st.just("__float__")
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_KEYS, children, max_size=4)
+    ),
+    max_leaves=12,
+)
+_PAYLOADS = st.dictionaries(_KEYS, _TREES, max_size=5)
+
+
+def _walked_line(payload) -> bytes:
+    """The wire bytes when every payload is walked before encoding."""
+    text = json.dumps(encode_tree(payload), allow_nan=False, separators=(",", ":"))
+    return (text + "\n").encode()
+
+
+def _walked_decode(line: bytes):
+    """The decode that walks every line."""
+    return protocol._decode_tree(json.loads(line))
+
+
+def _canonical(value):
+    """``value`` with types spelled out and NaN comparable to NaN."""
+    if isinstance(value, dict):
+        return {k: _canonical(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_canonical(v) for v in value]
+    if isinstance(value, float) and math.isnan(value):
+        return ("float", "nan")
+    return (type(value).__name__, value)
+
+
+class TestWireIdentity:
+    """The shortcuts (encode first, walk only on a non-finite value;
+    decode, walk only a line that can spell ``__float__``) change no
+    byte and no value."""
+
+    @given(payload=_PAYLOADS)
+    @settings(max_examples=300, deadline=None)
+    def test_lines_equal_the_walk_on_every_line(self, payload):
+        line = protocol.encode_line(payload)
+        assert line == _walked_line(payload)
+        assert _canonical(protocol.decode_line(line)) == _canonical(
+            _walked_decode(line)
+        )
+        assert _canonical(protocol.decode_line(line.decode())) == _canonical(
+            _walked_decode(line)
+        )
+
+    def test_escaped_float_key_still_decodes(self):
+        line = b'{"ok":true,"value":{"\\u005f_float__":"Infinity"}}\n'
+        assert b"__float__" not in line
+        assert protocol.decode_line(line) == {"ok": True, "value": math.inf}
+
+    def test_finite_payload_skips_the_walk(self, monkeypatch):
+        def refuse(value):
+            raise AssertionError("walked a finite payload")
+
+        monkeypatch.setattr(protocol, "encode_tree", refuse)
+        monkeypatch.setattr(protocol, "_decode_tree", refuse)
+        payload = {"ok": True, "result": {"value": 1.25, "notes": ["x"]}}
+        assert protocol.decode_line(protocol.encode_line(payload)) == payload
+
+    @pytest.mark.parametrize(
+        "encode",
+        [
+            lambda text: codecs.BOM_UTF8 + text.encode(),
+            lambda text: text.encode("utf-16"),
+            lambda text: text.encode("utf-16-le"),
+            lambda text: text.encode("utf-32"),
+        ],
+        ids=["utf-8-bom", "utf-16", "utf-16-le", "utf-32"],
+    )
+    def test_parse_request_decodes_bytes_as_json_loads(self, encode):
+        raw = encode('{"op": "ping", "id": "q\u00e9"}')
+        assert json.loads(raw) == {"op": "ping", "id": "q\u00e9"}
+        assert parse_request(raw) == json.loads(raw)
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_request(encode('{"op": "ping", "id": NaN}'))
+        assert _code(excinfo) == "bad_request"
