@@ -23,9 +23,13 @@ Three parts, each on ``perfbench/golden.json`` (read only):
 * One stacked-batch Monte-Carlo DRNM study (fig10's V_GND-lowering
   read assist at beta 0.6), each sample against the scalar
   :func:`repro.engine.mc.evaluate_mc_sample` and its full-length run.
+* The cell-measurement experiments: each one's default point list
+  through :func:`repro.char.query.evaluate_points` (deduplicated,
+  batched per design and metric), each value against the scalar
+  ``drive(metric_gen(point))``.
 
-Prints one line per entry, batch and study, and exits 1 on any
-difference.  Takes no options; about 1.5 minutes on a 2-vCPU x86 VM::
+Prints one line per entry, batch, study and experiment, and exits 1 on
+any difference.  Takes no options; about 3 minutes on a 2-vCPU x86 VM::
 
     PYTHONPATH=src python scripts/measure_identity.py
 """
@@ -48,7 +52,12 @@ from repro.analysis.stability import (  # noqa: E402
     WlCritSearch,
 )
 from repro.char.designs import build_cell  # noqa: E402
-from repro.char.metrics import WL_CRIT_UPPER_BOUND, evaluate_metric  # noqa: E402
+from repro.char.metrics import (  # noqa: E402
+    WL_CRIT_UPPER_BOUND,
+    evaluate_metric,
+    metric_gen,
+)
+from repro.char.query import evaluate_points  # noqa: E402
 from repro.circuit.batch import run_generators  # noqa: E402
 from repro.circuit.dcop import drive  # noqa: E402
 from repro.circuit.transient import (  # noqa: E402
@@ -64,6 +73,16 @@ from repro.engine.mc import (  # noqa: E402
     sample_scales,
 )
 from repro.engine.scheduler import EngineConfig  # noqa: E402
+from repro.experiments import (  # noqa: E402
+    abl_assist_fraction,
+    fig04_cell_stability,
+    fig06_write_assist,
+    fig07_read_assist,
+    fig08_assist_tradeoff,
+    fig11_delay,
+    fig12_margins,
+    table_static_power,
+)
 from repro.telemetry import core as telemetry  # noqa: E402
 
 GOLDEN = ROOT / "perfbench" / "golden.json"
@@ -71,6 +90,16 @@ STOPPED_METRICS = ("drnm", "read_delay", "write_delay")
 MC_SPEC = McMetricSpec(metric="drnm", beta=0.6, assist="vgnd_lowering")
 MC_SAMPLES = 8
 MC_SEED = 10
+POINT_EXPERIMENTS = {
+    "fig04": fig04_cell_stability,
+    "fig06": fig06_write_assist,
+    "fig07": fig07_read_assist,
+    "fig08": fig08_assist_tradeoff,
+    "fig11": fig11_delay,
+    "fig12": fig12_margins,
+    "tab_power": table_static_power,
+    "abl_assist_fraction": abl_assist_fraction,
+}
 
 
 def _bytes(value: float) -> bytes:
@@ -255,9 +284,40 @@ def check_mc_study() -> int:
     return len(different)
 
 
+def check_point_experiments() -> int:
+    differences = 0
+    for name, module in POINT_EXPERIMENTS.items():
+        points = module.points()
+        start = time.perf_counter()
+        with telemetry.enabled() as tel:
+            batched = evaluate_points(points)
+        wall = time.perf_counter() - start
+        scalar = {}
+        for point in points:
+            if point not in scalar:
+                scalar[point] = drive(metric_gen(point))
+        different = [
+            str(k) for k, (point, value) in enumerate(zip(points, batched))
+            if _bytes(value) != _bytes(scalar[point])
+        ]
+        differences += len(different)
+        print(
+            f"{'DIFF' if different else 'ok  '} {name} {len(points)} points, "
+            f"{tel.counters.get('batch.members', 0)} evaluated, "
+            f"{len(different)} different {' '.join(different)} {wall:.2f}s",
+            flush=True,
+        )
+    return differences
+
+
 def main() -> int:
     cells = json.loads(GOLDEN.read_text())["cells"]
-    differences = check_wlcrit(cells) + check_stopped_metrics(cells) + check_mc_study()
+    differences = (
+        check_wlcrit(cells)
+        + check_stopped_metrics(cells)
+        + check_mc_study()
+        + check_point_experiments()
+    )
     print(f"{differences} different")
     return 1 if differences else 0
 

@@ -16,9 +16,11 @@ grid points** plus a **query layer** over it.
 * :mod:`repro.char.build` — incremental, resumable builds through
   :mod:`repro.engine` (checkpointed batches, parallel workers,
   ``--verify`` sampling).
+* :mod:`repro.char.metrics` — the metric registry, and
+  :class:`MetricPoint` / :func:`metric_gen`, the one cell measurement.
 * :mod:`repro.char.query` — interpolated point queries with
-  nearest-simulated-point provenance, and the exact-lookup serving
-  path experiments use to become thin reads.
+  nearest-simulated-point provenance, and :func:`evaluate_points`, the
+  experiments' store-first, batched point driver.
 
 Quick start::
 
@@ -38,13 +40,19 @@ from repro.char.fingerprint import (
     entry_fingerprint,
     solver_fingerprint,
 )
-from repro.char.metrics import METRICS, MetricDef, evaluate_metric
+from repro.char.metrics import (
+    METRICS,
+    MetricDef,
+    MetricPoint,
+    evaluate_metric,
+    metric_gen,
+)
 from repro.char.query import (
     CharAnswer,
     CharGrid,
     CharQueryError,
     as_store,
-    metric_reader,
+    evaluate_points,
     stored_value,
 )
 from repro.char.spec import (
@@ -72,6 +80,7 @@ __all__ = [
     "DESIGNS",
     "METRICS",
     "MetricDef",
+    "MetricPoint",
     "StoreStatus",
     "as_store",
     "build_grid",
@@ -79,8 +88,9 @@ __all__ = [
     "device_fingerprint",
     "entry_fingerprint",
     "evaluate_metric",
+    "evaluate_points",
     "load_spec",
-    "metric_reader",
+    "metric_gen",
     "plan_build",
     "resolve_spec",
     "solver_fingerprint",

@@ -112,7 +112,12 @@ def delay_windows(design: CharDesign, vdd: float) -> tuple[float, float]:
     return 4.0e-8, 4.0e-8
 
 
-def build_cell(design_name: str, beta: float | None = None, corner: str = "tt"):
+def build_cell(
+    design_name: str,
+    beta: float | None = None,
+    corner: str = "tt",
+    scales: tuple[float, ...] | None = None,
+):
     """Build ``(cell, read_assist)`` for one grid point.
 
     ``beta=None`` means the design's canonical sizing.  A non-``tt``
@@ -120,6 +125,10 @@ def build_cell(design_name: str, beta: float | None = None, corner: str = "tt"):
     whose sizing is fixed by its topology, raises ``ValueError`` (the
     spec compiler never emits such points, and
     :func:`repro.serve.registry.validate_point` rejects them).
+    ``scales`` (per-transistor t_ox scales, a Monte-Carlo sample) builds
+    a TFET design on :func:`~repro.analysis.montecarlo.varied_device_set`
+    cards in place of the ``tt`` ones; a corner with scales, or scales
+    on the CMOS baseline, raises ``ValueError``.
     """
     from repro.devices.corners import corner_device_set
     from repro.experiments.designs import (
@@ -145,7 +154,17 @@ def build_cell(design_name: str, beta: float | None = None, corner: str = "tt"):
             f"design {design_name!r} has a fixed topology-defined sizing; "
             "beta is not a free axis"
         )
-    devices = corner_device_set(corner) if corner != "tt" else None
+    if scales is not None:
+        if design.technology != "tfet" or corner != "tt":
+            raise ValueError(
+                f"t_ox scales replace the tt TFET cards; design {design_name!r} "
+                f"at corner {corner!r} takes none"
+            )
+        from repro.analysis.montecarlo import varied_device_set
+
+        devices = varied_device_set(scales)
+    else:
+        devices = corner_device_set(corner) if corner != "tt" else None
 
     if design_name == "proposed":
         cell = proposed_cell(devices)

@@ -9,17 +9,33 @@ thresholds), and every stored value produced by the old procedure is
 transparently invalidated on the next build — the solver and device
 fingerprints cover everything below this layer.
 
-``evaluate_metric`` is the single cell-level measurement: the build
-workers, the experiments' serve-or-simulate reads
-(:func:`repro.char.query.metric_reader`) and ``repro cell`` all call
-it.  It is a pure function of the grid-point coordinates.
+A :class:`MetricPoint` is one cell measurement as plain data, and
+:func:`metric_gen` is the one procedure that measures it: the build
+workers and ``repro cell`` (through :func:`evaluate_metric`), the
+experiments (through :func:`repro.char.query.evaluate_points`) and the
+Monte-Carlo samples (through :mod:`repro.engine.mc`) all run it.  It is
+a pure function of the point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-__all__ = ["MetricDef", "METRICS", "evaluate_metric"]
+from repro.char.designs import DESIGNS
+
+if TYPE_CHECKING:
+    from repro.circuit.transient import TransientOptions
+    from repro.sram.assist import Assist
+
+__all__ = [
+    "METRICS",
+    "MetricDef",
+    "MetricPoint",
+    "WL_CRIT_UPPER_BOUND",
+    "evaluate_metric",
+    "metric_gen",
+]
 
 
 @dataclass(frozen=True)
@@ -66,53 +82,135 @@ METRICS: dict[str, MetricDef] = {
 WL_CRIT_UPPER_BOUND = 8.0e-9
 """Bisection upper bound for ``wl_crit`` (Fig. 12's search window)."""
 
+READ_METRICS = ("drnm", "read_delay", "read_energy")
+"""The metrics a design's canonical read assist applies to."""
+
+
+@dataclass(frozen=True)
+class MetricPoint:
+    """One cell measurement as plain, hashable, picklable data.
+
+    ``metric``, ``design``, ``vdd``, ``beta`` and ``corner`` are the
+    coordinates of a char-store entry (``beta=None`` is the design's
+    canonical sizing).  Three more fields reach measurements the store
+    does not hold:
+
+    * ``assist``: the :class:`~repro.sram.assist.Assist` the access runs
+      with.  ``None`` keeps the design's canonical configuration: its
+      read assist (the proposed cell's V_GND lowering) on the read
+      metrics, no assist on the others.
+    * ``wl_crit_bound``: the widest pulse the ``wl_crit`` bisection
+      tries; wider pulses are "infinite WL_crit".
+    * ``scales``: per-transistor t_ox scales in
+      :attr:`~repro.sram.cell.TfetDeviceSet.POSITIONS` order (a
+      Monte-Carlo sample); the TFET cards come from
+      :func:`~repro.analysis.montecarlo.varied_device_set` instead of
+      the corner's.
+
+    A point with all three at their defaults is a registry point
+    (:attr:`registry`), the only kind a char store can answer.
+    """
+
+    metric: str
+    design: str
+    vdd: float
+    beta: float | None = None
+    corner: str = "tt"
+    assist: Assist | None = None
+    wl_crit_bound: float = WL_CRIT_UPPER_BOUND
+    scales: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.metric not in METRICS:
+            known = ", ".join(sorted(METRICS))
+            raise ValueError(f"unknown metric {self.metric!r}; known: {known}")
+        if self.design not in DESIGNS:
+            known = ", ".join(sorted(DESIGNS))
+            raise ValueError(f"unknown design {self.design!r}; known: {known}")
+        if self.metric not in DESIGNS[self.design].metrics:
+            raise ValueError(
+                f"metric {self.metric!r} is undefined for design {self.design!r}"
+            )
+        if self.assist is not None and self.metric in ("hold_power", "snm"):
+            raise ValueError(f"metric {self.metric!r} takes no assist")
+        if self.scales is not None:
+            object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
+
+    @property
+    def registry(self) -> bool:
+        """Whether this is a char-store entry's point: no assist, no
+        scales and the registry's WL_crit bound."""
+        return (
+            self.assist is None
+            and self.scales is None
+            and self.wl_crit_bound == WL_CRIT_UPPER_BOUND
+        )
+
+
+def metric_gen(point: MetricPoint, options: TransientOptions | None = None):
+    """Measure one point, as a solver generator.
+
+    Builds the point's cell (:func:`~repro.char.designs.build_cell`)
+    and yields the assembly requests of its DRNM transient
+    (:func:`~repro.analysis.stability.drnm_gen`) or its WL_crit
+    bisection (:meth:`~repro.analysis.stability.WlCritSearch.search_gen`),
+    so the point can be a member of a stacked batch
+    (:func:`repro.circuit.batch.run_generators`).  Hold power, SNM,
+    delays and energies run on the scalar path and return without
+    yielding.  ``options`` are the transient solver options (the
+    engine's retry ladder escalates them).
+
+    Returns a float; ``inf`` is data (an unwritable cell's ``wl_crit``,
+    a read that never develops).  Solver failures raise.
+    """
+    from repro.analysis.energy import read_energy, write_energy
+    from repro.analysis.power import hold_power
+    from repro.analysis.snm import static_noise_margin
+    from repro.analysis.stability import WlCritSearch, drnm_gen
+    from repro.analysis.timing import read_delay, write_delay
+    from repro.char.designs import build_cell, delay_windows
+
+    metric, vdd, assist = point.metric, point.vdd, point.assist
+    design = DESIGNS[point.design]
+    cell, read_assist = build_cell(
+        point.design, beta=point.beta, corner=point.corner, scales=point.scales
+    )
+    if assist is None and metric in READ_METRICS:
+        assist = read_assist
+    pulse, duration = delay_windows(design, vdd)
+
+    if metric == "drnm":
+        bench = cell.read_testbench(vdd, assist=assist)
+        value = yield from drnm_gen(bench, options)
+    elif metric == "wl_crit":
+        search = WlCritSearch(upper_bound=point.wl_crit_bound, options=options)
+        value = yield from search.search_gen(cell.write_bench_factory(vdd, assist=assist))
+    elif metric == "hold_power":
+        value = hold_power(cell, vdd, average_states=design.hold_average_states)
+    elif metric == "snm":
+        value = static_noise_margin(cell, vdd)
+    elif metric == "read_delay":
+        value = read_delay(cell, vdd, assist=assist, duration=duration, options=options)
+    elif metric == "write_delay":
+        value = write_delay(cell, vdd, assist=assist, pulse_width=pulse, options=options)
+    elif metric == "read_energy":
+        value = read_energy(cell, vdd, assist=assist, duration=duration, options=options)
+    else:
+        value = write_energy(cell, vdd, assist=assist, pulse_width=pulse, options=options)
+    return float(value)
+
 
 def evaluate_metric(
     metric: str, design_name: str, vdd: float,
     beta: float | None = None, corner: str = "tt",
 ) -> float:
-    """Simulate one metric at one grid point.
+    """Simulate one metric at one grid point: :func:`metric_gen` of the
+    registry point, on the scalar path.
 
-    Returns a float; ``inf`` is data (an unwritable cell's ``wl_crit``,
-    a read that never develops).  Raises on solver failure — the build
-    layer records that as a structured failed entry.
+    Raises ``ValueError`` for a metric or design the registry does not
+    know, and on solver failure (the build layer records that as a
+    structured failed entry).
     """
-    from repro.analysis.power import hold_power
-    from repro.analysis.snm import static_noise_margin
-    from repro.analysis.stability import (
-        WlCritSearch,
-        critical_wordline_pulse,
-        dynamic_read_noise_margin,
-    )
-    from repro.analysis.timing import read_delay, write_delay
-    from repro.analysis.energy import read_energy, write_energy
-    from repro.char.designs import DESIGNS, build_cell, delay_windows
+    from repro.circuit.dcop import drive
 
-    if metric not in METRICS:
-        known = ", ".join(sorted(METRICS))
-        raise ValueError(f"unknown metric {metric!r}; known: {known}")
-    design = DESIGNS[design_name]
-    if metric not in design.metrics:
-        raise ValueError(f"metric {metric!r} is undefined for design {design_name!r}")
-    cell, assist = build_cell(design_name, beta=beta, corner=corner)
-    pulse, duration = delay_windows(design, vdd)
-
-    if metric == "hold_power":
-        return hold_power(cell, vdd, average_states=design.hold_average_states)
-    if metric == "drnm":
-        return dynamic_read_noise_margin(cell.read_testbench(vdd, assist=assist))
-    if metric == "snm":
-        return static_noise_margin(cell, vdd)
-    if metric == "wl_crit":
-        return critical_wordline_pulse(
-            cell, vdd, search=WlCritSearch(upper_bound=WL_CRIT_UPPER_BOUND)
-        )
-    if metric == "read_delay":
-        return read_delay(cell, vdd, assist=assist, duration=duration)
-    if metric == "write_delay":
-        return write_delay(cell, vdd, pulse_width=pulse)
-    if metric == "read_energy":
-        return read_energy(cell, vdd, assist=assist, duration=duration)
-    if metric == "write_energy":
-        return write_energy(cell, vdd, pulse_width=pulse)
-    raise AssertionError(f"unhandled metric {metric!r}")
+    return drive(metric_gen(MetricPoint(metric, design_name, vdd, beta, corner)))

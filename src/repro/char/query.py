@@ -2,12 +2,12 @@
 
 Two consumption styles:
 
-* **Exact serving** (:func:`stored_value`, :func:`metric_reader`) —
+* **Exact serving** (:func:`stored_value`, :func:`evaluate_points`) —
   experiments ask the store for the exact grid point they would
   otherwise simulate; a hit is a free result, a miss runs
-  :func:`~repro.char.metrics.evaluate_metric`, the procedure that
-  produced the stored value.  No spec needed: the point's content
-  address is the lookup key.
+  :func:`~repro.char.metrics.metric_gen`, the procedure that produced
+  the stored value.  No spec needed: the point's content address is
+  the lookup key.
 * **Interpolated queries** (:class:`CharGrid`) — a designer asks for a
   metric at an *uncharacterized* operating point
   (``DRNM(vdd=0.45)``); the grid answers by interpolating along the
@@ -44,7 +44,7 @@ __all__ = [
     "CharGrid",
     "CharQueryError",
     "as_store",
-    "metric_reader",
+    "evaluate_points",
     "stored_value",
 ]
 
@@ -101,27 +101,65 @@ def stored_value(
     return value
 
 
-def metric_reader(char_store):
-    """A serve-or-simulate reader for the experiments.
+def evaluate_points(points, *, jobs: int = 1, char_store=None) -> list[float]:
+    """Every point's value, in the order of ``points``: the experiments'
+    one measurement driver.
 
-    ``read(metric, design, vdd, beta=None, corner="tt")`` returns the
-    stored exact value when the store has it, else simulates the point
-    with :func:`~repro.char.metrics.evaluate_metric`.  A served value and
-    a simulated one therefore come from one measurement procedure.  With
-    ``char_store=None`` every call simulates.
+    1. With a ``char_store``, a registry point
+       (:attr:`~repro.char.metrics.MetricPoint.registry`) the store holds
+       is answered from it (:func:`stored_value`); points with an
+       assist, scales or another WL_crit bound are never looked up.
+    2. Duplicate points are evaluated once.
+    3. The rest are grouped by ``(design, metric)``, one cell topology
+       per group, and each group is cut into
+       :func:`~repro.engine.mc.chunk_size` chunks for ``jobs`` workers.
+       A chunk is one Monte-Carlo chunk task
+       (:func:`~repro.engine.mc.evaluate_mc_chunk`): one stacked batch
+       of :func:`~repro.char.metrics.metric_gen` generators, with the
+       scalar retry ladder.  Every value equals the scalar
+       ``drive(metric_gen(point))`` bit for bit, at any ``jobs``.
+    4. A point that still fails after its retries raises
+       ``RuntimeError`` naming the point.
     """
-    from repro.char import metrics
+    from repro.engine.mc import (
+        chunk_ranges,
+        chunk_size,
+        point_chunk_tasks,
+        run_point_chunks,
+    )
+    from repro.engine.scheduler import EngineConfig
 
     store = as_store(char_store)
-
-    def read(metric, design, vdd, beta=None, corner="tt"):
-        if store is not None:
-            value = stored_value(store, metric, design, vdd, beta=beta, corner=corner)
-            if value is not None:
-                return value
-        return metrics.evaluate_metric(metric, design, vdd, beta=beta, corner=corner)
-
-    return read
+    values = {}
+    unique = list(dict.fromkeys(points))
+    if store is not None:
+        for p in unique:
+            if p.registry:
+                value = stored_value(store, p.metric, p.design, p.vdd, p.beta, p.corner)
+                if value is not None:
+                    values[p] = value
+    groups: dict[tuple[str, str], list] = {}
+    for p in unique:
+        if p not in values:
+            groups.setdefault((p.design, p.metric), []).append(p)
+    pending = [p for group in groups.values() for p in group]
+    if pending:
+        ranges, offset = [], 0
+        for group in groups.values():
+            ranges += chunk_ranges(len(group), chunk_size(len(group), jobs), offset)
+            offset += len(group)
+        config = EngineConfig(
+            jobs=jobs, run_key="points", collect_telemetry=telemetry.active() is not None
+        )
+        tasks = point_chunk_tasks(pending, ranges, 0, config)
+        report = run_point_chunks(tasks, len(pending), config)
+        for p, outcome in zip(pending, report.outcomes):
+            if not outcome.ok:
+                raise RuntimeError(
+                    f"{p} failed after {outcome.attempts} attempt(s): {outcome.error}"
+                )
+            values[p] = outcome.value
+    return [values[p] for p in points]
 
 
 # -- interpolated queries --------------------------------------------------

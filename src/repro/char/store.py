@@ -11,9 +11,11 @@ line per completed entry, keyed by the entry fingerprint
 (:mod:`repro.char.fingerprint`).  Appends are flushed per line, so a
 killed build loses at most the entries still in flight; duplicate
 fingerprints resolve last-wins (a re-characterization supersedes the
-old value without rewriting history).  Values use the Python JSON
-dialect (``Infinity``/``NaN`` literals), matching the engine
-checkpoint convention that a diverged metric is data.
+old value without rewriting history).  The index is strict JSON: a
+non-finite value (a diverged metric is data) is written as
+``{"__float__": "Infinity" | "-Infinity" | "NaN"}``, the form result
+files and the serve wire use (:func:`repro.experiments.io.encode_tree`);
+the bare ``Infinity``/``NaN`` literals of older indexes still read.
 
 Entries are **never invalidated in place**: a solver or device change
 changes the fingerprints the build layer asks for, so stale entries
@@ -37,6 +39,7 @@ import numpy as np
 
 from repro.char.fingerprint import CHAR_SCHEMA, entry_fingerprint
 from repro.char.spec import CharEntry, CharSpec
+from repro.experiments.io import _decode_value, encode_tree
 from repro.telemetry import core as telemetry
 
 __all__ = ["CharStore", "StoreStatus", "DEFAULT_STORE_DIR", "spec_digest"]
@@ -158,7 +161,7 @@ class CharStore:
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
+                    record = json.loads(line, object_hook=_decode_value)
                 except json.JSONDecodeError:
                     break  # torn tail from an interrupted append
                 records[str(record["fp"])] = record
@@ -202,7 +205,7 @@ class CharStore:
             if fresh:
                 handle.write(json.dumps({"schema": _INDEX_SCHEMA}) + "\n")
             for record in records:
-                handle.write(json.dumps(record) + "\n")
+                handle.write(json.dumps(encode_tree(record), allow_nan=False) + "\n")
                 handle.flush()
         self._index_cache = None
         tel = telemetry.active()

@@ -4,7 +4,6 @@ This package is the reproduction's stand-in for the commercial
 simulator the paper drives through Verilog-A lookup-table models.
 """
 
-from repro.circuit.ac import AcResult, ac_analysis
 from repro.circuit.dcop import ConvergenceError, SolverOptions, solve_dc
 from repro.circuit.elements import (
     GROUND,
@@ -24,8 +23,6 @@ from repro.circuit.transient import TransientOptions, simulate_transient
 from repro.circuit.waveforms import Constant, PiecewiseLinear, Pulse, Waveform
 
 __all__ = [
-    "AcResult",
-    "ac_analysis",
     "parse_netlist",
     "format_netlist",
     "format_operating_point",

@@ -1,21 +1,27 @@
-"""Engine-backed Monte-Carlo: picklable sample specs and chunked runs.
+"""Engine-backed point evaluation: chunks of metric points, each one
+stacked batch.
 
-A :class:`McMetricSpec` *describes* the cell and metric as plain data
-(beta, access configuration, assist name, metric kind), so a
-module-level task function can rebuild and evaluate it inside any
-worker process.  :class:`MonteCarloBatch` runs a study as chunks of
-samples, each chunk one stacked Newton batch (:mod:`repro.circuit.batch`);
-the scalar :func:`evaluate_mc_sample` is the retry ladder and the audit
-reference for every member.
+A :class:`~repro.char.metrics.MetricPoint` is plain data, so the
+module-level chunk task :func:`evaluate_mc_chunk` can evaluate a tuple
+of them in any worker process: one stacked Newton batch
+(:mod:`repro.circuit.batch`) over their
+:func:`~repro.char.metrics.metric_gen` generators, with the scalar
+:func:`evaluate_mc_point` as the retry ladder and the audit reference
+of every member.  :func:`run_point_chunks` runs chunks of a point list
+through the engine and expands them into per-point outcomes; the
+experiments' :func:`repro.char.query.evaluate_points` and the
+Monte-Carlo :class:`MonteCarloBatch` both run on it.
 
-Per-sample thickness scales derive from ``(root_seed, sample_index)``
-via the engine's seed derivation, and each chunk task is keyed by the
-range of samples it holds, so a study is reproducible at any worker
-count and chunk size, resumable, and extendable (a 200-sample run
-reuses the chunks of a 64-sample run of the same seed that hold the
-same samples).  A checkpoint whose chunks hold other ranges (another
-chunk size, or one written before :func:`chunk_size` balanced the
-chunks) is valid but replays nothing: its samples are recomputed.
+A Monte-Carlo sample is the point :meth:`McMetricSpec.point` makes of
+its per-transistor thickness scales.  The scales derive from
+``(root_seed, sample_index)`` via the engine's seed derivation, and
+each chunk task is keyed by the range of samples it holds, so a study
+is reproducible at any worker count and chunk size, resumable, and
+extendable (a 200-sample run reuses the chunks of a 64-sample run of
+the same seed that hold the same samples).  A checkpoint whose chunks
+hold other ranges (another chunk size, or one written before
+:func:`chunk_size` balanced the chunks) is valid but replays nothing:
+its samples are recomputed.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.char.metrics import MetricPoint, metric_gen
 from repro.circuit.dcop import SolverOptions, drive
 from repro.circuit.transient import TransientOptions
 from repro.devices.variation import OxideVariation
@@ -37,10 +44,14 @@ __all__ = [
     "McMetricSpec",
     "MonteCarloBatch",
     "chunk_index",
+    "chunk_ranges",
     "chunk_size",
     "escalated_transient_options",
     "evaluate_mc_chunk",
+    "evaluate_mc_point",
     "evaluate_mc_sample",
+    "point_chunk_tasks",
+    "run_point_chunks",
     "sample_scales",
 ]
 
@@ -81,6 +92,16 @@ def chunk_index(lo: int, hi: int) -> int:
     return (lo + hi) * (lo + hi + 1) // 2 + hi
 
 
+def chunk_ranges(count: int, size: int, offset: int = 0) -> list[tuple[int, int]]:
+    """``[lo, hi)`` ranges of at most ``size`` items covering
+    ``offset .. offset + count``, in order."""
+    if size < 1:
+        raise ValueError(f"chunk size must be >= 1, got {size}")
+    return [
+        (offset + lo, offset + min(count, lo + size)) for lo in range(0, count, size)
+    ]
+
+
 def sample_scales(
     variation: OxideVariation, root_seed: int, index: int, transistor_count: int
 ) -> tuple[float, ...]:
@@ -115,20 +136,18 @@ def escalated_transient_options(attempt: int) -> TransientOptions | None:
 
 @dataclass(frozen=True)
 class McMetricSpec:
-    """Plain-data description of one Monte-Carlo metric evaluation.
+    """Plain-data description of one Monte-Carlo study of the inward-pTFET cell.
 
-    ``metric`` is ``"wlcrit"`` (critical wordline pulse; ``assist``
-    names an entry of ``WRITE_ASSISTS``) or ``"drnm"`` (dynamic read
-    noise margin; ``assist`` names an entry of ``READ_ASSISTS``).
-    ``access`` is an :class:`~repro.sram.AccessConfig` member name.
-    Everything here is picklable, so a spec travels to worker
-    processes by value.
+    ``metric`` is ``"wlcrit"`` (critical wordline pulse within
+    ``wlcrit_upper_bound``; ``assist`` names an entry of
+    ``WRITE_ASSISTS``) or ``"drnm"`` (dynamic read noise margin;
+    ``assist`` names an entry of ``READ_ASSISTS``).  Everything here is
+    picklable, so a spec travels to worker processes by value.
     """
 
     metric: str
     beta: float
     vdd: float = 0.8
-    access: str = "INWARD_P"
     assist: str | None = None
     wlcrit_upper_bound: float = 4.0e-9
     metric_name: str = "metric"
@@ -141,61 +160,58 @@ class McMetricSpec:
                 f"metric must be 'wlcrit' or 'drnm', got {self.metric!r}"
             )
 
+    def point(self, scales) -> MetricPoint:
+        """The sample with these per-transistor thickness scales."""
+        from repro.sram import READ_ASSISTS, WRITE_ASSISTS
 
-def _mc_sample_gen(payload, ctx: TaskContext):
-    """Generator form of :func:`evaluate_mc_sample`: builds the varied
-    cell and yields the metric's assembly requests, so one sample can
-    be a member of a stacked batch."""
-    from repro.analysis.montecarlo import varied_device_set
-    from repro.analysis.stability import WlCritSearch, drnm_gen
-    from repro.sram import (
-        READ_ASSISTS,
-        WRITE_ASSISTS,
-        AccessConfig,
-        CellSizing,
-        Tfet6TCell,
-    )
-
-    spec, scales = payload
-    options = escalated_transient_options(ctx.attempt)
-    devices = varied_device_set(scales)
-    cell = Tfet6TCell(
-        CellSizing().with_beta(spec.beta), AccessConfig[spec.access], devices=devices
-    )
-    if spec.metric == "wlcrit":
-        assist = WRITE_ASSISTS[spec.assist] if spec.assist else None
-        search = WlCritSearch(upper_bound=spec.wlcrit_upper_bound, options=options)
-        value = yield from search.search_gen(
-            cell.write_bench_factory(spec.vdd, assist=assist)
+        if self.metric == "wlcrit":
+            return MetricPoint(
+                "wl_crit", "inward_p", self.vdd, self.beta,
+                assist=WRITE_ASSISTS[self.assist] if self.assist else None,
+                wl_crit_bound=self.wlcrit_upper_bound,
+                scales=scales,
+            )
+        return MetricPoint(
+            "drnm", "inward_p", self.vdd, self.beta,
+            assist=READ_ASSISTS[self.assist] if self.assist else None,
+            scales=scales,
         )
-        return float(value)
-    assist = READ_ASSISTS[spec.assist] if spec.assist else None
-    value = yield from drnm_gen(cell.read_testbench(spec.vdd, assist=assist), options)
-    return float(value)
+
+
+def evaluate_mc_point(point: MetricPoint, ctx: TaskContext) -> float:
+    """Task function: one point on the scalar path.
+
+    Drives :func:`~repro.char.metrics.metric_gen` with
+    :func:`escalated_transient_options` for ``ctx.attempt``: the retry
+    ladder and the audit reference of every chunk member.  The point's
+    transients are not ``transient`` telemetry spans of their own;
+    their counters are recorded.
+    """
+    return drive(metric_gen(point, escalated_transient_options(ctx.attempt)))
 
 
 def evaluate_mc_sample(payload, ctx: TaskContext) -> float:
-    """Task function: build the varied cell and evaluate the spec's metric.
+    """Task function: one Monte-Carlo sample on the scalar path.
 
-    ``payload`` is ``(spec, scales)``.  On retries the transient solver
-    runs with :func:`escalated_transient_options` for the attempt.  The
-    sample's transients are not ``transient`` telemetry spans of their
-    own; their counters are recorded.
+    ``payload`` is ``(spec, scales)``; the sample is
+    ``spec.point(scales)`` through :func:`evaluate_mc_point`.
     """
-    return drive(_mc_sample_gen(payload, ctx))
+    spec, scales = payload
+    return evaluate_mc_point(spec.point(scales), ctx)
 
 
 def evaluate_mc_chunk(payload, ctx: TaskContext) -> list[dict]:
-    """Task function: evaluate a whole chunk of samples as one stacked batch.
+    """Task function: evaluate a whole chunk of points as one stacked batch.
 
-    ``payload`` is ``(spec, entries, retries, verify_fraction,
+    ``payload`` is ``(entries, retries, verify_fraction,
     verify_options)`` with ``entries`` a tuple of ``(index, seed,
-    scales)`` triples, one per batch member.  Attempt 0 solves every
-    member together through :mod:`repro.circuit.batch`; a member that
-    fails with a retryable solver error splits off to the scalar
-    :func:`evaluate_mc_sample` path with the usual escalation ladder
-    (``engine.convergence_errors`` / ``engine.retries`` counter
-    semantics match :func:`~repro.engine.worker.execute_task`).
+    point)`` triples, one per batch member.  Attempt 0 solves every
+    member's :func:`~repro.char.metrics.metric_gen` together through
+    :mod:`repro.circuit.batch`; a member that fails with a retryable
+    solver error splits off to the scalar :func:`evaluate_mc_point`
+    path with the usual escalation ladder (``engine.convergence_errors``
+    / ``engine.retries`` counter semantics match
+    :func:`~repro.engine.worker.execute_task`).
 
     Bit-level trust: the same deterministic per-seed draw the engine
     uses for task auditing (:func:`~repro.engine.worker.verify_selected`)
@@ -211,16 +227,13 @@ def evaluate_mc_chunk(payload, ctx: TaskContext) -> list[dict]:
     from repro.engine.worker import RETRYABLE_ERRORS, verify_selected
     from repro.verify.core import VerificationError
 
-    spec, entries, retries, verify_fraction, verify_options = payload
+    entries, retries, verify_fraction, verify_options = payload
     tel = telemetry.active()
 
-    outcomes = run_generators([
-        _mc_sample_gen((spec, scales), TaskContext(index=index, seed=seed, attempt=0))
-        for index, seed, scales in entries
-    ])
+    outcomes = run_generators([metric_gen(point) for _, _, point in entries])
 
     records = []
-    for (index, seed, scales), outcome in zip(entries, outcomes):
+    for (index, seed, point), outcome in zip(entries, outcomes):
         attempt = 0
         value = outcome.value if outcome.status == "ok" else None
         error = outcome.error if outcome.status != "ok" else None
@@ -237,9 +250,8 @@ def evaluate_mc_chunk(payload, ctx: TaskContext) -> list[dict]:
             if tel is not None:
                 tel.count("batch.member_retries")
             try:
-                value = evaluate_mc_sample(
-                    (spec, scales),
-                    TaskContext(index=index, seed=seed, attempt=attempt),
+                value = evaluate_mc_point(
+                    point, TaskContext(index=index, seed=seed, attempt=attempt)
                 )
                 error = None
             except RETRYABLE_ERRORS as exc:
@@ -258,15 +270,14 @@ def evaluate_mc_chunk(payload, ctx: TaskContext) -> list[dict]:
             session = None
             try:
                 with verify.enabled(verify_options) as session:
-                    check = evaluate_mc_sample(
-                        (spec, scales),
-                        TaskContext(index=index, seed=seed, attempt=0),
+                    check = evaluate_mc_point(
+                        point, TaskContext(index=index, seed=seed, attempt=0)
                     )
                 both_nan = math.isnan(check) and math.isnan(value)
                 if check != value and not both_nan:
                     raise VerificationError(
                         "batch",
-                        f"batched sample {index} disagrees with the scalar path",
+                        f"batched point {index} disagrees with the scalar path",
                         {"batched": value, "scalar": check},
                     )
             except Exception as exc:  # noqa: BLE001 — a real solver bug
@@ -303,6 +314,105 @@ def evaluate_mc_chunk(payload, ctx: TaskContext) -> list[dict]:
     return records
 
 
+def point_chunk_tasks(
+    points, ranges, seed: int, config: EngineConfig
+) -> list[Task]:
+    """One :func:`evaluate_mc_chunk` task per ``[lo, hi)`` range of ``points``.
+
+    Member ``k`` carries the seed ``derive_seed(seed, k)``, so its work,
+    and the deterministic audit selection, do not depend on the chunk
+    layout.  A chunk's task index is :func:`chunk_index` of its range.
+    """
+    tasks = []
+    for lo, hi in ranges:
+        entries = tuple((k, derive_seed(seed, k), points[k]) for k in range(lo, hi))
+        index = chunk_index(lo, hi)
+        tasks.append(
+            Task(
+                index=index,
+                fn=evaluate_mc_chunk,
+                payload=(
+                    entries,
+                    config.retries,
+                    config.verify_fraction,
+                    config.verify_options,
+                ),
+                seed=derive_seed(seed, index),
+            )
+        )
+    return tasks
+
+
+def run_point_chunks(
+    tasks: list[Task], count: int, config: EngineConfig
+) -> BatchReport:
+    """Run :func:`point_chunk_tasks` and expand them into a per-point report.
+
+    Retries, timeouts and verify audits keep their per-*point*
+    semantics: retried members split to the scalar path inside the
+    chunk, and ``timeout_s`` scales by the largest chunk.  The report
+    holds one outcome per point ``0 .. count - 1`` in index order;
+    ``report.resumed_count`` and the ``engine.tasks_*`` session
+    counters count *chunks*.  A chunk that died as a whole (timeout,
+    worker loss, a bug) records each of its points as failed.
+    """
+    largest = max(len(task.payload[0]) for task in tasks)
+    chunk_config = replace(
+        config,
+        retries=0,
+        verify_fraction=0.0,
+        verify_options=None,
+        run_key=config.run_key + RUN_KEY_SUFFIX,
+        timeout_s=(
+            config.timeout_s * largest if config.timeout_s is not None else None
+        ),
+    )
+    chunk_report = run_tasks(tasks, chunk_config)
+    outcomes: list[TaskOutcome] = []
+    for task, chunk in zip(tasks, chunk_report.outcomes):
+        if chunk.ok:
+            share = chunk.wall_s / max(1, len(chunk.value))
+            for rec in chunk.value:
+                outcomes.append(
+                    TaskOutcome(
+                        index=int(rec["index"]),
+                        status=str(rec["status"]),
+                        value=rec.get("value"),
+                        attempts=int(rec.get("attempts", 1)),
+                        wall_s=share,
+                        error_type=rec.get("error_type"),
+                        error=rec.get("error"),
+                    )
+                )
+        else:
+            members = [entry[0] for entry in task.payload[0]]
+            share = chunk.wall_s / len(members)
+            for k in members:
+                outcomes.append(
+                    TaskOutcome(
+                        index=k,
+                        status="failed",
+                        attempts=chunk.attempts,
+                        wall_s=share,
+                        error_type=chunk.error_type,
+                        error=chunk.error,
+                    )
+                )
+    outcomes.sort(key=lambda o: o.index)
+    if [o.index for o in outcomes] != list(range(count)):
+        raise RuntimeError(
+            f"chunk outcomes of run {config.run_key!r} do not cover points "
+            f"0..{count - 1} exactly once"
+        )
+    return BatchReport(
+        outcomes=outcomes,
+        jobs=chunk_report.jobs,
+        wall_s=chunk_report.wall_s,
+        resumed_count=chunk_report.resumed_count,
+        counters=chunk_report.counters,
+    )
+
+
 @dataclass(frozen=True)
 class MonteCarloBatch:
     """Monte-Carlo study of one :class:`McMetricSpec` on the batch engine."""
@@ -314,45 +424,20 @@ class MonteCarloBatch:
     ) -> list[Task]:
         """The study's task list: one chunk task per ``batch_size`` samples.
 
-        Member ``k`` carries the seed ``derive_seed(seed, k)`` and the
-        scales :func:`sample_scales` draws for ``(seed, k)``, so a
-        sample's work, and the deterministic audit selection, do not
-        depend on the chunk size.  A chunk's task index is
-        :func:`chunk_index` of its member range.
+        Sample ``k`` is ``spec.point`` of the scales :func:`sample_scales`
+        draws for ``(seed, k)``; see :func:`point_chunk_tasks`.
         """
         if sample_count <= 0:
             raise ValueError("sample_count must be positive")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        chunks = []
-        for lo in range(0, sample_count, batch_size):
-            hi = min(sample_count, lo + batch_size)
-            entries = tuple(
-                (
-                    k,
-                    derive_seed(seed, k),
-                    sample_scales(
-                        self.spec.variation, seed, k, self.spec.transistor_count
-                    ),
-                )
-                for k in range(lo, hi)
+        points = [
+            self.spec.point(
+                sample_scales(self.spec.variation, seed, k, self.spec.transistor_count)
             )
-            index = chunk_index(lo, hi)
-            chunks.append(
-                Task(
-                    index=index,
-                    fn=evaluate_mc_chunk,
-                    payload=(
-                        self.spec,
-                        entries,
-                        config.retries,
-                        config.verify_fraction,
-                        config.verify_options,
-                    ),
-                    seed=derive_seed(seed, index),
-                )
-            )
-        return chunks
+            for k in range(sample_count)
+        ]
+        return point_chunk_tasks(
+            points, chunk_ranges(sample_count, batch_size), seed, config
+        )
 
     def run(
         self,
@@ -363,19 +448,14 @@ class MonteCarloBatch:
     ):
         """Evaluate ``sample_count`` samples; returns a
         :class:`~repro.analysis.montecarlo.MonteCarloResult` whose
-        ``report`` attribute carries the :class:`BatchReport`.
+        ``report`` attribute carries the per-sample :class:`BatchReport`
+        of :func:`run_point_chunks`.
 
         The samples run in chunks, each solved as one stacked Newton
         batch (:mod:`repro.circuit.batch`); every value equals the
         scalar :func:`evaluate_mc_sample` to the last bit.  The chunk
         size is :func:`chunk_size` of the sample count and the engine's
-        ``jobs``; ``batch_size`` fixes it instead.  Retries, timeouts
-        and verify audits keep their per-*sample* semantics (retried
-        members split to the scalar path inside the chunk;
-        ``timeout_s`` scales by the chunk size), and the report is
-        expanded to per-sample outcomes in index order.
-        ``report.resumed_count`` and the ``engine.tasks_*`` session
-        counters count *chunks*.
+        ``jobs``; ``batch_size`` fixes it instead.
 
         Engine-level task failures (retry exhaustion, timeout, a died
         worker) enter the sample array as ``nan`` — distinguishable
@@ -387,72 +467,9 @@ class MonteCarloBatch:
         config = engine or EngineConfig()
         if batch_size is None:
             batch_size = chunk_size(sample_count, config.jobs)
-        report = self._run_chunks(sample_count, seed, config, batch_size)
+        tasks = self.chunk_tasks(sample_count, seed, config, batch_size)
+        report = run_point_chunks(tasks, sample_count, config)
         values = np.array(
             [v if v is not None else math.nan for v in report.values()], dtype=float
         )
         return MonteCarloResult(self.spec.metric_name, values, report=report)
-
-    def _run_chunks(
-        self, sample_count: int, seed: int, config: EngineConfig, batch_size: int
-    ) -> BatchReport:
-        """Run the chunk tasks and expand them into a per-sample report."""
-        tasks = self.chunk_tasks(sample_count, seed, config, batch_size)
-        chunk_config = replace(
-            config,
-            retries=0,
-            verify_fraction=0.0,
-            verify_options=None,
-            run_key=config.run_key + RUN_KEY_SUFFIX,
-            timeout_s=(
-                config.timeout_s * batch_size
-                if config.timeout_s is not None
-                else None
-            ),
-        )
-        chunk_report = run_tasks(tasks, chunk_config)
-        outcomes: list[TaskOutcome] = []
-        for task, chunk in zip(tasks, chunk_report.outcomes):
-            if chunk.ok:
-                share = chunk.wall_s / max(1, len(chunk.value))
-                for rec in chunk.value:
-                    outcomes.append(
-                        TaskOutcome(
-                            index=int(rec["index"]),
-                            status=str(rec["status"]),
-                            value=rec.get("value"),
-                            attempts=int(rec.get("attempts", 1)),
-                            wall_s=share,
-                            error_type=rec.get("error_type"),
-                            error=rec.get("error"),
-                        )
-                    )
-            else:
-                # The whole chunk died (timeout, worker loss, a bug):
-                # every member it covered is recorded as failed.
-                members = [entry[0] for entry in task.payload[1]]
-                share = chunk.wall_s / len(members)
-                for k in members:
-                    outcomes.append(
-                        TaskOutcome(
-                            index=k,
-                            status="failed",
-                            attempts=chunk.attempts,
-                            wall_s=share,
-                            error_type=chunk.error_type,
-                            error=chunk.error,
-                        )
-                    )
-        outcomes.sort(key=lambda o: o.index)
-        if [o.index for o in outcomes] != list(range(sample_count)):
-            raise RuntimeError(
-                f"chunk outcomes of run {config.run_key!r} do not cover samples "
-                f"0..{sample_count - 1} exactly once"
-            )
-        return BatchReport(
-            outcomes=outcomes,
-            jobs=chunk_report.jobs,
-            wall_s=chunk_report.wall_s,
-            resumed_count=chunk_report.resumed_count,
-            counters=chunk_report.counters,
-        )

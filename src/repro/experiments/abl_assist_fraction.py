@@ -13,20 +13,37 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.analysis.stability import (
-    WlCritSearch,
-    critical_wordline_pulse,
-    dynamic_read_noise_margin,
-)
+from repro.char.metrics import MetricPoint
+from repro.char.query import evaluate_points
 from repro.experiments.common import ExperimentResult
-from repro.sram import READ_ASSISTS, WRITE_ASSISTS, AccessConfig, CellSizing, Tfet6TCell
+from repro.sram import READ_ASSISTS, WRITE_ASSISTS
 
 DEFAULT_FRACTIONS = (0.1, 0.2, 0.3, 0.4)
 RA_BETA = 0.6
 WA_BETA = 2.0
 
 
-def run(fractions=DEFAULT_FRACTIONS, vdd: float = 0.8) -> ExperimentResult:
+def points(fractions=DEFAULT_FRACTIONS, vdd: float = 0.8) -> list[MetricPoint]:
+    """The table's points, row by row: the assisted DRNM, then the
+    assisted WL_crit."""
+    return [
+        point
+        for fraction in fractions
+        for point in (
+            MetricPoint(
+                "drnm", "inward_p", vdd, RA_BETA,
+                assist=replace(READ_ASSISTS["vgnd_lowering"], fraction=fraction),
+            ),
+            MetricPoint(
+                "wl_crit", "inward_p", vdd, WA_BETA,
+                assist=replace(WRITE_ASSISTS["vgnd_raising"], fraction=fraction),
+            ),
+        )
+    ]
+
+
+def run(fractions=DEFAULT_FRACTIONS, vdd: float = 0.8, jobs: int = 1) -> ExperimentResult:
+    values = iter(evaluate_points(points(fractions, vdd), jobs=jobs))
     result = ExperimentResult(
         "abl_assist_fraction",
         f"Assist strength sweep at V_DD = {vdd} V",
@@ -36,14 +53,9 @@ def run(fractions=DEFAULT_FRACTIONS, vdd: float = 0.8) -> ExperimentResult:
             f"WLcrit w/ vgnd_raising @beta={WA_BETA} (ps)",
         ],
     )
-    ra_cell = Tfet6TCell(CellSizing().with_beta(RA_BETA), access=AccessConfig.INWARD_P)
-    search = WlCritSearch(upper_bound=8e-9)
     for fraction in fractions:
-        ra = replace(READ_ASSISTS["vgnd_lowering"], fraction=fraction)
-        wa = replace(WRITE_ASSISTS["vgnd_raising"], fraction=fraction)
-        drnm = 1e3 * dynamic_read_noise_margin(ra_cell.read_testbench(vdd, assist=ra))
-        wa_cell = Tfet6TCell(CellSizing().with_beta(WA_BETA), access=AccessConfig.INWARD_P)
-        wl = 1e12 * critical_wordline_pulse(wa_cell, vdd, assist=wa, search=search)
+        drnm = 1e3 * next(values)
+        wl = 1e12 * next(values)
         result.add_row(fraction, drnm, wl)
     result.notes.append("both metrics improve monotonically with assist strength")
     return result

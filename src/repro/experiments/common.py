@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from repro.telemetry.diag import format_table
 
-__all__ = ["ExperimentResult", "fmt_seconds", "fmt_volts", "fmt_power", "fmt_value"]
+__all__ = ["ExperimentResult", "fmt_seconds", "fmt_volts", "fmt_value"]
 
 
 def fmt_seconds(value: float) -> str:
@@ -19,10 +19,6 @@ def fmt_seconds(value: float) -> str:
 
 def fmt_volts(value: float) -> str:
     return f"{value * 1e3:.1f} mV"
-
-
-def fmt_power(value: float) -> str:
-    return f"{value:.3e} W"
 
 
 def fmt_value(value) -> str:

@@ -15,31 +15,34 @@ discusses the deviation.
 
 from __future__ import annotations
 
-from repro.analysis.stability import WlCritSearch, critical_wordline_pulse
+from repro.char.metrics import MetricPoint
+from repro.char.query import evaluate_points
 from repro.experiments.common import ExperimentResult
-from repro.sram import WRITE_ASSISTS, AccessConfig, CellSizing, Tfet6TCell
+from repro.sram import WRITE_ASSISTS
 
 DEFAULT_BETAS = (1.0, 1.5, 2.0, 2.5, 3.0)
-SEARCH_UPPER_BOUND = 8e-9
 
 
-def run(betas=DEFAULT_BETAS, vdd: float = 0.8) -> ExperimentResult:
+def points(betas=DEFAULT_BETAS, vdd: float = 0.8) -> list[MetricPoint]:
+    """The table's points, row by row: no assist, then each technique."""
+    assists = (None, *WRITE_ASSISTS.values())
+    return [
+        MetricPoint("wl_crit", "inward_p", vdd, beta, assist=assist)
+        for beta in betas
+        for assist in assists
+    ]
+
+
+def run(betas=DEFAULT_BETAS, vdd: float = 0.8, jobs: int = 1) -> ExperimentResult:
     techniques = list(WRITE_ASSISTS)
+    values = iter(evaluate_points(points(betas, vdd), jobs=jobs))
     result = ExperimentResult(
         "fig06",
         f"WL_crit (ps) with write-assist techniques at V_DD = {vdd} V",
         ["beta", "no assist"] + techniques,
     )
-    search = WlCritSearch(upper_bound=SEARCH_UPPER_BOUND)
-
-    def wl_crit(beta: float, assist) -> float:
-        cell = Tfet6TCell(CellSizing().with_beta(beta), access=AccessConfig.INWARD_P)
-        return 1e12 * critical_wordline_pulse(cell, vdd, assist=assist, search=search)
-
     for beta in betas:
-        row = [beta, wl_crit(beta, None)]
-        row += [wl_crit(beta, WRITE_ASSISTS[name]) for name in techniques]
-        result.add_row(*row)
+        result.add_row(beta, *(1e12 * next(values) for _ in range(1 + len(techniques))))
     result.notes.append(
         "paper shape: wl_lowering/bl_raising best at low beta, failing by "
         "beta ~ 2.5-3; rail-based assists degrade more slowly"

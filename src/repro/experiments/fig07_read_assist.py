@@ -9,29 +9,34 @@ bitline lowering) gains ground as beta shrinks.
 
 from __future__ import annotations
 
-from repro.analysis.stability import dynamic_read_noise_margin
+from repro.char.metrics import MetricPoint
+from repro.char.query import evaluate_points
 from repro.experiments.common import ExperimentResult
-from repro.sram import READ_ASSISTS, AccessConfig, CellSizing, Tfet6TCell
+from repro.sram import READ_ASSISTS
 
 DEFAULT_BETAS = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
-def run(betas=DEFAULT_BETAS, vdd: float = 0.8) -> ExperimentResult:
+def points(betas=DEFAULT_BETAS, vdd: float = 0.8) -> list[MetricPoint]:
+    """The table's points, row by row: no assist, then each technique."""
+    assists = (None, *READ_ASSISTS.values())
+    return [
+        MetricPoint("drnm", "inward_p", vdd, beta, assist=assist)
+        for beta in betas
+        for assist in assists
+    ]
+
+
+def run(betas=DEFAULT_BETAS, vdd: float = 0.8, jobs: int = 1) -> ExperimentResult:
     techniques = list(READ_ASSISTS)
+    values = iter(evaluate_points(points(betas, vdd), jobs=jobs))
     result = ExperimentResult(
         "fig07",
         f"DRNM (mV) with read-assist techniques at V_DD = {vdd} V",
         ["beta", "no assist"] + techniques,
     )
-
-    def drnm(beta: float, assist) -> float:
-        cell = Tfet6TCell(CellSizing().with_beta(beta), access=AccessConfig.INWARD_P)
-        return 1e3 * dynamic_read_noise_margin(cell.read_testbench(vdd, assist=assist))
-
     for beta in betas:
-        row = [beta, drnm(beta, None)]
-        row += [drnm(beta, READ_ASSISTS[name]) for name in techniques]
-        result.add_row(*row)
+        result.add_row(beta, *(1e3 * next(values) for _ in range(1 + len(techniques))))
     result.notes.append(
         "paper shape: vdd_raising/vgnd_lowering dominate at large beta; "
         "access-weakening techniques close the gap as beta shrinks"

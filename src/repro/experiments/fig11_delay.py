@@ -5,7 +5,7 @@ access); the proposed cell's read-assist gives it the best TFET read
 at low V_DD, with CMOS taking over at high V_DD.
 
 Every delay is the registry's measurement
-(:func:`repro.char.metrics.evaluate_metric`): the TFET cells get the
+(:func:`repro.char.metrics.metric_gen`): the TFET cells get the
 widened low-V_DD wordline windows of :func:`repro.char.designs.delay_windows`
 so the slow corner can complete (the paper's Fig. 11 write delays grow
 past a nanosecond at 0.5 V).  With ``char_store`` pointing at a built
@@ -15,6 +15,8 @@ index lookup of the same number.
 
 from __future__ import annotations
 
+from repro.char.metrics import MetricPoint
+from repro.char.query import evaluate_points
 from repro.experiments.common import ExperimentResult
 
 DEFAULT_VDDS = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -32,19 +34,23 @@ COLUMNS = (
 """``(column label, metric, design)`` for every delay column."""
 
 
-def run(vdds=DEFAULT_VDDS, char_store=None) -> ExperimentResult:
-    from repro.char.query import metric_reader
+def points(vdds=DEFAULT_VDDS) -> list[MetricPoint]:
+    """The table's points, row by row."""
+    return [
+        MetricPoint(metric, design, vdd)
+        for vdd in vdds
+        for _, metric, design in COLUMNS
+    ]
 
-    read = metric_reader(char_store)
+
+def run(vdds=DEFAULT_VDDS, char_store=None, jobs: int = 1) -> ExperimentResult:
+    values = iter(evaluate_points(points(vdds), jobs=jobs, char_store=char_store))
     result = ExperimentResult(
         "fig11",
         "Write / read delay (ps) vs V_DD",
         ["vdd (V)", *(label for label, _, _ in COLUMNS)],
     )
     for vdd in vdds:
-        result.add_row(
-            vdd,
-            *(1e12 * read(metric, design, vdd) for _, metric, design in COLUMNS),
-        )
+        result.add_row(vdd, *(1e12 * next(values) for _ in COLUMNS))
     result.notes.append("paper shape: CMOS fastest write at every V_DD")
     return result

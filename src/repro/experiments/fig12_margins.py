@@ -8,13 +8,15 @@ separatrix), and which the registry records by leaving ``wl_crit`` out
 of the ``asym`` design's metrics.
 
 Every value is the registry's measurement
-(:func:`repro.char.metrics.evaluate_metric`): WL_crit bisects within
+(:func:`repro.char.metrics.metric_gen`): WL_crit bisects within
 ``WL_CRIT_UPPER_BOUND`` and the proposed cell reads with its V_GND
 lowering assist, so a built ``nominal`` store serves this figure.
 """
 
 from __future__ import annotations
 
+from repro.char.metrics import MetricPoint
+from repro.char.query import evaluate_points
 from repro.experiments.common import ExperimentResult
 
 DEFAULT_VDDS = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -34,21 +36,24 @@ SCALE = {"wl_crit": 1e12, "drnm": 1e3}
 """WL_crit in ps, DRNM in mV."""
 
 
-def run(vdds=DEFAULT_VDDS, char_store=None) -> ExperimentResult:
-    from repro.char.query import metric_reader
+def points(vdds=DEFAULT_VDDS) -> list[MetricPoint]:
+    """The table's points, row by row."""
+    return [
+        MetricPoint(metric, design, vdd)
+        for vdd in vdds
+        for _, metric, design in COLUMNS
+    ]
 
-    read = metric_reader(char_store)
+
+def run(vdds=DEFAULT_VDDS, char_store=None, jobs: int = 1) -> ExperimentResult:
+    values = iter(evaluate_points(points(vdds), jobs=jobs, char_store=char_store))
     result = ExperimentResult(
         "fig12",
         "WL_crit (ps) and DRNM (mV) vs V_DD",
         ["vdd (V)", *(label for label, _, _ in COLUMNS)],
     )
     for vdd in vdds:
-        result.add_row(
-            vdd,
-            *(SCALE[metric] * read(metric, design, vdd)
-              for _, metric, design in COLUMNS),
-        )
+        result.add_row(vdd, *(SCALE[metric] * next(values) for _, metric, _ in COLUMNS))
     result.notes.append(
         "asym WL_crit undefined (no separatrix); paper shape: every TFET "
         "cell above CMOS in WL_crit, proposed smallest among TFET cells"

@@ -20,20 +20,24 @@ events the trace records.  ``repro diag`` summarizes saved manifests.
 retained reference implementations while the experiment runs (see
 :mod:`repro.verify`).
 
-Batch-engine flags (sampling experiments such as ``fig09``/``fig10``):
-``--samples N`` sets the Monte-Carlo size, ``--jobs J`` fans the
-samples across J worker processes (bit-identical to ``--jobs 1``),
-``--seed S`` sets the root seed, and ``--resume`` continues an
-interrupted run from its JSONL checkpoints under
-``<output-dir>/checkpoints/``.  The samples always run as stacked
-Newton batches, in chunks sized from ``--samples`` and ``--jobs``.
-Experiments that do not sample ignore these flags with a note.
+Batch-engine flags: ``--jobs J`` fans an experiment's work across J
+worker processes (bit-identical to ``--jobs 1``).  It reaches the
+Monte-Carlo figures (``fig09``/``fig10``) and every experiment that is
+a list of cell measurements (``fig04``, ``fig06``, ``fig07``,
+``fig08``, ``fig11``, ``fig12``, ``tab_power``,
+``abl_assist_fraction``, all through
+:func:`repro.char.query.evaluate_points`); both run their work as
+stacked Newton batches, in chunks sized from the work and ``--jobs``.
+For the Monte-Carlo figures, ``--samples N`` sets the sample count,
+``--seed S`` the root seed, and ``--resume`` continues an interrupted
+run from its JSONL checkpoints under ``<output-dir>/checkpoints/``.
+Experiments that do not take a flag ignore it with a note.
 
 ``--char-store DIR`` serves grid points from a pre-built
 characterization store (:mod:`repro.char`); missing points are
-simulated with :func:`repro.char.metrics.evaluate_metric`, the
-procedure the store's values came from.  Experiments without a
-servable grid ignore the flag with a note.
+simulated with :func:`repro.char.metrics.metric_gen`, the procedure
+the store's values came from.  Experiments without a servable grid
+ignore the flag with a note.
 """
 
 from __future__ import annotations
@@ -303,7 +307,8 @@ def main(argv: list[str] | None = None, prog: str = "repro.experiments") -> int:
         % DEFAULT_MANIFEST_DIR,
     )
     engine_group = parser.add_argument_group(
-        "batch engine (experiments that sample, e.g. fig09/fig10)"
+        "batch engine (--jobs: the Monte-Carlo figures and the cell-measurement "
+        "sweeps; --samples/--seed/--resume: fig09/fig10)"
     )
     engine_group.add_argument(
         "--samples",

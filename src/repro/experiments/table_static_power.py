@@ -14,15 +14,24 @@ from __future__ import annotations
 
 import math
 
+from repro.char.metrics import MetricPoint
+from repro.char.query import evaluate_points
 from repro.experiments.common import ExperimentResult
 
 DEFAULT_VDDS = (0.5, 0.6, 0.7, 0.8)
 
+HOLD_DESIGNS = ("proposed", "outward_n", "asym", "7t", "cmos")
+"""The hold-power columns; the registry measures the outward cell in
+its leaky state."""
 
-def run(vdds=DEFAULT_VDDS, char_store=None) -> ExperimentResult:
-    from repro.char.query import metric_reader
 
-    read = metric_reader(char_store)
+def points(vdds=DEFAULT_VDDS) -> list[MetricPoint]:
+    """The table's points, row by row."""
+    return [MetricPoint("hold_power", design, vdd) for vdd in vdds for design in HOLD_DESIGNS]
+
+
+def run(vdds=DEFAULT_VDDS, char_store=None, jobs: int = 1) -> ExperimentResult:
+    values = iter(evaluate_points(points(vdds), jobs=jobs, char_store=char_store))
     result = ExperimentResult(
         "tab_power",
         "Hold (static) power in watts per cell",
@@ -39,12 +48,7 @@ def run(vdds=DEFAULT_VDDS, char_store=None) -> ExperimentResult:
         ],
     )
     for vdd in vdds:
-        p_in = read("hold_power", "proposed", vdd)
-        # The registry measures the outward cell in its leaky state.
-        p_out = read("hold_power", "outward_n", vdd)
-        p_asym = read("hold_power", "asym", vdd)
-        p_7t = read("hold_power", "7t", vdd)
-        p_cmos = read("hold_power", "cmos", vdd)
+        p_in, p_out, p_asym, p_7t, p_cmos = (next(values) for _ in HOLD_DESIGNS)
         result.add_row(
             vdd,
             p_in,

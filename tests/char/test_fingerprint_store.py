@@ -129,6 +129,33 @@ class TestStore:
         store.append([_record(entry, fp, value=None, status="failed")])
         assert store.value(entry.point, entry.metric) is None
 
+    def test_non_finite_value_is_strict_json(self, tmp_path):
+        """An unwritable cell's ``inf`` is written as ``{"__float__": ...}``,
+        so every index line parses without the ``Infinity`` literal."""
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        store = CharStore(tmp_path)
+        spec = CharSpec(name="inf", designs=("inward_n",), vdds=(0.8,), metrics=("wl_crit",))
+        entry = spec.entries()[0]
+        store.append([_record(entry, entry_fingerprint(entry.point, entry.metric),
+                              value=float("inf"))])
+        lines = store.index_path.read_text().splitlines()
+        records = [json.loads(line, parse_constant=reject) for line in lines]
+        assert records[1]["value"] == {"__float__": "Infinity"}
+        assert CharStore(tmp_path).value(entry.point, "wl_crit") == float("inf")
+
+    def test_bare_infinity_of_older_indexes_still_reads(self, tmp_path):
+        store = CharStore(tmp_path)
+        spec = CharSpec(name="inf", designs=("inward_n",), vdds=(0.8,), metrics=("wl_crit",))
+        entry = spec.entries()[0]
+        store.append([_record(entry, entry_fingerprint(entry.point, entry.metric))])
+        header, line = store.index_path.read_text().splitlines()
+        older = line.replace('"value": 1.0', '"value": Infinity')
+        assert older != line
+        store.index_path.write_text(f"{header}\n{older}\n")
+        assert CharStore(tmp_path).value(entry.point, "wl_crit") == float("inf")
+
     def test_torn_tail_tolerated(self, tmp_path):
         store = CharStore(tmp_path)
         entries = _tiny_spec().entries()

@@ -17,10 +17,11 @@ from repro.char import (
     CharQueryError,
     CharSpec,
     CharStore,
+    MetricPoint,
     build_grid,
     entry_fingerprint,
     evaluate_metric,
-    metric_reader,
+    evaluate_points,
     stored_value,
 )
 
@@ -203,27 +204,58 @@ class TestServing:
         assert stored_value(store, "drnm", "cmos", 0.123) is None
         assert stored_value(store, "drnm", "proposed", 0.7) is None
 
-    def test_metric_reader_simulates_misses_with_evaluate_metric(
+    def test_evaluate_points_serves_registry_points_and_simulates_misses(
         self, tmp_path, monkeypatch
     ):
-        from repro.char import metrics
+        from repro.engine import mc
+        from repro.sram import READ_ASSISTS
 
-        spec = _vdd_spec()
+        spec = _vdd_spec(metrics=("drnm", "wl_crit"))
         store = CharStore(tmp_path)
         _fill(store, spec, lambda p, m: 2.0 * p.vdd)
         calls = []
 
-        def recording(metric, design, vdd, beta=None, corner="tt"):
-            calls.append((metric, design, vdd, beta, corner))
+        def recording(point, options=None):
+            calls.append(point)
             return 999.0
+            yield  # pragma: no cover - makes this a generator
 
-        monkeypatch.setattr(metrics, "evaluate_metric", recording)
-        read = metric_reader(store)
-        assert read("drnm", "cmos", 0.7) == pytest.approx(1.4)
+        monkeypatch.setattr(mc, "metric_gen", recording)
+        stored = MetricPoint("drnm", "cmos", 0.7)
+        miss = MetricPoint("drnm", "cmos", 0.123, beta=1.1)
+        assert evaluate_points([stored], char_store=store) == [pytest.approx(1.4)]
         assert calls == []
-        assert read("drnm", "cmos", 0.123, beta=1.1) == 999.0
-        assert calls == [("drnm", "cmos", 0.123, 1.1, "tt")]
+        assert evaluate_points([stored, miss], char_store=store) == [
+            pytest.approx(1.4), 999.0
+        ]
+        assert calls == [miss]
+        # The store holds these coordinates, but not these measurements.
+        off_registry = [
+            MetricPoint("drnm", "cmos", 0.7, assist=READ_ASSISTS["vgnd_lowering"]),
+            MetricPoint("drnm", "cmos", 0.7, scales=(1.0,) * 6),
+            MetricPoint("wl_crit", "cmos", 0.7, wl_crit_bound=4.0e-9),
+        ]
+        calls.clear()
+        assert evaluate_points(off_registry, char_store=store) == [999.0] * 3
+        assert calls == off_registry
         # Without a store every point simulates.
-        read_none = metric_reader(None)
-        assert read_none("drnm", "inward_p", 0.7, beta=0.8, corner="ss") == 999.0
-        assert calls[-1] == ("drnm", "inward_p", 0.7, 0.8, "ss")
+        calls.clear()
+        other = MetricPoint("drnm", "inward_p", 0.7, beta=0.8, corner="ss")
+        assert evaluate_points([stored, other]) == [999.0, 999.0]
+        assert calls == [stored, other]
+
+    def test_point_failing_after_its_retries_raises_and_names_it(self, monkeypatch):
+        from repro.circuit.dcop import ConvergenceError
+        from repro.engine import mc
+
+        def diverging(point, options=None):
+            raise ConvergenceError("no operating point")
+            yield  # pragma: no cover - makes this a generator
+
+        monkeypatch.setattr(mc, "metric_gen", diverging)
+        point = MetricPoint("drnm", "cmos", 0.7)
+        with pytest.raises(RuntimeError) as info:
+            evaluate_points([point])
+        assert repr(point) in str(info.value)
+        assert "after 3 attempt(s)" in str(info.value)
+        assert "ConvergenceError" in str(info.value)

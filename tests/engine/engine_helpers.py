@@ -42,13 +42,13 @@ def busy_sleep(payload, ctx) -> float:
 
 def record_chunk_scales(payload, ctx):
     """Echo chunk task function: every member's scales, in member order."""
-    return [list(scales) for _index, _seed, scales in payload[1]]
+    return [list(point.scales) for _index, _seed, point in payload[0]]
 
 
 def sum_scales_chunk(payload, ctx):
     """Fake chunk task function: one ok record per member, valued at the
     sum of its scales (no circuit solving)."""
     return [
-        {"index": index, "status": "ok", "value": float(sum(scales)), "attempts": 1}
-        for index, _seed, scales in payload[1]
+        {"index": index, "status": "ok", "value": float(sum(point.scales)), "attempts": 1}
+        for index, _seed, point in payload[0]
     ]

@@ -81,11 +81,11 @@ class TestMonteCarloBatchTasks:
             5, seed=9, config=EngineConfig(), batch_size=1
         )
         assert [t.index for t in tasks] == [chunk_index(k, k + 1) for k in range(5)]
+        spec = self.spec()
         for k, task in enumerate(tasks):
-            spec, entries = task.payload[:2]
-            assert spec == self.spec()
+            entries = task.payload[0]
             assert entries == (
-                (k, derive_seed(9, k), sample_scales(spec.variation, 9, k, 6)),
+                (k, derive_seed(9, k), spec.point(sample_scales(spec.variation, 9, k, 6))),
             )
 
     def test_rejects_non_positive_count(self):
@@ -118,11 +118,11 @@ class TestMonteCarloBatchRun:
 
         from engine_helpers import always_diverges
 
-        def diverging_gen(payload, ctx):
-            return always_diverges(payload, ctx)
+        def diverging_gen(point, options=None):
+            return always_diverges(point, options)
             yield  # pragma: no cover - makes this a generator
 
-        monkeypatch.setattr(mc, "_mc_sample_gen", diverging_gen)
+        monkeypatch.setattr(mc, "metric_gen", diverging_gen)
         result = MonteCarloBatch(
             McMetricSpec(metric="drnm", beta=0.6, metric_name="probe")
         ).run(3, seed=9, engine=EngineConfig(retries=0))

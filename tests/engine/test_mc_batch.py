@@ -44,10 +44,9 @@ def _spec(**overrides) -> McMetricSpec:
     return McMetricSpec(**defaults)
 
 
-def _value_gen(payload, ctx):
-    """Fake sample generator: deterministic value, no solver work."""
-    _, scales = payload
-    return float(sum(scales))
+def _value_gen(point, options=None):
+    """Fake ``metric_gen``: deterministic value, no solver work."""
+    return float(sum(point.scales))
     yield  # pragma: no cover - makes this a generator
 
 
@@ -77,11 +76,11 @@ class TestChunkLayout:
             chunk_index(0, 4), chunk_index(4, 8), chunk_index(8, 10)
         ]
 
-        entries = [e for t in chunks for e in t.payload[1]]
+        entries = [e for t in chunks for e in t.payload[0]]
         assert [e[0] for e in entries] == list(range(10))
-        for k, (index, seed, scales) in enumerate(entries):
+        for k, (index, seed, point) in enumerate(entries):
             assert seed == derive_seed(7, k)
-            assert scales == sample_scales(_spec().variation, 7, k, 6)
+            assert point == _spec().point(sample_scales(_spec().variation, 7, k, 6))
 
     def test_rejects_degenerate_sizes(self):
         batch = MonteCarloBatch(_spec())
@@ -90,7 +89,7 @@ class TestChunkLayout:
         with pytest.raises(ValueError):
             batch.chunk_tasks(8, seed=1, config=EngineConfig(), batch_size=0)
         singles = batch.chunk_tasks(3, seed=1, config=EngineConfig(), batch_size=1)
-        assert [len(t.payload[1]) for t in singles] == [1, 1, 1]
+        assert [len(t.payload[0]) for t in singles] == [1, 1, 1]
 
     def test_chunk_index_is_one_integer_per_member_range(self):
         ranges = [(lo, hi) for hi in range(1, 41) for lo in range(hi)]
@@ -115,7 +114,7 @@ class TestDerivedChunkSize:
         real_run_tasks = mc.run_tasks
 
         def spy(tasks, config):
-            sizes.extend(len(t.payload[1]) for t in tasks)
+            sizes.extend(len(t.payload[0]) for t in tasks)
             return real_run_tasks(
                 [dataclasses.replace(t, fn=sum_scales_chunk) for t in tasks], config
             )
@@ -135,19 +134,20 @@ class TestDerivedChunkSize:
 class TestChunkSemantics:
     def test_retryable_member_falls_back_to_scalar_path(self, monkeypatch):
         calls = []
+        flaky = _spec().point(sample_scales(_spec().variation, 5, 1, 6))
 
-        def flaky_gen(payload, ctx):
-            if ctx.index == 1:
+        def flaky_gen(point, options=None):
+            if point == flaky:  # sample 1
                 raise ConvergenceError("batch member diverged")
             return 1.5
             yield  # pragma: no cover
 
-        def scalar_fallback(payload, ctx):
+        def scalar_fallback(point, ctx):
             calls.append((ctx.index, ctx.attempt))
             return 7.25
 
-        monkeypatch.setattr(mc, "_mc_sample_gen", flaky_gen)
-        monkeypatch.setattr(mc, "evaluate_mc_sample", scalar_fallback)
+        monkeypatch.setattr(mc, "metric_gen", flaky_gen)
+        monkeypatch.setattr(mc, "evaluate_mc_point", scalar_fallback)
 
         with telemetry.enabled() as tel:
             result = MonteCarloBatch(_spec()).run(
@@ -165,15 +165,15 @@ class TestChunkSemantics:
         assert counters["batch.member_retries"] == 1
 
     def test_retry_exhaustion_records_member_failure(self, monkeypatch):
-        def always_diverges(payload, ctx):
+        def always_diverges(point, options=None):
             raise ConvergenceError("no operating point")
             yield  # pragma: no cover
 
-        monkeypatch.setattr(mc, "_mc_sample_gen", always_diverges)
+        monkeypatch.setattr(mc, "metric_gen", always_diverges)
         monkeypatch.setattr(
             mc,
-            "evaluate_mc_sample",
-            lambda payload, ctx: (_ for _ in ()).throw(
+            "evaluate_mc_point",
+            lambda point, ctx: (_ for _ in ()).throw(
                 ConvergenceError("still diverging")
             ),
         )
@@ -195,8 +195,8 @@ class TestChunkSemantics:
         assert counters["engine.convergence_errors"] == 4
 
     def test_audit_mismatch_fails_the_member(self, monkeypatch):
-        monkeypatch.setattr(mc, "_mc_sample_gen", _value_gen)
-        monkeypatch.setattr(mc, "evaluate_mc_sample", lambda p, c: -1.0)
+        monkeypatch.setattr(mc, "metric_gen", _value_gen)
+        monkeypatch.setattr(mc, "evaluate_mc_point", lambda p, c: -1.0)
 
         result = MonteCarloBatch(_spec()).run(
             3,
@@ -212,12 +212,11 @@ class TestChunkSemantics:
             assert "disagrees with the scalar path" in outcome.error
 
     def test_audit_agreement_passes_and_counts(self, monkeypatch):
-        def scalar_twin(payload, ctx):
-            _, scales = payload
-            return float(sum(scales))
+        def scalar_twin(point, ctx):
+            return float(sum(point.scales))
 
-        monkeypatch.setattr(mc, "_mc_sample_gen", _value_gen)
-        monkeypatch.setattr(mc, "evaluate_mc_sample", scalar_twin)
+        monkeypatch.setattr(mc, "metric_gen", _value_gen)
+        monkeypatch.setattr(mc, "evaluate_mc_point", scalar_twin)
 
         with telemetry.enabled() as tel:
             result = MonteCarloBatch(_spec()).run(
@@ -237,13 +236,12 @@ class TestChunkSemantics:
 
         audited = []
 
-        def tracking_scalar(payload, ctx):
+        def tracking_scalar(point, ctx):
             audited.append(ctx.index)
-            _, scales = payload
-            return float(sum(scales))
+            return float(sum(point.scales))
 
-        monkeypatch.setattr(mc, "_mc_sample_gen", _value_gen)
-        monkeypatch.setattr(mc, "evaluate_mc_sample", tracking_scalar)
+        monkeypatch.setattr(mc, "metric_gen", _value_gen)
+        monkeypatch.setattr(mc, "evaluate_mc_point", tracking_scalar)
 
         MonteCarloBatch(_spec()).run(
             8,
@@ -259,11 +257,11 @@ class TestChunkSemantics:
         real_chunk = mc.evaluate_mc_chunk
 
         def dying_chunk(payload, ctx):
-            if payload[1][0][0] == 2:  # the chunk starting at sample 2
+            if payload[0][0][0] == 2:  # the chunk starting at sample 2
                 raise RuntimeError("worker exploded")
             return real_chunk(payload, ctx)
 
-        monkeypatch.setattr(mc, "_mc_sample_gen", _value_gen)
+        monkeypatch.setattr(mc, "metric_gen", _value_gen)
         monkeypatch.setattr(mc, "evaluate_mc_chunk", dying_chunk)
 
         result = MonteCarloBatch(_spec()).run(
@@ -286,7 +284,7 @@ class TestChunkSemantics:
         def lossy_chunk(payload, ctx):
             return real_chunk(payload, ctx)[:-1]  # drops its last member
 
-        monkeypatch.setattr(mc, "_mc_sample_gen", _value_gen)
+        monkeypatch.setattr(mc, "metric_gen", _value_gen)
         monkeypatch.setattr(mc, "evaluate_mc_chunk", lossy_chunk)
 
         with pytest.raises(RuntimeError, match="exactly once"):
@@ -314,7 +312,7 @@ class TestResume:
         real_chunk = mc.evaluate_mc_chunk
 
         def recording_chunk(payload, ctx):
-            computed.append([entry[0] for entry in payload[1]])
+            computed.append([entry[0] for entry in payload[0]])
             return real_chunk(payload, ctx)
 
         monkeypatch.setattr(mc, "evaluate_mc_chunk", recording_chunk)
@@ -333,7 +331,7 @@ class TestResume:
         """A 3-sample study in chunks of 2, resumed twice as 4 samples:
         the log keeps the chunks [0, 2) and [2, 4), not the superseded
         [2, 3), and the values equal an uninterrupted run's."""
-        monkeypatch.setattr(mc, "_mc_sample_gen", _value_gen)
+        monkeypatch.setattr(mc, "metric_gen", _value_gen)
         path = tmp_path / "study.jsonl"
         batch = MonteCarloBatch(_spec())
 
@@ -358,7 +356,7 @@ class TestResume:
         with CheckpointLog(path, old_key, 5) as log:
             log.open_fresh()
             log.append(TaskOutcome(index=1, status="ok", value=0.5))
-        monkeypatch.setattr(mc, "_mc_sample_gen", _value_gen)
+        monkeypatch.setattr(mc, "metric_gen", _value_gen)
 
         with pytest.raises(CheckpointMismatch):
             MonteCarloBatch(_spec()).run(
