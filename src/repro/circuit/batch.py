@@ -59,9 +59,11 @@ The two drivers differ only in how they assemble; what that changes is
 deliberate and value-neutral:
 
 * the Jacobian block is assembled every tick for every live member,
-  even for residual-only (line search) requests — per-member it would
-  be wasted work, batched it is almost free, and the residual is
-  computed independently so delivered values are unchanged;
+  residual-only (line search) requests included, and handed back with
+  the residual: a generator may use it until its next yield, so
+  ``newton_gen`` factorizes the one at its accepted line-search point
+  when it re-stamps there instead of asking again (the scalar driver
+  answers residual requests without a Jacobian and assembles it anew);
 * ``tables.evals``/``tables.eval_points`` telemetry counters are not
   incremented (the registry calls the table kernel directly, not
   through ``CubicTable2D.evaluate``); ``batch.table_points`` counts the
@@ -109,7 +111,8 @@ class MemberOutcome:
 #   (system, x, t, gmin, transient, clamps, source_scale, want_jac)
 # The driver answers with (f, jac) — f a row of the tick's own copy of
 # the residual block (no later tick writes it), jac a view into the
-# tick buffer (valid until the generator's next yield) or None.
+# tick buffer, valid until the generator's next yield, whatever
+# want_jac asked for.
 
 
 class _TableRegistry:
@@ -488,8 +491,8 @@ def _stamp_capacitors_batch(layout: _Layout, tr: list[int], states: list) -> Non
 
     Each member's ``(v, q, c)`` rows are left in its system's last-point
     cache, as the scalar stamp leaves its own: the integrator's
-    post-step ``capacitor_currents``/``capacitor_charges`` at the point
-    this tick solved for are then cache hits on these same values.
+    post-step ``capacitor_charges`` at the point this tick solved for is
+    then a cache hit on these same values.
     """
     ab, sc_lin, c_lin, scale, steps, B, src, dst, sign = layout.transient_rows(tr)
     V = np.subtract(*layout.XGr.take(ab))
@@ -575,24 +578,6 @@ def _assemble_tick(layout: _Layout, reqs: list, registry: _TableRegistry, tel) -
                 _stamp_capacitors_batch(layout, tr, [transients[i] for i in tr])
 
 
-def _plan_for(
-    plan: _MemberPlan | None, system: MnaSystem, registry: _TableRegistry
-) -> _MemberPlan:
-    """A slot's stamping plan for the system its request names.
-
-    Rebuilt when the request names another system (a member moving on
-    to its next simulation) or the system recompiled its stamps.
-    """
-    if (
-        plan is None
-        or plan.system is not system
-        or plan.lin is not system._lin  # invalidate_caches() recompiled
-        or plan.vs_waves is not system._vs_waves
-    ):
-        plan = _MemberPlan(system, registry)
-    return plan
-
-
 def run_generators(gens: list) -> list[MemberOutcome]:
     """Drive solver generators to completion, batching their assembly.
 
@@ -624,8 +609,18 @@ def run_generators(gens: list) -> list[MemberOutcome]:
     layout = None
     layout_key = None
     while active:
+        # A slot's plan is rebuilt when its request names another system
+        # (a member moving on to its next simulation) or the system
+        # recompiled its stamps (invalidate_caches()).
         for entry in active:
-            entry[3] = _plan_for(entry[3], entry[2][0], registry)
+            plan, system = entry[3], entry[2][0]
+            if (
+                plan is None
+                or plan.system is not system
+                or plan.lin is not system._lin
+                or plan.vs_waves is not system._vs_waves
+            ):
+                entry[3] = _MemberPlan(system, registry)
         key = tuple(id(entry[3]) for entry in active)
         if key != layout_key:
             layout = _Layout([entry[3] for entry in active])
@@ -636,13 +631,14 @@ def run_generators(gens: list) -> list[MemberOutcome]:
             tel.count("batch.member_assemblies", len(active))
 
         # One copy per tick; each member's residual is a row of it that
-        # no later tick overwrites.
+        # no later tick overwrites.  Every answer carries the member's
+        # Jacobian slice, residual-only requests included.
         residuals = list(layout.F.copy())
         still = []
-        for i, (entry, f) in enumerate(zip(active, residuals)):
-            pos, gen, req, _ = entry
+        for entry, f, jac in zip(active, residuals, layout.JAC):
+            pos, gen = entry[0], entry[1]
             try:
-                nxt = gen.send((f, layout.JAC[i] if req[7] else None))
+                nxt = gen.send((f, jac))
             except StopIteration as stop:
                 results[pos] = MemberOutcome("ok", stop.value)
             except Exception as exc:

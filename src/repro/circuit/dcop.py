@@ -30,13 +30,15 @@ names, last dV, fallback tier reached) rides on the
 The control flow exists once, as generators (:func:`newton_gen`,
 :func:`solve_dc_gen`) that *yield* every assembly they need as a
 request ``(system, x, t, gmin, transient, clamps, source_scale,
-want_jac)`` and receive ``(f, jac)``.  :func:`drive` answers the
-requests of one generator with the named system's own
-``assemble(..., copy=False)`` or ``assemble_residual`` — the scalar
-path, for the dense, sparse and reference assemblers alike — and
+want_jac)`` and receive ``(f, jac)``, ``jac`` valid until the
+generator's next yield.  An answer to a residual request may carry the
+Jacobian at that point too.  :func:`drive` answers the requests of one
+generator with the named system's own ``assemble(..., copy=False)`` or
+``assemble_residual`` (``jac`` None) — the scalar path, for the dense,
+sparse and reference assemblers alike — and
 :func:`repro.circuit.batch.run_generators` answers many at once with a
-stacked assembly.  :func:`newton_solve` and :func:`solve_dc` are
-:func:`drive` over the generators.
+stacked assembly, the Jacobian always included.  :func:`newton_solve`
+and :func:`solve_dc` are :func:`drive` over the generators.
 """
 
 from __future__ import annotations
@@ -241,7 +243,11 @@ def newton_gen(
 
     A generator: every assembly is yielded as a request (see the module
     docstring).  The Jacobian it receives may be a reusable buffer that
-    is valid only until the next yield, so it is factorized at once.
+    is valid only until the next yield, so it is factorized at once.  A
+    Jacobian that comes with the accepted line-search residual is kept
+    for a re-stamp at that point, which it serves instead of a request
+    of its own (always before the next yield); on every other path it
+    is dropped.
     """
     tel = telemetry.active()
     wall_start = time.perf_counter() if tel is not None else 0.0
@@ -252,8 +258,11 @@ def newton_gen(
 
     # Iteration 1 always stamps at x0, so the first request asks for
     # the Jacobian too: its residual is the one a residual-only request
-    # would return, and the solve saves one assembly.
+    # would return, and the solve saves one assembly.  From then on
+    # ``jac`` is None or the Jacobian at ``x`` handed back with the
+    # accepted line-search residual, valid until the next yield.
     f, jac = yield (system, x, t, gmin, transient, clamps, source_scale, True)
+    norm = math.sqrt(f.dot(f))
     factor = None
     age = 0
     stamps = 0
@@ -286,12 +295,12 @@ def newton_gen(
                     f"singular Jacobian at iteration {iteration}",
                     forensics={"worst_residual_nodes": _worst_residual_nodes(system, f)},
                 ) from exc
-            jac = None  # a reusable buffer: stale after the next yield
             age = 0
             stamps += 1
         else:
             age += 1
             reuses += 1
+        jac = None  # a reusable buffer: stale after the next yield
 
         try:
             delta = factor.solve(-f)
@@ -304,7 +313,8 @@ def newton_gen(
                 f"singular Jacobian at iteration {iteration}",
                 forensics={"worst_residual_nodes": _worst_residual_nodes(system, f)},
             ) from exc
-        if not np.isfinite(delta).all():
+        magnitude = np.abs(delta)
+        if not math.isfinite(magnitude.max()):
             if age > 0:
                 # The stale factorization produced garbage; retry this
                 # iteration with a fresh stamp before giving up.
@@ -319,18 +329,20 @@ def newton_gen(
                 forensics={"worst_residual_nodes": _worst_residual_nodes(system, f)},
             )
 
-        max_dv = float(np.abs(delta[:n]).max()) if n else 0.0
+        max_dv = float(magnitude[:n].max()) if n else 0.0
         if max_dv > trust:
             delta = delta * (trust / max_dv)
             max_dv = trust
 
-        norm_old = math.sqrt(f.dot(f))
         scale = 1.0
         descended = False
         for _ in range(options.line_search_backtracks + 1):
-            x_try = x + scale * delta
-            f_try, _ = yield (system, x_try, t, gmin, transient, clamps, source_scale, False)
-            if math.sqrt(f_try.dot(f_try)) <= norm_old or norm_old == 0.0:
+            x_try = x + delta if scale == 1.0 else x + scale * delta
+            f_try, jac_try = yield (
+                system, x_try, t, gmin, transient, clamps, source_scale, False
+            )
+            norm_try = math.sqrt(f_try.dot(f_try))
+            if norm_try <= norm or norm == 0.0:
                 descended = True
                 break
             scale *= 0.5
@@ -343,7 +355,7 @@ def newton_gen(
             factor = None
             iteration -= 1
             continue
-        x, f = x_try, f_try
+        x, f, jac, norm_old, norm = x_try, f_try, jac_try, norm, norm_try
         step = scale * max_dv
 
         # Trust-region adaptation: a backtracked step means the Newton
@@ -355,8 +367,7 @@ def newton_gen(
             factor = None  # curvature moved under us; re-stamp next iteration
         else:
             trust = min(2.0 * trust, options.step_limit)
-            norm_new = math.sqrt(f.dot(f))
-            if age > 0 and norm_new > options.reuse_descent_factor * norm_old:
+            if age > 0 and norm > options.reuse_descent_factor * norm_old:
                 factor = None  # stale direction stopped making fast progress
 
         max_f = float(np.abs(f).max())

@@ -83,6 +83,11 @@ class TransientState:
 
     method: str = "backward_euler"
 
+    def currents(self, charges: np.ndarray) -> np.ndarray:
+        """Companion-model capacitor currents at a point holding ``charges``."""
+        delta = (charges - self.capacitor_charges) / self.timestep
+        return 2.0 * delta - self.capacitor_currents if self.method == "trapezoidal" else delta
+
 
 class _TransistorGroup:
     """Transistors sharing one device model, in circuit order.
@@ -279,7 +284,7 @@ class MnaSystem:
 
         # Last-point evaluation caches.  Newton's accepted line-search
         # residual and the next iteration's Jacobian re-stamp hit the
-        # *same* x, as do the post-solve charge/current queries of the
+        # *same* x, as does the post-solve charge query of the
         # transient integrator — the device models and charge functions
         # are pure, so those repeated evaluations are served from the
         # previous result for the cost of an array compare.
@@ -291,8 +296,8 @@ class MnaSystem:
         self._c_valid = False
         # Source waveforms are functions of t alone, and every Newton
         # iteration of one solve shares the same t; cache the sampled
-        # values keyed on (t, waveform identities) so waveform swaps on
-        # existing sources (the dc_sweep idiom) still invalidate.
+        # values keyed on (t, waveforms) so waveform swaps on existing
+        # sources (the dc_sweep idiom) still invalidate.
         self._vs_t: float | None = None
         self._vs_waves: list = [None] * self.n_branches
         self._is_t: float | None = None
@@ -592,35 +597,25 @@ class MnaSystem:
         Source values are read from the circuit each call, so waveform
         swaps on existing sources (the dc_sweep idiom) are honoured
         without recompiling; the sampled values are cached on ``(t,
-        waveform identities)``.  The returned arrays are that cache:
-        read them, never write them.  A new sample fills new arrays, so
-        arrays returned earlier keep their values (stacked-batch
-        members may share one system and sample it at different times
-        before any of them is stamped).  The scalar stamp and the
-        stacked batch both sample through here.
+        waveforms)``, each waveform list compared as one.  The returned
+        arrays are that cache: read them, never write them.  A new
+        sample fills new arrays, so arrays returned earlier keep their
+        values (stacked-batch members may share one system and sample
+        it at different times before any of them is stamped).  The
+        scalar stamp and the stacked batch both sample through here.
         """
         vs = self._vs_values
-        sources = self.circuit.voltage_sources
-        waves = self._vs_waves
-        if t != self._vs_t or any(
-            s.waveform is not w for s, w in zip(sources, waves)
-        ):
-            vs = self._vs_values = np.empty(self.n_branches)
-            for m, src in enumerate(sources):
-                vs[m] = src.waveform.value(t)
-                waves[m] = src.waveform
+        waves = [s.waveform for s in self.circuit.voltage_sources]
+        if t != self._vs_t or waves != self._vs_waves:
+            vs = self._vs_values = np.array([w.value(t) for w in waves], dtype=float)
+            self._vs_waves[:] = waves
             self._vs_t = t
         iv = self._is_values
         if iv.size:
-            sources = self.circuit.current_sources
-            waves = self._is_waves
-            if t != self._is_t or any(
-                s.waveform is not w for s, w in zip(sources, waves)
-            ):
-                iv = self._is_values = np.empty(iv.size)
-                for m, src in enumerate(sources):
-                    iv[m] = src.waveform.value(t)
-                    waves[m] = src.waveform
+            waves = [s.waveform for s in self.circuit.current_sources]
+            if t != self._is_t or waves != self._is_waves:
+                iv = self._is_values = np.array([w.value(t) for w in waves], dtype=float)
+                self._is_waves[:] = waves
                 self._is_t = t
         return vs, iv
 
@@ -664,11 +659,7 @@ class MnaSystem:
         """Companion-model capacitor currents at the solution ``x``."""
         if not len(self._caps):
             return np.empty(0)
-        q, _ = self._cap_qc(x)
-        delta = (q - transient.capacitor_charges) / transient.timestep
-        if transient.method == "trapezoidal":
-            return 2.0 * delta - transient.capacitor_currents
-        return delta
+        return transient.currents(self._cap_qc(x)[0])
 
     def _stamp_capacitors(
         self, x, f, jac, jac_idx, transient: TransientState, want_jac: bool

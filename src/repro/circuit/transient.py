@@ -354,8 +354,8 @@ def accepted_step_gen(
         state.charges, state.currents, options, tel,
     )
     t = _landing(state.t, h_try, next_break)
-    currents = system.capacitor_currents(x_new, step_state)
     charges = system.capacitor_charges(x_new)
+    currents = step_state.currents(charges)
 
     ver = verify.active()
     if ver is not None:

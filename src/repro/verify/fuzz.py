@@ -8,6 +8,9 @@ paths against the retained seed references:
   against :class:`~repro.circuit.mna_reference.ReferenceMnaSystem` at
   randomized solution vectors, across DC / gmin / clamp /
   source-scaled / transient companion configurations;
+* the stacked driver: the deck's ``solve_dc_gen`` twice, as two
+  ``run_generators`` members, must return ``solve_dc``'s ``x`` bytes
+  each, or its error;
 * full solves (``solve_dc`` warm and cold, ``dc_sweep`` warm starts,
   ``simulate_transient`` with the predictor on and off, then
   ``solve_dc`` and ``simulate_transient`` again on the forced-sparse
@@ -36,7 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.circuit.dcop import ConvergenceError, SolverOptions, solve_dc
+from repro.circuit.batch import run_generators
+from repro.circuit.dcop import ConvergenceError, SolverOptions, solve_dc, solve_dc_gen
 from repro.circuit.mna import MnaSystem, TransientState, VoltageClamp
 from repro.circuit.mna_reference import ReferenceMnaSystem
 from repro.circuit.parser import NetlistSyntaxError, parse_netlist
@@ -232,8 +236,17 @@ def check_deck(deck: str) -> CheckResult:
             op = None
             try:
                 op = solve_dc(circuit)
-            except ConvergenceError:
+                expected = op.x.tobytes()
+            except ConvergenceError as exc:
                 result.nonconverged += 1
+                expected = repr(exc)
+            for outcome in run_generators([solve_dc_gen(circuit), solve_dc_gen(circuit)]):
+                got = outcome.value.x.tobytes() if outcome.error is None else repr(outcome.error)
+                if got != expected:
+                    scalar = "error" if op is None else "ok"
+                    message = f"stacked solve ({outcome.status}) differs from solve_dc ({scalar})"
+                    result.failure = {"kind": "batch", "message": message}
+                    return result
             if op is not None:
                 try:
                     solve_dc(circuit, x0=op)  # warm start from own solution

@@ -26,6 +26,15 @@ def engine_payload(speedup=3.5, created=1.0):
     }
 
 
+def char_payload(speedup=500.0, created=1.0):
+    return {
+        "schema": "repro.bench.char/v1",
+        "created_unix": created,
+        "speedup": speedup,
+        "min_speedup": 5.0,
+    }
+
+
 def telemetry_payload(overhead=0.001, created=1.0):
     return {
         "schema": "repro.bench.telemetry/v1",
@@ -149,6 +158,16 @@ class TestCheckHistory:
         over = self.history(0.001, 0.05, payload=telemetry_payload)
         problems = check_history(over)
         assert any("exceeds its budget" in p for p in problems)
+
+    def test_char_ratio_judged_on_its_gate_only(self):
+        # char's cold/warm ratio halves when a faster solver halves the
+        # cold build: above its gate that is no regression...
+        assert check_history(self.history(1052.0, 500.0, 250.0, payload=char_payload)) == []
+        below = check_history(self.history(1052.0, 4.0, payload=char_payload))
+        assert len(below) == 1 and "hard gate" in below[0]
+        # ...while an engine speedup that halves above its gate still fails.
+        halved = check_history(self.history(8.0, 8.0, 4.0))
+        assert len(halved) == 1 and "below its baseline median" in halved[0]
 
     def test_tolerance_validated(self):
         with pytest.raises(ValueError, match="tolerance"):

@@ -67,6 +67,29 @@ class TestCheckDeck:
         assert tel.counters.get("mna.sparse_selected", 0) == 2
         assert result.audits.get("jacobian", 0) > 0
 
+    def test_stacked_stage_solves_the_deck_twice_in_one_batch(self):
+        with telemetry.enabled() as tel:
+            result = fuzz.check_deck(GOOD_DECK)
+        assert result.failure is None
+        assert tel.counters["batch.runs"] == 1
+        assert tel.counters["batch.members"] == 2
+
+    def test_stacked_stage_flags_a_member_that_differs(self, monkeypatch):
+        from repro.circuit.batch import MemberOutcome
+        from repro.circuit.dcop import ConvergenceError
+
+        real = fuzz.run_generators
+
+        def second_member_fails(gens):
+            outcomes = real(gens)
+            outcomes[1] = MemberOutcome("error", error=ConvergenceError("injected"))
+            return outcomes
+
+        monkeypatch.setattr(fuzz, "run_generators", second_member_fails)
+        result = fuzz.check_deck(GOOD_DECK)
+        assert result.failure["kind"] == "batch"
+        assert "(error) differs from solve_dc (ok)" in result.failure["message"]
+
     def test_unparseable_deck_reports_parse_failure(self):
         result = fuzz.check_deck(BROKEN_DECK)
         assert result.failure is not None
